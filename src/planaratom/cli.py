@@ -103,14 +103,12 @@ class RunRequest:
     atom: str
     potential_token: str
     lam: float | None
-    ell: int
-    nodes: int
-    rho_min: float | None
-    rho_max: float | None
-    n_points: int | None
-    tol: float | None
-    fmt: str
-    output: str | None
+    ell: int = 0
+    nodes: int = 0
+    rho_min: float | None = None
+    rho_max: float | None = None
+    n_points: int | None = None
+    tol: float | None = None
 
     def problem(self) -> EffectivePotentialParams:
         kind = POTENTIAL_TOKENS[self.potential_token]
@@ -156,8 +154,6 @@ def _request_from_args(args) -> RunRequest:
         rho_max=args.rho_max,
         n_points=args.points,
         tol=args.tol,
-        fmt=args.format,
-        output=args.output,
     )
 
 
@@ -173,10 +169,26 @@ def _write_text(path: str | None, text: str, default=None) -> None:
 
 def _solve_request(req: RunRequest):
     problem = req.problem()
-    grid = req.grid(problem)
-    result, wf = solve_state(problem, req.nodes, config=req.config(), grid=grid)
-    radius = mean_radius(wf, problem)
-    return problem, grid, result, wf, radius
+    result, wf = solve_state(problem, req.nodes, config=req.config(), grid=req.grid(problem))
+    return result, wf, mean_radius(wf, problem)
+
+
+def _memo_solver():
+    """Solver for table rows that solves each distinct state once per command.
+
+    Called as ``solve(atom, token, lam, ell, nodes)``, it returns the
+    ``(EigenResult, RadiusResult)`` pair. Wavefunctions are not kept, so
+    memory does not grow with the number of states.
+    """
+    memo = {}
+
+    def solve(*key):
+        if key not in memo:
+            result, _, radius = _solve_request(RunRequest(*key))
+            memo[key] = result, radius
+        return memo[key]
+
+    return solve
 
 
 _SOLVE_FIELDS = (
@@ -253,13 +265,13 @@ def _record_json(payload: dict) -> str:
 
 def cmd_solve(args) -> int:
     req = _request_from_args(args)
-    problem, grid, result, wf, radius = _solve_request(req)
+    result, wf, radius = _solve_request(req)
     record = _solve_record(req, result, radius, req.config())
-    if req.fmt == "json":
+    if args.format == "json":
         text = _record_json({"schema": SCHEMA, **record})
     else:
         text = _record_csv(_SOLVE_FIELDS, [record])
-    _write_text(req.output, text)
+    _write_text(args.output, text)
     if args.wavefunction_output:
         _write_text(args.wavefunction_output, _wavefunction_csv(req, result, wf))
     return 0 if result.converged else 2
@@ -282,8 +294,8 @@ def _wavefunction_csv(req: RunRequest, result, wf) -> str:
 
 def cmd_wavefunction(args) -> int:
     req = _request_from_args(args)
-    problem, grid, result, wf, radius = _solve_request(req)
-    _write_text(req.output, _wavefunction_csv(req, result, wf))
+    result, wf, _ = _solve_request(req)
+    _write_text(args.output, _wavefunction_csv(req, result, wf))
     return 0 if result.converged else 2
 
 
@@ -305,7 +317,7 @@ def cmd_scan_potential(args) -> int:
     buf.write("rho,u_eff\n")
     for r, v in zip(rho, u):
         buf.write(f"{_fmt(r)},{_fmt(v)}\n")
-    _write_text(req.output, buf.getvalue())
+    _write_text(args.output, buf.getvalue())
     return 0
 
 
@@ -349,12 +361,12 @@ def _table_rows(which: str):
     return rows
 
 
-def _build_table(which: str):
+def _build_table(which: str, solve):
+    """Table records; ``solve`` is a :func:`_memo_solver`."""
     published = load_published_tables()
     records = []
     for atom, token, lam, ell, nodes, quantity in _table_rows(which):
-        req = RunRequest(atom, token, lam, ell, nodes, None, None, None, None, "csv", None)
-        problem, grid, result, wf, radius = _solve_request(req)
+        result, radius = solve(atom, token, lam, ell, nodes)
         value = result.energy if quantity == "energy_ry" else radius.mean_r_bohr
         pub = published.get((which, atom, token, lam, ell))
         records.append(
@@ -375,7 +387,7 @@ def _build_table(which: str):
 
 def cmd_table(args) -> int:
     which = args.which.replace("-", "_")
-    records = _build_table(which)
+    records = _build_table(which, _memo_solver())
     default_name = f"table_{which}.{ 'json' if args.format == 'json' else 'csv'}"
     if args.format == "json":
         text = _record_json(
@@ -411,6 +423,9 @@ def _flag_for(published, computed, closed_form) -> str:
     return "unresolved"
 
 
+# Closed-form Coulomb ground-state mean radius in Bohr radii is this over zeta.
+_CLOSED_RADIUS_FACTOR = {"coulomb3d": 1.5, "coulomb2d": 0.5}
+
 _REPORT_FIELDS = (
     "section",
     "atom",
@@ -428,71 +443,37 @@ _REPORT_FIELDS = (
 
 
 def _build_report():
-    published = load_published_tables()
+    solve = _memo_solver()
     rows = []
-    for atom in ATOM_NAMES:
-        cases = [("coulomb3d", None), ("coulomb2d", None)] + [
-            ("chern-simons", lam) for lam in TABLE_LAMBDAS
-        ]
-        for token, lam in cases:
-            req = RunRequest(atom, token, lam, 0, 0, None, None, None, None, "csv", None)
-            problem, grid, result, wf, radius = _solve_request(req)
-            closed = closed_form_energy(problem, 0)
+    for section, quantity in (("energies", "energy_ry"), ("radii", "mean_r_bohr")):
+        for rec in _build_table(section, solve):
+            atom, token, lam = rec["atom"], rec["potential"], rec["lambda"]
+            problem = RunRequest(atom, token, lam).problem()
             jordan = None
             jordan_ratio = None
-            if token == "chern-simons":
-                jreq = RunRequest(
-                    atom, "chern-simons-jordan", lam, 0, 0, None, None, None, None, "csv", None
-                )
-                _, _, jres, _, _ = _solve_request(jreq)
-                jordan = jres.energy
-                jordan_ratio = jordan_variant_gap(problem)
-            pub = published.get(("energies", atom, token, lam, 0))
+            if section == "energies":
+                closed = closed_form_energy(problem, 0)
+                if token == "chern-simons":
+                    jordan = solve(atom, "chern-simons-jordan", lam, 0, 0)[0].energy
+                    jordan_ratio = jordan_variant_gap(problem)
+            else:
+                factor = _CLOSED_RADIUS_FACTOR.get(token)
+                closed = factor / problem.atom.zeta if factor is not None else None
+            pub = rec["published_value"]
             rows.append(
                 {
-                    "section": "energies",
+                    "section": section,
                     "atom": atom,
                     "potential": token,
                     "lambda": lam,
-                    "quantity": "energy_ry",
+                    "quantity": quantity,
                     "published_value": pub,
-                    "computed": result.energy,
+                    "computed": rec[quantity],
                     "closed_form": closed,
                     "jordan_variant": jordan,
                     "jordan_prefactor_ratio": jordan_ratio,
-                    "deviation": (result.energy - pub) if pub is not None else None,
-                    "flag": _flag_for(pub, result.energy, closed),
-                }
-            )
-    for atom in ("pe", "pmu", "tmu"):
-        for token, lam in (
-            ("coulomb3d", None),
-            ("coulomb2d", None),
-            ("chern-simons", RADII_LAMBDA),
-        ):
-            req = RunRequest(atom, token, lam, 0, 0, None, None, None, None, "csv", None)
-            problem, grid, result, wf, radius = _solve_request(req)
-            zeta = problem.atom.zeta
-            closed = None
-            if token == "coulomb3d":
-                closed = 1.5 / zeta
-            elif token == "coulomb2d":
-                closed = 0.5 / zeta
-            pub = published.get(("radii", atom, token, lam, 0))
-            rows.append(
-                {
-                    "section": "radii",
-                    "atom": atom,
-                    "potential": token,
-                    "lambda": lam,
-                    "quantity": "mean_r_bohr",
-                    "published_value": pub,
-                    "computed": radius.mean_r_bohr,
-                    "closed_form": closed,
-                    "jordan_variant": None,
-                    "jordan_prefactor_ratio": None,
-                    "deviation": (radius.mean_r_bohr - pub) if pub is not None else None,
-                    "flag": _flag_for(pub, radius.mean_r_bohr, closed),
+                    "deviation": rec["deviation"],
+                    "flag": _flag_for(pub, rec[quantity], closed),
                 }
             )
     return rows

@@ -13,7 +13,12 @@ found in two fused stages on a bracket ``[E_lo, E_hi]``:
 Both stages reduce to one sign predicate: below the eigenvalue the outward
 sweep has too few nodes or a positive mismatch, above it too many nodes or
 a negative mismatch. The mismatch is strictly decreasing in ``E`` between
-its poles, so the bisection is rigorous.
+its poles, so the bisection is rigorous. Every trial energy, the final
+assembly and :func:`match_defect` go through one shooting step
+(``_ShootingWorkspace.shoot``). A result is flagged converged when the
+bracket is within ``SolverConfig.bisection_tol``, the mismatch within
+``DEFECT_TOL`` and the node count on target; the other ``SolverConfig``
+fields set the starting bracket and the bisection and widening budgets.
 
 Near the origin every potential here is singular; sweeps are seeded with a
 short Frobenius expansion of the regular solution (power law ``rho^s`` with
@@ -56,6 +61,9 @@ ORIGIN_STEP_MULTIPLE = 80.0
 # Number of Frobenius correction terms used in outward seeds.
 SEED_SERIES_TERMS = 6
 
+# Largest |match_defect| of a result flagged converged.
+DEFECT_TOL = 1e-6
+
 # Points kept past the match index so 5-point derivative stencils fit.
 _STENCIL_PAD = 4
 
@@ -96,14 +104,16 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the eigenvalue search; ``None`` fields use per-problem defaults."""
+    """Knobs for the eigenvalue search.
+
+    ``energy_bracket`` is the starting bracket in rydberg (``None`` uses
+    :func:`default_bracket`); ``bisection_tol`` the final bracket width;
+    ``max_bisections`` and ``max_widenings`` the iteration budgets.
+    """
 
     energy_bracket: tuple[float, float] | None = None
     bisection_tol: float = 1e-8
     max_bisections: int = 200
-    match_index_policy: str = "outer_turning_point"
-    node_target: int = 0
-    defect_tol: float = 1e-6
     max_widenings: int = 3
 
     def __post_init__(self):
@@ -113,8 +123,6 @@ class SolverConfig:
             lo, hi = self.energy_bracket
             if not (lo < hi < 0):
                 raise ValueError("energy bracket must satisfy E_lo < E_hi < 0")
-        if self.match_index_policy not in ("outer_turning_point", "fixed_fraction"):
-            raise ValueError(f"unknown match policy {self.match_index_policy!r}")
 
 
 @dataclass(frozen=True)
@@ -184,60 +192,79 @@ def small_rho_solution(
 # (256 steps is well under one e-fold for every default grid here).
 _SCAN_BLOCK = 256
 
+# Blocks whose prefix products are built together in one vectorized pass;
+# bounds the scratch memory of a sweep to a few arrays of 8192 doubles.
+_SCAN_CHUNK_BLOCKS = 32
+
+
+def _block_prefix_products(a: np.ndarray, b: np.ndarray):
+    """Running products ``P_j = M_j ... M_1`` along each row of ``(a, b)``.
+
+    Rows are independent blocks; index doubling along the row gives every
+    row the same arithmetic as if it were scanned on its own.
+    """
+    p00, p01 = a.copy(), b.copy()
+    p10, p11 = np.ones_like(a), np.zeros_like(a)
+    width = a.shape[1]
+    shift = 1
+    while shift < width:
+        q00, q01 = p00[:, shift:], p01[:, shift:]
+        q10, q11 = p10[:, shift:], p11[:, shift:]
+        r00, r01 = p00[:, :-shift], p01[:, :-shift]
+        r10, r11 = p10[:, :-shift], p11[:, :-shift]
+        n00 = q00 * r00 + q01 * r10
+        n01 = q00 * r01 + q01 * r11
+        n10 = q10 * r00 + q11 * r10
+        n11 = q10 * r01 + q11 * r11
+        p00[:, shift:] = n00
+        p01[:, shift:] = n01
+        p10[:, shift:] = n10
+        p11[:, shift:] = n11
+        shift *= 2
+    return p00, p01, p10, p11
+
 
 def _sweep(f: np.ndarray, u0: float, u1: float) -> np.ndarray:
     """Numerov recurrence via blocked prefix products of transfer matrices.
 
     ``f = 1 + h^2 g / 12`` in sweep order; seeds sit at the first two
     entries. Within a block the running products ``P_j = M_j ... M_1`` of
-    ``M_k = [[a_k, b_k], [1, 0]]`` are built by index doubling; blocks are
-    chained sequentially and the finished prefix is renormalized whenever
-    it grows past the overflow guard, so arbitrarily deep forbidden
-    regions are safe.
+    ``M_k = [[a_k, b_k], [1, 0]]`` are built by index doubling, many blocks
+    at once; blocks are chained sequentially and the finished prefix is
+    renormalized whenever it grows past the overflow guard, so arbitrarily
+    deep forbidden regions are safe.
     """
     n = f.shape[0]
     u = np.empty(n)
     u[0], u[1] = u0, u1
     if n == 2:
         return u
-    a_all = (12.0 - 10.0 * f[1:-1]) / f[2:]
-    b_all = -f[:-2] / f[2:]
+    m = n - 2
+    n_blocks = -(-m // _SCAN_BLOCK)
+    # zero padding of the last block: a prefix product never reads ahead
+    a_all = np.zeros(n_blocks * _SCAN_BLOCK)
+    b_all = np.zeros(n_blocks * _SCAN_BLOCK)
+    a_all[:m] = (12.0 - 10.0 * f[1:-1]) / f[2:]
+    b_all[:m] = -f[:-2] / f[2:]
+    a_all = a_all.reshape(n_blocks, _SCAN_BLOCK)
+    b_all = b_all.reshape(n_blocks, _SCAN_BLOCK)
     pos = 1  # index of the leading value of the current (u_k, u_{k-1}) pair
     uk, ukm1 = u1, u0
-    m = a_all.shape[0]
-    done = 0
-    while done < m:
-        size = min(_SCAN_BLOCK, m - done)
-        p00 = a_all[done : done + size].copy()
-        p01 = b_all[done : done + size].copy()
-        p10 = np.ones(size)
-        p11 = np.zeros(size)
-        shift = 1
-        while shift < size:
-            q00, q01 = p00[shift:], p01[shift:]
-            q10, q11 = p10[shift:], p11[shift:]
-            r00, r01 = p00[:-shift], p01[:-shift]
-            r10, r11 = p10[:-shift], p11[:-shift]
-            n00 = q00 * r00 + q01 * r10
-            n01 = q00 * r01 + q01 * r11
-            n10 = q10 * r00 + q11 * r10
-            n11 = q10 * r01 + q11 * r11
-            p00[shift:] = n00
-            p01[shift:] = n01
-            p10[shift:] = n10
-            p11[shift:] = n11
-            shift *= 2
-        seg = u[pos + 1 : pos + 1 + size]
-        np.multiply(p00, uk, out=seg)
-        seg += p01 * ukm1
-        ukm1 = p10[-1] * uk + p11[-1] * ukm1
-        uk = seg[-1]
-        pos += size
-        done += size
-        if abs(uk) + abs(ukm1) > RESCALE_THRESHOLD:
-            u[: pos + 1] /= RESCALE_THRESHOLD
-            uk /= RESCALE_THRESHOLD
-            ukm1 /= RESCALE_THRESHOLD
+    for first in range(0, n_blocks, _SCAN_CHUNK_BLOCKS):
+        chunk = slice(first, first + _SCAN_CHUNK_BLOCKS)
+        p00, p01, p10, p11 = _block_prefix_products(a_all[chunk], b_all[chunk])
+        for row in range(p00.shape[0]):
+            size = min(_SCAN_BLOCK, m - (pos - 1))
+            seg = u[pos + 1 : pos + 1 + size]
+            np.multiply(p00[row, :size], uk, out=seg)
+            seg += p01[row, :size] * ukm1
+            ukm1 = p10[row, size - 1] * uk + p11[row, size - 1] * ukm1
+            uk = seg[-1]
+            pos += size
+            if abs(uk) + abs(ukm1) > RESCALE_THRESHOLD:
+                u[: pos + 1] /= RESCALE_THRESHOLD
+                uk /= RESCALE_THRESHOLD
+                ukm1 /= RESCALE_THRESHOLD
     return u
 
 
@@ -298,25 +325,19 @@ def _derivative_5pt(u: np.ndarray, i: int, h: float) -> float:
     return (-u[i + 2] + 8.0 * u[i + 1] - 8.0 * u[i - 1] + u[i - 2]) / (12.0 * h)
 
 
-def _pick_match_index(g: np.ndarray, policy: str) -> int:
-    """Outermost classical turning point, clamped away from the ends."""
-    n = g.shape[0]
-    lo = _STENCIL_PAD + 2
-    hi = n - 1 - (_STENCIL_PAD + 2)
-    if policy == "outer_turning_point":
-        crossings = np.nonzero((g[:-1] > 0.0) & (g[1:] <= 0.0))[0]
-        if crossings.size:
-            return int(min(max(crossings[-1], lo), hi))
-    return (n - 1) // 2
+def _outer_turning_point(g: np.ndarray) -> int:
+    """Index of the outermost classical turning point; the midpoint if there is none."""
+    crossings = np.nonzero((g[:-1] > 0.0) & (g[1:] <= 0.0))[0]
+    return int(crossings[-1]) if crossings.size else (g.shape[0] - 1) // 2
 
 
 class _ShootingWorkspace:
     """Per-problem state shared across energy trials of one solve."""
 
-    def __init__(self, problem, grid, config):
+    def __init__(self, problem, grid, node_target=0):
         self.problem = problem
         self.grid = grid
-        self.config = config
+        self.node_target = node_target
         self.rho = grid.points()
         self.h = grid.step
         self.u_eff = np.asarray(effective_potential(problem, self.rho), dtype=float)
@@ -324,44 +345,49 @@ class _ShootingWorkspace:
             raise ValueError("effective potential is not finite on the grid")
         self.h2_12 = self.h * self.h / 12.0
 
-    def outward(self, energy, g, upto):
-        """Outward sweep over grid indices [0, upto]."""
-        f = 1.0 + self.h2_12 * g[: upto + 1]
-        seeds = small_rho_solution(self.problem, energy, self.rho[:2])
-        return _sweep(f, float(seeds[0]), float(seeds[1]))
+    def shoot(self, energy, match_index=None, gated=False):
+        """One shooting trial: sweep outward and inward, match in between.
 
-    def inward(self, energy, g, downto):
-        """Inward sweep over grid indices [downto, N-1], in grid order."""
-        f = 1.0 + self.h2_12 * g[downto:]
+        The match index ``m`` is ``match_index`` if given, else the
+        outermost classical turning point, clamped away from the ends. The
+        outward sweep covers grid indices [0, m+pad] and the inward sweep
+        [m-pad, N-1], in grid order. Returns ``(m, nodes, u_left, u_right,
+        defect)`` with ``nodes`` counted on the outward sweep up to ``m``.
+        With ``gated`` the inward sweep is skipped (``u_right`` and
+        ``defect`` None) when ``nodes`` differs from ``node_target``.
+        ``defect`` is also None when the outward sweep has a node pinned at
+        the match point, see :meth:`_defect_at`.
+        """
+        g = energy - self.u_eff
+        m = _outer_turning_point(g) if match_index is None else int(match_index)
+        m = min(max(m, _STENCIL_PAD + 2), g.shape[0] - _STENCIL_PAD - 3)
+        f = 1.0 + self.h2_12 * g[: m + _STENCIL_PAD + 1]
+        seeds = small_rho_solution(self.problem, energy, self.rho[:2])
+        u_left = _sweep(f, float(seeds[0]), float(seeds[1]))
+        nodes = count_nodes(u_left[: m + 1])
+        if gated and nodes != self.node_target:
+            return m, nodes, u_left, None, None
         kappa_sq = self.u_eff[-1] - energy
         kappa = math.sqrt(kappa_sq) if kappa_sq > 0.0 else 1.0
-        u0 = INWARD_SEED
-        u1 = INWARD_SEED * math.exp(kappa * self.h)
-        return _sweep(f[::-1], u0, u1)[::-1]
+        f = 1.0 + self.h2_12 * g[m - _STENCIL_PAD :]
+        u_right = _sweep(f[::-1], INWARD_SEED, INWARD_SEED * math.exp(kappa * self.h))[::-1]
+        return m, nodes, u_left, u_right, self._defect_at(u_left, u_right, m)
 
     def classify(self, energy):
         """Sign predicate for bisection plus diagnostics.
 
-        Returns ``(sign, defect, match_index)`` where ``sign`` is +1 below
-        the target eigenvalue and -1 above it. ``defect`` is None when node
-        counting alone decided (the inward sweep is skipped then).
+        Returns ``(sign, defect)`` where ``sign`` is +1 below the target
+        eigenvalue and -1 above it. ``defect`` is None when node counting
+        alone decided (the inward sweep is skipped then).
         """
-        g = energy - self.u_eff
-        m = _pick_match_index(g, self.config.match_index_policy)
-        n_target = self.config.node_target
-        u_left = self.outward(energy, g, m + _STENCIL_PAD)
-        nodes = count_nodes(u_left[: m + 1])
-        if nodes < n_target:
-            return 1, None, m
-        if nodes > n_target:
-            return -1, None, m
-        u_right = self.inward(energy, g, m - _STENCIL_PAD)
-        defect = self._defect_at(u_left, u_right, m)
+        _, nodes, _, _, defect = self.shoot(energy, gated=True)
+        if nodes != self.node_target:
+            return (1 if nodes < self.node_target else -1), None
         if defect is None:
             # outward node sitting on the match point: just past the
             # left-problem eigenvalue, hence above the target energy
-            return -1, None, m
-        return (1 if defect > 0.0 else -1), defect, m
+            return -1, None
+        return (1 if defect > 0.0 else -1), defect
 
     def _defect_at(self, u_left, u_right, m):
         """Log-derivative mismatch at the match index, nudging off nodes.
@@ -388,11 +414,7 @@ class _ShootingWorkspace:
 
     def assemble(self, energy):
         """Glue the outward and inward sweeps at the match point, unnormalized."""
-        g = energy - self.u_eff
-        m = _pick_match_index(g, self.config.match_index_policy)
-        u_left = self.outward(energy, g, m + _STENCIL_PAD)
-        u_right = self.inward(energy, g, m - _STENCIL_PAD)
-        defect = self._defect_at(u_left, u_right, m)
+        m, _, u_left, u_right, defect = self.shoot(energy)
         ul, ur = u_left[m], u_right[_STENCIL_PAD]
         if ul == 0.0 and ur == 0.0:
             raise DegenerateSeedError("both sweeps vanish at the matching point")
@@ -400,7 +422,7 @@ class _ShootingWorkspace:
         u = np.empty(self.grid.n_points)
         u[: m + 1] = u_left[: m + 1]
         u[m + 1 :] = scale * u_right[_STENCIL_PAD + 1 :]
-        return u, (defect if defect is not None else math.inf), m
+        return u, (defect if defect is not None else math.inf)
 
 
 def match_defect(
@@ -420,13 +442,7 @@ def match_defect(
         raise ValueError("match_index must be strictly interior")
     if not energy_ry < 0:
         raise ValueError("bound-state energies are negative")
-    ws = _ShootingWorkspace(problem, grid, SolverConfig())
-    m = int(match_index)
-    m = min(max(m, _STENCIL_PAD + 2), grid.n_points - _STENCIL_PAD - 3)
-    g = energy_ry - ws.u_eff
-    u_left = ws.outward(energy_ry, g, m + _STENCIL_PAD)
-    u_right = ws.inward(energy_ry, g, m - _STENCIL_PAD)
-    defect = ws._defect_at(u_left, u_right, m)
+    *_, defect = _ShootingWorkspace(problem, grid).shoot(energy_ry, match_index)
     if defect is None:
         raise DegenerateSeedError("no usable matching point near the requested index")
     return defect
@@ -537,34 +553,31 @@ def solve_state(
         raise ValueError("node_target must be non-negative")
     if config is None:
         config = SolverConfig()
-    config = replace(config, node_target=node_target)
     if grid is None:
         grid = default_grid(problem, node_target)
-    ws = _ShootingWorkspace(problem, grid, config)
+    ws = _ShootingWorkspace(problem, grid, node_target)
 
     lo, hi = (
         config.energy_bracket
         if config.energy_bracket is not None
         else default_bracket(problem, node_target, config.bisection_tol)
     )
-    s_lo, _, _ = ws.classify(lo)
-    s_hi, _, _ = ws.classify(hi)
+    s_lo, _ = ws.classify(lo)
+    s_hi, _ = ws.classify(hi)
     widenings = 0
     while (s_lo < 0 or s_hi > 0) and widenings < config.max_widenings:
         if s_lo < 0:
             lo *= 2.0
-            s_lo, _, _ = ws.classify(lo)
+            s_lo, _ = ws.classify(lo)
         if s_hi > 0:
             hi *= 0.5
-            s_hi, _, _ = ws.classify(hi)
+            s_hi, _ = ws.classify(hi)
         widenings += 1
     if s_lo < 0 or s_hi > 0:
-        report = []
-        for e in np.geomspace(-lo, -hi, 8):
-            g = -e - ws.u_eff
-            m = _pick_match_index(g, config.match_index_policy)
-            u = ws.outward(-e, g, m + _STENCIL_PAD)
-            report.append(f"E={-e:.6g} Ry: {count_nodes(u[: m + 1])} nodes")
+        report = [
+            f"E={-e:.6g} Ry: {ws.shoot(-e, gated=True)[1]} nodes"
+            for e in np.geomspace(-lo, -hi, 8)
+        ]
         raise BracketingError(
             f"state with {node_target} nodes not bracketed in [{lo:.6g}, {hi:.6g}] Ry; "
             "node-count scan: " + "; ".join(report)
@@ -574,7 +587,7 @@ def solve_state(
     last_defect = math.inf
     while hi - lo > config.bisection_tol and iterations < config.max_bisections:
         mid = 0.5 * (lo + hi)
-        sign, defect, _ = ws.classify(mid)
+        sign, defect = ws.classify(mid)
         if defect is not None:
             last_defect = defect
         if sign >= 0:
@@ -584,7 +597,7 @@ def solve_state(
         iterations += 1
 
     energy = 0.5 * (lo + hi)
-    u_raw, defect, _ = ws.assemble(energy)
+    u_raw, defect = ws.assemble(energy)
     if np.isfinite(defect):
         last_defect = defect
     u = _normalize_samples(u_raw, grid.step)
@@ -592,7 +605,7 @@ def solve_state(
     width = hi - lo
     converged = (
         width <= config.bisection_tol
-        and abs(last_defect) <= config.defect_tol
+        and abs(last_defect) <= DEFECT_TOL
         and nodes == node_target
     )
     result = EigenResult(

@@ -91,7 +91,19 @@ def ell_cells():
 
 @pytest.fixture(scope="module")
 def report_rows():
-    return cli._build_report()
+    """The discrepancy report, with every ``(problem, node_target)`` it solved."""
+    solved = []
+    original = cli.solve_state
+
+    def counted(problem, node_target=0, **kwargs):
+        solved.append((problem, node_target))
+        return original(problem, node_target, **kwargs)
+
+    cli.solve_state = counted
+    try:
+        return cli._build_report(), solved
+    finally:
+        cli.solve_state = original
 
 
 def test_criterion_1_closed_form_3d_spectrum(coulomb3d_states):
@@ -128,9 +140,10 @@ def test_criterion_2_closed_form_2d_spectrum(coulomb2d_states, report_rows):
             ok = ok and result.converged and rel <= 1e-6
     # the report must show the reference 2D column deviating from the
     # closed forms and flag it as unresolved
+    rows, _ = report_rows
     flagged = [
         r
-        for r in report_rows
+        for r in rows
         if r["section"] == "energies" and r["potential"] == "coulomb2d"
     ]
     ok = ok and len(flagged) == len(ATOMS)
@@ -142,9 +155,8 @@ def test_criterion_2_closed_form_2d_spectrum(coulomb2d_states, report_rows):
 
 def test_report_row_examples(report_rows):
     """Spot checks of the discrepancy-report classification."""
-    by_key = {
-        (r["section"], r["atom"], r["potential"], r["lambda"]): r for r in report_rows
-    }
+    rows, _ = report_rows
+    by_key = {(r["section"], r["atom"], r["potential"], r["lambda"]): r for r in rows}
     r3d = by_key[("energies", "pe", "coulomb3d", None)]
     assert r3d["flag"] == "paper-numerical-error"
     assert r3d["computed"] == pytest.approx(-0.99946, rel=1e-4)
@@ -158,6 +170,12 @@ def test_report_row_examples(report_rows):
     assert rcs["jordan_variant"] > rcs["published_value"]
     assert abs(rcs["jordan_variant"]) < 0.01 * abs(rcs["published_value"])
     assert rcs["jordan_prefactor_ratio"] == pytest.approx(2e-5 * md.INV_ALPHA, rel=1e-12)
+
+
+def test_report_solves_each_state_once(report_rows):
+    _, solved = report_rows
+    distinct = set(solved)
+    assert len(solved) == len(distinct), f"{len(solved)} solves for {len(distinct)} states"
 
 
 def test_criterion_3a_self_convergence(cs_cells, cs_cells_halved):

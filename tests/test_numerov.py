@@ -170,6 +170,15 @@ class TestMatchDefect:
         d = nv.match_defect(-4.0, problem, grid, m)
         assert abs(d) < 1e-5
 
+    @pytest.mark.parametrize("kind", ["coulomb3d", "coulomb2d"])
+    def test_equals_solver_defect_at_turning_point(self, kind):
+        problem = z1_problem(kind)
+        grid = nv.default_grid(problem, 0, n_points=20001)
+        res, _ = nv.solve_state(problem, 0, grid=grid)
+        g = res.energy - md.effective_potential(problem, grid.points())
+        m = int(np.nonzero((g[:-1] > 0.0) & (g[1:] <= 0.0))[0][-1])
+        assert nv.match_defect(res.energy, problem, grid, m) == res.match_defect
+
     def test_interior_index_required(self):
         grid = self.grid3()
         with pytest.raises(ValueError, match="interior"):
