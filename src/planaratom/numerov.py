@@ -2,7 +2,10 @@
 
 The radial problem is ``u''(rho) + [E - U_eff(rho)] u(rho) = 0`` with the
 energy ``E`` carried in rydberg (twice the Hartree value). Eigenvalues are
-found in two fused stages on a bracket ``[E_lo, E_hi]``:
+found in two fused stages on a bracket ``[E_lo, E_hi]`` (see
+:func:`default_bracket`: 1.5x the closed form for Coulomb kinds, the
+self-consistent depth estimate of the ground level for the K0 kinds, and
+widened when it misses):
 
 1. node counting on the outward sweep isolates the sub-bracket where the
    count of the targeted state transitions from ``node_target`` to
@@ -15,10 +18,13 @@ sweep has too few nodes or a positive mismatch, above it too many nodes or
 a negative mismatch. The mismatch is strictly decreasing in ``E`` between
 its poles, so the bisection is rigorous. Every trial energy, the final
 assembly and :func:`match_defect` go through one shooting step
-(``_ShootingWorkspace.shoot``). A result is flagged converged when the
-bracket is within ``SolverConfig.bisection_tol``, the mismatch within
-``DEFECT_TOL`` and the node count on target; the other ``SolverConfig``
-fields set the starting bracket and the bisection and widening budgets.
+(``_ShootingWorkspace.shoot``). Bisection runs until the bracket is within
+``SolverConfig.bisection_tol`` and then on while the mismatch at its
+midpoint exceeds ``DEFECT_TOL`` and the bracket can still shrink, within
+``SolverConfig.max_bisections``. The returned energy is that midpoint; it
+is flagged converged when the bracket is within ``bisection_tol``, its own
+mismatch within ``DEFECT_TOL`` and the node count on target. The other
+``SolverConfig`` fields set the starting bracket and the widening budget.
 
 Near the origin every potential here is singular; sweeps are seeded with a
 short Frobenius expansion of the regular solution (power law ``rho^s`` with
@@ -30,10 +36,11 @@ unbounded there, and a uniform grid starting much closer than one step
 cannot represent it.
 
 The three-term recurrence is evaluated as blocked prefix products of 2x2
-transfer matrices (vectorized, log-depth within a block), with the running
-prefix renormalized between blocks so deep classically forbidden regions
-never overflow. A plain-loop reference implementation is kept for the
-tests.
+transfer matrices (vectorized, log-depth within a block). Blocks are
+chained by a scalar pass over their end matrices, which renormalizes the
+running pair so deep classically forbidden regions never overflow; each
+chunk of blocks is then filled in one vectorized step. A plain-loop
+reference implementation is kept for the tests.
 """
 
 from __future__ import annotations
@@ -193,8 +200,12 @@ def small_rho_solution(
 _SCAN_BLOCK = 256
 
 # Blocks whose prefix products are built together in one vectorized pass;
-# bounds the scratch memory of a sweep to a few arrays of 8192 doubles.
-_SCAN_CHUNK_BLOCKS = 32
+# bounds the scratch memory of a sweep to a few arrays of 16384 doubles.
+# Numpy releases the GIL only inside each call, so longer calls let
+# concurrent sweeps overlap: forty 200,001-point sweeps on two threads of a
+# two-core Xeon took 0.57 s with 32 blocks per chunk and 0.37 s with 64,
+# while one thread ran at the same speed.
+_SCAN_CHUNK_BLOCKS = 64
 
 
 def _block_prefix_products(a: np.ndarray, b: np.ndarray):
@@ -230,9 +241,11 @@ def _sweep(f: np.ndarray, u0: float, u1: float) -> np.ndarray:
     ``f = 1 + h^2 g / 12`` in sweep order; seeds sit at the first two
     entries. Within a block the running products ``P_j = M_j ... M_1`` of
     ``M_k = [[a_k, b_k], [1, 0]]`` are built by index doubling, many blocks
-    at once; blocks are chained sequentially and the finished prefix is
-    renormalized whenever it grows past the overflow guard, so arbitrarily
-    deep forbidden regions are safe.
+    at once. A scalar pass chains the blocks of a chunk through their end
+    matrices, recording each block's starting pair and where the running
+    pair grows past the overflow guard; one vectorized step then fills the
+    whole chunk, and the recorded renormalizations are applied in order,
+    so arbitrarily deep forbidden regions are safe.
     """
     n = f.shape[0]
     u = np.empty(n)
@@ -253,18 +266,29 @@ def _sweep(f: np.ndarray, u0: float, u1: float) -> np.ndarray:
     for first in range(0, n_blocks, _SCAN_CHUNK_BLOCKS):
         chunk = slice(first, first + _SCAN_CHUNK_BLOCKS)
         p00, p01, p10, p11 = _block_prefix_products(a_all[chunk], b_all[chunk])
-        for row in range(p00.shape[0]):
-            size = min(_SCAN_BLOCK, m - (pos - 1))
-            seg = u[pos + 1 : pos + 1 + size]
-            np.multiply(p00[row, :size], uk, out=seg)
-            seg += p01[row, :size] * ukm1
-            ukm1 = p10[row, size - 1] * uk + p11[row, size - 1] * ukm1
-            uk = seg[-1]
-            pos += size
+        rows = p00.shape[0]
+        start = pos + 1
+        length = min(rows * _SCAN_BLOCK, m - (pos - 1))
+        # last filled column of each row; only the sweep's final row is short
+        last = np.full(rows, _SCAN_BLOCK - 1)
+        last[-1] = (length - 1) % _SCAN_BLOCK
+        at_end = (np.arange(rows), last)
+        uk_rows, ukm1_rows, rescales = [], [], []
+        for e00, e01, e10, e11 in zip(*(p[at_end].tolist() for p in (p00, p01, p10, p11))):
+            uk_rows.append(uk)
+            ukm1_rows.append(ukm1)
+            uk, ukm1 = e00 * uk + e01 * ukm1, e10 * uk + e11 * ukm1
+            pos = min(pos + _SCAN_BLOCK, start + length - 1)
             if abs(uk) + abs(ukm1) > RESCALE_THRESHOLD:
-                u[: pos + 1] /= RESCALE_THRESHOLD
+                rescales.append(pos)
                 uk /= RESCALE_THRESHOLD
                 ukm1 /= RESCALE_THRESHOLD
+        p00 *= np.array(uk_rows)[:, None]
+        p01 *= np.array(ukm1_rows)[:, None]
+        p00 += p01
+        u[start : start + length] = p00.reshape(-1)[:length]
+        for end in rescales:
+            u[: end + 1] /= RESCALE_THRESHOLD
     return u
 
 
@@ -374,20 +398,22 @@ class _ShootingWorkspace:
         return m, nodes, u_left, u_right, self._defect_at(u_left, u_right, m)
 
     def classify(self, energy):
-        """Sign predicate for bisection plus diagnostics.
+        """Sign predicate for bisection: +1 below the target eigenvalue, -1 above.
 
-        Returns ``(sign, defect)`` where ``sign`` is +1 below the target
-        eigenvalue and -1 above it. ``defect`` is None when node counting
-        alone decided (the inward sweep is skipped then).
+        Node counting decides alone when the count is off target (the
+        inward sweep is skipped then); otherwise the sign of the defect.
         """
         _, nodes, _, _, defect = self.shoot(energy, gated=True)
+        return self._sign(nodes, defect)
+
+    def _sign(self, nodes, defect):
         if nodes != self.node_target:
-            return (1 if nodes < self.node_target else -1), None
+            return 1 if nodes < self.node_target else -1
         if defect is None:
             # outward node sitting on the match point: just past the
             # left-problem eigenvalue, hence above the target energy
-            return -1, None
-        return (1 if defect > 0.0 else -1), defect
+            return -1
+        return 1 if defect > 0.0 else -1
 
     def _defect_at(self, u_left, u_right, m):
         """Log-derivative mismatch at the match index, nudging off nodes.
@@ -413,8 +439,14 @@ class _ShootingWorkspace:
         return None
 
     def assemble(self, energy):
-        """Glue the outward and inward sweeps at the match point, unnormalized."""
-        m, _, u_left, u_right, defect = self.shoot(energy)
+        """Glue the outward and inward sweeps at the match point, unnormalized.
+
+        Returns ``(u, defect, sign)``: the glued samples, the match defect
+        (inf when there is no usable match point) and the bisection sign of
+        ``energy`` as :meth:`classify` gives it.
+        """
+        m, nodes, u_left, u_right, defect = self.shoot(energy)
+        sign = self._sign(nodes, defect)
         ul, ur = u_left[m], u_right[_STENCIL_PAD]
         if ul == 0.0 and ur == 0.0:
             raise DegenerateSeedError("both sweeps vanish at the matching point")
@@ -422,7 +454,7 @@ class _ShootingWorkspace:
         u = np.empty(self.grid.n_points)
         u[: m + 1] = u_left[: m + 1]
         u[m + 1 :] = scale * u_right[_STENCIL_PAD + 1 :]
-        return u, (defect if defect is not None else math.inf)
+        return u, (defect if defect is not None else math.inf), sign
 
 
 def match_defect(
@@ -460,7 +492,12 @@ def closed_form_energy(problem: EffectivePotentialParams, nodes: int) -> float |
 
 
 def estimate_cs_ground_energy(problem: EffectivePotentialParams) -> float:
-    """Crude self-consistent depth estimate for the K0 well (for grid sizing)."""
+    """Crude self-consistent depth estimate for the K0 well.
+
+    Sizes the default grid and starts the default bracket; it lies below
+    the solved ground level (a solved/estimate ratio of 0.36-0.80 for pe
+    and tmu, both K0 kinds, lambda from 2e-6 to 2e-4).
+    """
     pref = problem.k0_prefactor
     a = problem.k0_argument_scale
     eta = -pref * 5.0
@@ -517,11 +554,14 @@ def default_grid(
 def default_bracket(
     problem: EffectivePotentialParams, node_target: int, bisection_tol: float
 ) -> tuple[float, float]:
-    """Default starting bracket: 1.5x the closed form for Coulomb, wide for K0."""
+    """Default starting bracket: 1.5x the closed form for Coulomb; for K0
+    kinds from :func:`estimate_cs_ground_energy`, below the ground level and
+    so below every excited level of the well (``solve_state`` widens a
+    bracket that misses)."""
     e_est = closed_form_energy(problem, node_target)
     if e_est is not None:
         return (1.5 * e_est, -bisection_tol)
-    return (-50.0, -1e-4)
+    return (estimate_cs_ground_energy(problem), -1e-4)
 
 
 def _normalize_samples(u: np.ndarray, h: float) -> np.ndarray:
@@ -562,16 +602,16 @@ def solve_state(
         if config.energy_bracket is not None
         else default_bracket(problem, node_target, config.bisection_tol)
     )
-    s_lo, _ = ws.classify(lo)
-    s_hi, _ = ws.classify(hi)
+    s_lo = ws.classify(lo)
+    s_hi = ws.classify(hi)
     widenings = 0
     while (s_lo < 0 or s_hi > 0) and widenings < config.max_widenings:
         if s_lo < 0:
             lo *= 2.0
-            s_lo, _ = ws.classify(lo)
+            s_lo = ws.classify(lo)
         if s_hi > 0:
             hi *= 0.5
-            s_hi, _ = ws.classify(hi)
+            s_hi = ws.classify(hi)
         widenings += 1
     if s_lo < 0 or s_hi > 0:
         report = [
@@ -583,37 +623,40 @@ def solve_state(
             "node-count scan: " + "; ".join(report)
         )
 
+    # Bisect down to bisection_tol; past it, keep bisecting while the
+    # midpoint's match defect exceeds DEFECT_TOL and the bracket can still
+    # shrink. The midpoint the loop stops on is the returned energy.
     iterations = 0
-    last_defect = math.inf
-    while hi - lo > config.bisection_tol and iterations < config.max_bisections:
-        mid = 0.5 * (lo + hi)
-        sign, defect = ws.classify(mid)
-        if defect is not None:
-            last_defect = defect
-        if sign >= 0:
-            lo = mid
+    while True:
+        energy = 0.5 * (lo + hi)
+        if hi - lo > config.bisection_tol and iterations < config.max_bisections:
+            sign = ws.classify(energy)
         else:
-            hi = mid
+            u_raw, defect, sign = ws.assemble(energy)
+            if (
+                abs(defect) <= DEFECT_TOL
+                or iterations >= config.max_bisections
+                or not lo < energy < hi
+            ):
+                break
+        if sign >= 0:
+            lo = energy
+        else:
+            hi = energy
         iterations += 1
 
-    energy = 0.5 * (lo + hi)
-    u_raw, defect = ws.assemble(energy)
-    if np.isfinite(defect):
-        last_defect = defect
     u = _normalize_samples(u_raw, grid.step)
     nodes = count_nodes(u)
     width = hi - lo
     converged = (
-        width <= config.bisection_tol
-        and abs(last_defect) <= DEFECT_TOL
-        and nodes == node_target
+        width <= config.bisection_tol and abs(defect) <= DEFECT_TOL and nodes == node_target
     )
     result = EigenResult(
         energy=energy,
         nodes=nodes,
         ell=problem.ell,
         converged=converged,
-        match_defect=last_defect,
+        match_defect=defect,
         bracket_width=width,
         iterations=iterations,
         grid=grid,

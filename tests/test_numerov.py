@@ -100,7 +100,7 @@ class TestSweep:
     def test_deep_forbidden_region_renormalizes(self):
         # growth by thousands of e-folds must neither overflow nor crash
         n = 200001
-        f = 1.0 + (0.05**2 / 12.0) * np.full(n, 9.0)  # g = 9, e^(3 rho) growth
+        f = 1.0 + (0.05**2 / 12.0) * np.full(n, -9.0)  # g = -9, e^(3 rho) growth
         u = nv._sweep(f, 1e-3, 1e-3 * math.exp(0.15))
         assert np.all(np.isfinite(u))
         assert np.max(np.abs(u)) <= nv.RESCALE_THRESHOLD * 10
@@ -236,6 +236,29 @@ class TestSolveState:
     def test_node_target_validation(self):
         with pytest.raises(ValueError):
             nv.solve_state(z1_problem("coulomb3d"), -1)
+
+
+class TestKZeroSearch:
+    @pytest.mark.parametrize("lam", [2e-6, 5e-5, 2e-4])
+    @pytest.mark.parametrize("kind", ["chern_simons", "chern_simons_jordan"])
+    @pytest.mark.parametrize("atom", ["pe", "tmu"])
+    def test_bracket_starts_below_ground_level(self, solve_cached, atom, kind, lam):
+        problem, res, _ = solve_cached(atom, kind, lam)
+        lo, _ = nv.default_bracket(problem, 0, nv.SolverConfig().bisection_tol)
+        assert res.converged
+        assert lo < res.energy
+        # the (-50, -1e-4) Ry bracket took 33 bisections for every state
+        assert res.iterations <= 29
+
+    @pytest.mark.parametrize("nodes", [0, 1])
+    @pytest.mark.parametrize("ell", [0, 1, 2])
+    @pytest.mark.parametrize("atom", ["pe", "tmu"])
+    def test_weak_jordan_levels_converge(self, solve_cached, atom, ell, nodes):
+        # ~2e-4 Ry deep: a 1e-8 Ry bracket alone leaves the defect too large
+        _, res, _ = solve_cached(atom, "chern_simons_jordan", 2e-6, ell=ell, nodes=nodes)
+        assert res.converged
+        assert abs(res.match_defect) <= nv.DEFECT_TOL
+        assert res.nodes == nodes
 
 
 class TestSpectrumProperties:
