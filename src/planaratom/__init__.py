@@ -2,7 +2,7 @@
 
 Library layout:
 
-* :mod:`planaratom.specfun` — modified Bessel functions I0/K0;
+* :mod:`planaratom.specfun` — the modified Bessel function K0;
 * :mod:`planaratom.model` — constants, atoms, effective potentials;
 * :mod:`planaratom.numerov` — grid, sweeps, and the shooting eigensolver;
 * :mod:`planaratom.observables` — normalization and mean radii;
@@ -33,7 +33,7 @@ from .numerov import (
     solve_state,
 )
 from .observables import RadiusResult, mean_radius, normalize
-from .specfun import BesselEval, bessel_i0, bessel_k0, bessel_k0_eval
+from .specfun import BesselEval, bessel_k0, bessel_k0_eval
 
 __all__ = [
     "ATOM_NAMES",
@@ -47,7 +47,6 @@ __all__ = [
     "SolverConfig",
     "WaveFunction",
     "__version__",
-    "bessel_i0",
     "bessel_k0",
     "bessel_k0_eval",
     "count_nodes",

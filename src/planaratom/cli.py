@@ -555,24 +555,23 @@ def cmd_k0(args) -> int:
     return 0
 
 
-def _add_common_flags(p, with_state=True):
+def _add_common_flags(p):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None, help="output path ('-' for stdout)")
-    if with_state:
-        p.add_argument("--atom", required=True, choices=ATOM_NAMES)
-        p.add_argument(
-            "--potential", required=True, help="coulomb3d coulomb2d chern-simons chern-simons-jordan"
-        )
-        p.add_argument("--lambda", dest="lam", type=float, default=None,
-                       help="photon mass over electron mass (chern-simons kinds)")
-        p.add_argument("--mgamma-ev", type=float, default=None,
-                       help="photon topological mass in eV (alternative to --lambda)")
-        p.add_argument("--ell", type=int, default=0)
-        p.add_argument("--nodes", type=int, default=0)
-        p.add_argument("--rho-min", type=float, default=None)
-        p.add_argument("--rho-max", type=float, default=None)
-        p.add_argument("--points", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None, help="bisection tolerance in Ry")
+    p.add_argument("--atom", required=True, choices=ATOM_NAMES)
+    p.add_argument(
+        "--potential", required=True, help="coulomb3d coulomb2d chern-simons chern-simons-jordan"
+    )
+    p.add_argument("--lambda", dest="lam", type=float, default=None,
+                   help="photon mass over electron mass (chern-simons kinds)")
+    p.add_argument("--mgamma-ev", type=float, default=None,
+                   help="photon topological mass in eV (alternative to --lambda)")
+    p.add_argument("--ell", type=int, default=0)
+    p.add_argument("--nodes", type=int, default=0)
+    p.add_argument("--rho-min", type=float, default=None)
+    p.add_argument("--rho-max", type=float, default=None)
+    p.add_argument("--points", type=int, default=None)
+    p.add_argument("--tol", type=float, default=None, help="bisection tolerance in Ry")
 
 
 def build_parser() -> argparse.ArgumentParser:

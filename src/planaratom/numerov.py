@@ -148,10 +148,15 @@ class EigenResult:
 
 @dataclass(frozen=True)
 class WaveFunction:
-    """Reduced radial function samples, normalized to ``int u^2 drho = 1``."""
+    """Reduced radial function samples, normalized to ``int u^2 drho = 1``.
+
+    ``energy`` is the eigenvalue (rydberg) the samples belong to;
+    ``mean_radius`` builds the origin series at it.
+    """
 
     grid: RadialGrid
     u: np.ndarray
+    energy: float
 
 
 def indicial_exponent(problem: EffectivePotentialParams) -> float:
@@ -661,7 +666,7 @@ def solve_state(
         iterations=iterations,
         grid=grid,
     )
-    return result, WaveFunction(grid=grid, u=u)
+    return result, WaveFunction(grid=grid, u=u, energy=energy)
 
 
 def fd_lowest_energies(

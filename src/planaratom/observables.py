@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import simpson
 
-from .model import EffectivePotentialParams, effective_potential
+# effective_potential is unused here; perfbench/tracing.py wraps this binding by name
+from .model import EffectivePotentialParams, effective_potential  # noqa: F401
 from .numerov import (
     WaveFunction,
     _normalize_samples,
@@ -52,35 +53,18 @@ def normalize(wf: WaveFunction) -> WaveFunction:
     return replace(wf, u=u)
 
 
-def _rayleigh_energy(wf: WaveFunction, problem: EffectivePotentialParams) -> float:
-    """Energy estimate from the grid samples; feeds the origin series only.
-
-    ``int u'^2`` integrated by parts leaves a boundary term at the inner
-    edge, where u and u' are far from zero on the 2D grids.
-    """
-    rho = wf.grid.points()
-    h = wf.grid.step
-    u_eff = np.asarray(effective_potential(problem, rho), dtype=float)
-    du = np.gradient(wf.u, h, edge_order=2)
-    num = simpson(du * du + u_eff * wf.u * wf.u, dx=h)
-    num += wf.u[0] * du[0] - wf.u[-1] * du[-1]
-    den = simpson(wf.u * wf.u, dx=h)
-    return float(num / den)
-
-
 def _origin_moments(wf: WaveFunction, problem: EffectivePotentialParams):
     """Contributions of [0, rho_min) to int u^2 and int rho u^2.
 
     The 2D grids start a fixed number of steps away from the origin; the
     probability below the first point is recovered from the regular-series
-    solution matched to the first grid value. Negligible for the 3D grids
-    but computed uniformly.
+    solution at ``wf.energy``, matched to the first grid value. Negligible
+    for the 3D grids but computed uniformly.
     """
     rho0 = wf.grid.rho_min
-    energy = _rayleigh_energy(wf, problem)
     head = rho0 / 512.0
     sub = np.linspace(head, rho0, 513)
-    uf = small_rho_solution(problem, energy, sub)
+    uf = small_rho_solution(problem, wf.energy, sub)
     scale = wf.u[0] / uf[-1]
     uf = scale * uf
     s = indicial_exponent(problem)

@@ -1,17 +1,15 @@
-"""Modified Bessel functions I0 and K0 to near machine precision.
+"""Modified Bessel function K0 to near machine precision.
 
-K0 supplies the attractive part of the planar massive-photon potential;
-I0 is needed by the small-argument series for K0. Both are evaluated in
-two regimes:
+K0 supplies the attractive part of the planar massive-photon potential. It
+is evaluated in two regimes:
 
-* ``x <= 2`` (K0) / ``x <= 40`` (I0): ascending power series. For K0 the
-  standard combination ``-(ln(x/2) + gamma) I0(x) + sum_k H_k (x^2/4)^k/(k!)^2``
-  is used; the cancellation against the log term loses at most one digit
-  at the seam.
-* large ``x``: for K0 a Chebyshev fit of ``sqrt(x) exp(x) K0(x)`` in the
-  variable ``t = 4/x - 1`` (regenerate with ``tools/gen_k0_chebyshev.py``);
-  for I0 the optimally truncated asymptotic series of
-  ``sqrt(2 pi x) exp(-x) I0(x)``.
+* ``x <= 2``: the ascending series
+  ``-(ln(x/2) + gamma) I0(x) + sum_k H_k (x^2/4)^k/(k!)^2``, with the I0
+  series summed in the same loop; the cancellation against the log term
+  loses at most one digit at the seam. It is kept because it tracks the
+  ``-ln(x/2) - gamma`` limit to 1e-14 as ``x -> 0``, closer than
+  ``scipy.special.k0`` does.
+* ``x > 2``: ``scipy.special.k0``.
 
 Arguments above ``X_MAX`` underflow: ``exp(-x)`` is below the smallest
 normal double long before the tail matters physically, so K0 returns an
@@ -26,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 # Euler-Mascheroni constant, full double precision.
 EULER_GAMMA = 0.5772156649015329
@@ -34,49 +33,12 @@ EULER_GAMMA = 0.5772156649015329
 # K0 is returned as exact zero with the underflow flag set.
 X_MAX = 700.0
 
-# Series/large-argument switch points.
+# Series/scipy switch point.
 _K0_SWITCH = 2.0
-_I0_SWITCH = 40.0
 
-# Chebyshev coefficients for sqrt(x)*exp(x)*K0(x), t = 4/x - 1, x in [2, inf).
-# Generated by tools/gen_k0_chebyshev.py (max relative error 2.8e-20).
-_K0_CHEB = (
-    2.4403030820659554547,
-    -0.031448101311964500543,
-    0.0015698838857300533749,
-    -0.00012849549581627802638,
-    0.000013949813718876499364,
-    -1.8317555227191194848e-6,
-    2.7668136394450150761e-7,
-    -4.6604898976879476656e-8,
-    8.5740340174142260858e-9,
-    -1.6975345093890615156e-9,
-    3.5773972814003284472e-10,
-    -7.9574892444773970377e-11,
-    1.855949114954926555e-11,
-    -4.5145978833745191751e-12,
-    1.1403405882073442347e-12,
-    -2.9800969231481783548e-13,
-    8.0328907750683743694e-14,
-    -2.2275133267462963604e-14,
-    6.3400764762766459661e-15,
-    -1.8485933779209071694e-15,
-    5.5120559994043333649e-16,
-    -1.6782311257549006383e-16,
-    5.2103917776435541125e-17,
-    -1.6475805939842632815e-17,
-    5.3004337711773357703e-18,
-    -1.7331712005821000263e-18,
-    5.7551092028827293467e-19,
-    -1.9390956053183553946e-19,
-    6.624610534536145467e-20,
-)
-
-# Number of ascending-series terms; at the switch points the next term is
+# Number of ascending-series terms; at the switch point the next term is
 # below 1e-19 relative.
 _K0_SERIES_TERMS = 20
-_I0_SERIES_TERMS = 120
-_I0_ASYMPTOTIC_TERMS = 18
 
 
 @dataclass(frozen=True)
@@ -84,7 +46,7 @@ class BesselEval:
     """One K0 evaluation together with the regime that produced it.
 
     ``regime`` is ``"series"`` for the ascending series (x <= 2) and
-    ``"asymptotic"`` for the large-argument fit. ``underflow`` marks
+    ``"asymptotic"`` for ``scipy.special.k0`` (x > 2). ``underflow`` marks
     arguments beyond ``X_MAX`` where the value is an exact 0.
     """
 
@@ -99,51 +61,6 @@ def _check_positive(x: float, name: str) -> float:
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"{name} requires a positive finite argument, got {x!r}")
     return x
-
-
-def _i0_series_scalar(x: float) -> float:
-    q = 0.25 * x * x
-    term = 1.0
-    acc = 1.0
-    for k in range(1, _I0_SERIES_TERMS + 1):
-        term *= q / (k * k)
-        acc += term
-        if term < 1e-18 * acc:
-            break
-    return acc
-
-
-def _i0_asymptotic_scalar(x: float) -> float:
-    # I0(x) ~ exp(x)/sqrt(2 pi x) * sum_k a_k / x^k, a_k = ((2k-1)!!)^2/(k! 8^k)
-    acc = 1.0
-    term = 1.0
-    for k in range(1, _I0_ASYMPTOTIC_TERMS + 1):
-        term *= (2 * k - 1) ** 2 / (8.0 * k * x)
-        acc += term
-    return math.exp(x) / math.sqrt(2.0 * math.pi * x) * acc
-
-
-def bessel_i0(x: float) -> float:
-    """Modified Bessel function of the first kind, order zero.
-
-    Parameters
-    ----------
-    x : float
-        Argument, ``x >= 0`` and below the overflow threshold (~709.7).
-
-    Returns
-    -------
-    float
-        I0(x), relative error below 1e-13 over the supported range.
-    """
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"bessel_i0 requires a finite x >= 0, got {x!r}")
-    if x > 709.7:
-        raise ValueError(f"bessel_i0 overflows for x = {x!r} (limit 709.7)")
-    if x <= _I0_SWITCH:
-        return _i0_series_scalar(x)
-    return _i0_asymptotic_scalar(x)
 
 
 def _k0_series_array(x: np.ndarray) -> np.ndarray:
@@ -161,20 +78,6 @@ def _k0_series_array(x: np.ndarray) -> np.ndarray:
     return -(np.log(0.5 * x) + EULER_GAMMA) * i0 + acc
 
 
-def _k0_scaled_large_array(x: np.ndarray) -> np.ndarray:
-    """sqrt(x)*exp(x)*K0(x) via the Chebyshev fit, valid for x >= 2."""
-    t = 4.0 / x - 1.0
-    b1 = np.zeros_like(x)
-    b2 = np.zeros_like(x)
-    for c in _K0_CHEB[:0:-1]:
-        b1, b2 = 2.0 * t * b1 - b2 + c, b1
-    return t * b1 - b2 + 0.5 * _K0_CHEB[0]
-
-
-def _k0_large_array(x: np.ndarray) -> np.ndarray:
-    return _k0_scaled_large_array(x) * np.exp(-x) / np.sqrt(x)
-
-
 def bessel_k0_array(x: np.ndarray) -> np.ndarray:
     """Vectorized K0 over an array of positive arguments.
 
@@ -190,7 +93,7 @@ def bessel_k0_array(x: np.ndarray) -> np.ndarray:
     if np.any(small):
         out[small] = _k0_series_array(x[small])
     if np.any(large):
-        out[large] = _k0_large_array(x[large])
+        out[large] = special.k0(x[large])
     return out
 
 
@@ -199,10 +102,10 @@ def bessel_k0_eval(x: float) -> BesselEval:
     x = _check_positive(x, "bessel_k0")
     if x > X_MAX:
         return BesselEval(x=x, value=0.0, regime="asymptotic", underflow=True)
-    arr = np.array([x])
     if x <= _K0_SWITCH:
-        return BesselEval(x=x, value=float(_k0_series_array(arr)[0]), regime="series")
-    return BesselEval(x=x, value=float(_k0_large_array(arr)[0]), regime="asymptotic")
+        value = float(_k0_series_array(np.array([x]))[0])
+        return BesselEval(x=x, value=value, regime="series")
+    return BesselEval(x=x, value=float(special.k0(x)), regime="asymptotic")
 
 
 def bessel_k0(x: float) -> float:

@@ -1,15 +1,13 @@
 """Independent reference routes used to pin expected values.
 
 Nothing here touches the implementation paths under test: K0 comes from
-its integral representation by adaptive quadrature, I0 from the power
-series summed in extended precision, and the Coulomb spectra from their
-closed forms.
+its integral representation by adaptive quadrature, and the Coulomb
+spectra from their closed forms.
 """
 
 import math
 import warnings
 
-import mpmath
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
@@ -42,23 +40,6 @@ def k0_quadrature(x: float) -> float:
 def k0_scaled_quadrature(x: float) -> float:
     """exp(x) * K0(x) by the same route, safe beyond the underflow range."""
     return _quad_scaled(x)
-
-
-def i0_series(x: float, dps: int = 40) -> float:
-    """I0 power series summed until terms vanish, in extended precision."""
-    with mpmath.workdps(dps):
-        xm = mpmath.mpf(x)
-        q = xm * xm / 4
-        term = mpmath.mpf(1)
-        acc = mpmath.mpf(1)
-        k = 0
-        while True:
-            k += 1
-            term *= q / (k * k)
-            acc += term
-            if term < mpmath.mpf("1e-30") * acc:
-                break
-        return float(acc)
 
 
 def coulomb3d_energy(zeta: float, nodes: int, ell: int = 0) -> float:

@@ -260,6 +260,14 @@ class TestKZeroSearch:
         assert abs(res.match_defect) <= nv.DEFECT_TOL
         assert res.nodes == nodes
 
+    def test_jordan_without_bound_level_not_bracketed(self):
+        # pe jordan at lam=2e-4 has no bound ell-2 level: finite differences on
+        # 100,001 points put the lowest one at +4.2e-5 Ry in a 400 box and
+        # +1.0e-5 Ry in a 1600 box
+        problem = make_problem("pe", "chern_simons_jordan", 2e-4, ell=2)
+        with pytest.raises(nv.BracketingError, match="not bracketed"):
+            nv.solve_state(problem, 0)
+
 
 class TestSpectrumProperties:
     def test_order_of_accuracy(self):

@@ -1,16 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from conftest import make_problem
 from planaratom import model as md
 from planaratom import numerov as nv
 from planaratom import observables as ob
 
 
-def wf_from(u, grid):
-    return nv.WaveFunction(grid=grid, u=np.asarray(u, dtype=float))
+def wf_from(u, grid, energy=-1.0):
+    # normalize ignores the energy; mean_radius builds the origin series at it
+    return nv.WaveFunction(grid=grid, u=np.asarray(u, dtype=float), energy=energy)
 
 
 class TestNormalize:
@@ -82,7 +85,7 @@ class TestMeanRadius:
 
     def test_unnormalized_rejected(self, solve_cached):
         problem, res, wf = solve_cached("pe", "coulomb3d")
-        bad = nv.WaveFunction(grid=wf.grid, u=2.0 * wf.u)
+        bad = replace(wf, u=2.0 * wf.u)
         with pytest.raises(ValueError, match="normalized"):
             ob.mean_radius(bad, problem)
 
@@ -94,5 +97,21 @@ class TestMeanRadius:
         rho = grid.points()
         u = np.sqrt(rho) * np.exp(-2.0 * rho)
         u /= np.sqrt(simpson(u * u, dx=grid.step))
-        r = ob.mean_radius(wf_from(u, grid), problem)
+        r = ob.mean_radius(wf_from(u, grid, energy=-4.0), problem)
         assert r.mean_rho == pytest.approx(0.5, rel=1e-6)
+
+    def test_one_k0_pass_per_state(self, monkeypatch):
+        # mean_radius reuses the solved energy; it evaluates no potential
+        points = []
+        k0 = md.bessel_k0_array
+
+        def counting_k0(x):
+            points.append(np.size(x))
+            return k0(x)
+
+        monkeypatch.setattr(md, "bessel_k0_array", counting_k0)
+        problem = make_problem("pe", "chern_simons", 2e-5)
+        grid = nv.default_grid(problem, 0, n_points=20001)
+        _, wf = nv.solve_state(problem, 0, grid=grid)
+        ob.mean_radius(wf, problem)
+        assert sum(points) == 20001
