@@ -29,7 +29,6 @@ from .numerov import (
     default_grid,
     fd_lowest_energies,
     match_defect,
-    numerov_sweep,
     solve_state,
 )
 from .observables import RadiusResult, mean_radius, normalize
@@ -58,6 +57,5 @@ __all__ = [
     "match_defect",
     "mean_radius",
     "normalize",
-    "numerov_sweep",
     "solve_state",
 ]

@@ -5,9 +5,11 @@ Subcommands: ``solve`` (one state), ``table energies|radii|ell-states``
 and ``wavefunction`` (plot-ready CSV), ``report`` (side-by-side discrepancy
 report), ``k0`` (Bessel debug).
 
-Exit codes: 0 success, 1 usage error, 2 solver did not converge (record is
-still written). Output is deterministic: fixed column orders, floats at 12
-significant digits, no timestamps.
+Exit codes: 0 success, 1 usage error (``usage error:``) or solver failure
+(``error:``: a state not bracketed, degenerate matching or a grid too coarse
+for Numerov), 2 solver did not converge (record is still written). Output
+is deterministic: fixed column orders, floats at 12 significant digits, no
+timestamps.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from .model import (
     make_atom,
 )
 from .numerov import (
-    BracketingError,
     RadialGrid,
     SolverConfig,
+    SolverError,
     closed_form_energy,
     default_grid,
     solve_state,
@@ -627,13 +629,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except BracketingError as exc:
+    except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -33,12 +33,6 @@ from .specfun import bessel_k0_array
 # tables were produced with this value.
 INV_ALPHA = 137.0356
 
-# Potential-strength unit factor; fixed so rho_0 is the atomic length unit.
-V0 = 1.0
-
-# Unit conversion: energies are reported in rydberg = hartree / 2.
-RYDBERG_PER_HARTREE = 2.0
-
 # Electron rest energy in eV, used by the CLI to convert photon masses.
 ELECTRON_MASS_EV = 510998.95
 

@@ -35,27 +35,30 @@ origin — the ``-1/(4 rho^2)`` term makes the true solution's curvature
 unbounded there, and a uniform grid starting much closer than one step
 cannot represent it.
 
-The three-term recurrence is evaluated as blocked prefix products of 2x2
-transfer matrices (vectorized, log-depth within a block). Blocks are
-chained by a scalar pass over their end matrices, which renormalizes the
-running pair so deep classically forbidden regions never overflow; each
-chunk of blocks is then filled in one vectorized step. A plain-loop
-reference implementation is kept for the tests.
+Each sweep solves the three-term recurrence as one lower-triangular band
+system with LAPACK (``dtbtrs``), the two seeds on its right-hand side. A
+bound on the per-step growth cuts the sweep into segments only where it
+could overflow, and values are rescaled between segments, so deep
+classically forbidden regions are safe; default grids need one segment. A
+grid past Numerov's stability limit (``f = 1 + h^2 g / 12 <= 0`` on a swept
+row) raises :class:`GridTooCoarseError`. A plain-loop reference
+implementation is kept for the tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dtbtrs
 
 from .model import CHERN_SIMONS_KINDS, EffectivePotentialParams, effective_potential
 from .specfun import EULER_GAMMA
 
-# Magnitude that triggers mid-sweep renormalization in the loop fallback.
+# Magnitude past which a sweep rescales the values it has computed.
 RESCALE_THRESHOLD = 1e100
 
 # Seed value at the outer edge for the inward sweep; the overall scale is
@@ -75,12 +78,20 @@ DEFECT_TOL = 1e-6
 _STENCIL_PAD = 4
 
 
-class BracketingError(RuntimeError):
+class SolverError(RuntimeError):
+    """The solver could not produce the requested state; the message says why."""
+
+
+class BracketingError(SolverError):
     """The requested state could not be bracketed; carries a scan report."""
 
 
-class DegenerateSeedError(RuntimeError):
+class DegenerateSeedError(SolverError):
     """Both sweeps vanish at the matching point."""
+
+
+class GridTooCoarseError(SolverError):
+    """A swept row has ``f = 1 + h^2 g / 12 <= 0``, past Numerov's stability limit."""
 
 
 @dataclass(frozen=True)
@@ -103,10 +114,6 @@ class RadialGrid:
 
     def points(self) -> np.ndarray:
         return np.linspace(self.rho_min, self.rho_max, self.n_points)
-
-    def halved_step(self) -> "RadialGrid":
-        """Same endpoints, twice the resolution (nested points)."""
-        return replace(self, n_points=2 * self.n_points - 1)
 
 
 @dataclass(frozen=True)
@@ -197,103 +204,64 @@ def small_rho_solution(
     return rho**s * poly
 
 
-# Block length for the vectorized recurrence. Prefix products are only
-# formed within one block, which caps their dynamic range; roundoff of the
-# log-depth scan grows with the squared condition of the partial products,
-# so blocks must stay short compared to the solution's e-folding scale
-# (256 steps is well under one e-fold for every default grid here).
-_SCAN_BLOCK = 256
-
-# Blocks whose prefix products are built together in one vectorized pass;
-# bounds the scratch memory of a sweep to a few arrays of 16384 doubles.
-# Numpy releases the GIL only inside each call, so longer calls let
-# concurrent sweeps overlap: forty 200,001-point sweeps on two threads of a
-# two-core Xeon took 0.57 s with 32 blocks per chunk and 0.37 s with 64,
-# while one thread ran at the same speed.
-_SCAN_CHUNK_BLOCKS = 64
+# Growth, in nats, that one banded solve may span before its values are
+# checked against RESCALE_THRESHOLD (about e^230): well inside the e^709
+# range of a double.
+_SEGMENT_NATS = 300.0
 
 
-def _block_prefix_products(a: np.ndarray, b: np.ndarray):
-    """Running products ``P_j = M_j ... M_1`` along each row of ``(a, b)``.
-
-    Rows are independent blocks; index doubling along the row gives every
-    row the same arithmetic as if it were scanned on its own.
-    """
-    p00, p01 = a.copy(), b.copy()
-    p10, p11 = np.ones_like(a), np.zeros_like(a)
-    width = a.shape[1]
-    shift = 1
-    while shift < width:
-        q00, q01 = p00[:, shift:], p01[:, shift:]
-        q10, q11 = p10[:, shift:], p11[:, shift:]
-        r00, r01 = p00[:, :-shift], p01[:, :-shift]
-        r10, r11 = p10[:, :-shift], p11[:, :-shift]
-        n00 = q00 * r00 + q01 * r10
-        n01 = q00 * r01 + q01 * r11
-        n10 = q10 * r00 + q11 * r10
-        n11 = q10 * r01 + q11 * r11
-        p00[:, shift:] = n00
-        p01[:, shift:] = n01
-        p10[:, shift:] = n10
-        p11[:, shift:] = n11
-        shift *= 2
-    return p00, p01, p10, p11
-
-
-def _sweep(f: np.ndarray, u0: float, u1: float) -> np.ndarray:
-    """Numerov recurrence via blocked prefix products of transfer matrices.
+def _sweep(f: np.ndarray, u0: float, u1: float, rho: np.ndarray | None = None) -> np.ndarray:
+    """Numerov recurrence as a lower-triangular banded solve.
 
     ``f = 1 + h^2 g / 12`` in sweep order; seeds sit at the first two
-    entries. Within a block the running products ``P_j = M_j ... M_1`` of
-    ``M_k = [[a_k, b_k], [1, 0]]`` are built by index doubling, many blocks
-    at once. A scalar pass chains the blocks of a chunk through their end
-    matrices, recording each block's starting pair and where the running
-    pair grows past the overflow guard; one vectorized step then fills the
-    whole chunk, and the recorded renormalizations are applied in order,
-    so arbitrarily deep forbidden regions are safe.
+    entries. Row ``k >= 2`` of the system reads ``f_k u_k - (12 - 10
+    f_{k-1}) u_{k-1} + f_{k-2} u_{k-2} = 0``, the seed terms move to the
+    right-hand side, and LAPACK's ``dtbtrs`` solves it by forward
+    substitution outside the GIL. One step grows the solution by about
+    ``arccosh((6 - 5f)/f) <= sqrt(12 (1/f - 1))`` nats (the rate of the
+    growing mode for constant ``f``, none for ``f >= 1``); the sweep is cut
+    where that bound adds up to ``_SEGMENT_NATS``, one solve per segment,
+    and a segment whose peak passes ``RESCALE_THRESHOLD`` rescales all
+    values before it, so deep classically forbidden regions never overflow.
+    Default grids need one segment. A row with ``f <= 0`` is past Numerov's
+    stability limit and raises :class:`GridTooCoarseError`, naming the
+    point by ``rho`` (in sweep order) when given.
     """
     n = f.shape[0]
-    u = np.empty(n)
+    u = np.zeros(n)
     u[0], u[1] = u0, u1
-    if n == 2:
-        return u
-    m = n - 2
-    n_blocks = -(-m // _SCAN_BLOCK)
-    # zero padding of the last block: a prefix product never reads ahead
-    a_all = np.zeros(n_blocks * _SCAN_BLOCK)
-    b_all = np.zeros(n_blocks * _SCAN_BLOCK)
-    a_all[:m] = (12.0 - 10.0 * f[1:-1]) / f[2:]
-    b_all[:m] = -f[:-2] / f[2:]
-    a_all = a_all.reshape(n_blocks, _SCAN_BLOCK)
-    b_all = b_all.reshape(n_blocks, _SCAN_BLOCK)
-    pos = 1  # index of the leading value of the current (u_k, u_{k-1}) pair
-    uk, ukm1 = u1, u0
-    for first in range(0, n_blocks, _SCAN_CHUNK_BLOCKS):
-        chunk = slice(first, first + _SCAN_CHUNK_BLOCKS)
-        p00, p01, p10, p11 = _block_prefix_products(a_all[chunk], b_all[chunk])
-        rows = p00.shape[0]
-        start = pos + 1
-        length = min(rows * _SCAN_BLOCK, m - (pos - 1))
-        # last filled column of each row; only the sweep's final row is short
-        last = np.full(rows, _SCAN_BLOCK - 1)
-        last[-1] = (length - 1) % _SCAN_BLOCK
-        at_end = (np.arange(rows), last)
-        uk_rows, ukm1_rows, rescales = [], [], []
-        for e00, e01, e10, e11 in zip(*(p[at_end].tolist() for p in (p00, p01, p10, p11))):
-            uk_rows.append(uk)
-            ukm1_rows.append(ukm1)
-            uk, ukm1 = e00 * uk + e01 * ukm1, e10 * uk + e11 * ukm1
-            pos = min(pos + _SCAN_BLOCK, start + length - 1)
-            if abs(uk) + abs(ukm1) > RESCALE_THRESHOLD:
-                rescales.append(pos)
-                uk /= RESCALE_THRESHOLD
-                ukm1 /= RESCALE_THRESHOLD
-        p00 *= np.array(uk_rows)[:, None]
-        p01 *= np.array(ukm1_rows)[:, None]
-        p00 += p01
-        u[start : start + length] = p00.reshape(-1)[:length]
-        for end in rescales:
-            u[: end + 1] /= RESCALE_THRESHOLD
+    diag = f[2:]
+    worst = diag.min(initial=math.inf)  # a two-point sweep solves no row
+    if not worst > 0.0:
+        k = 2 + int(np.argmin(diag > 0.0))
+        where = f"rho={rho[k]:.6g}" if rho is not None else f"sweep row {k}"
+        raise GridTooCoarseError(
+            f"grid too coarse for Numerov at {where}: f = 1 + h^2 g/12 = {f[k]:.3g} "
+            "must be finite and positive for a stable recurrence; a finer grid or "
+            "a larger rho_min keeps it so"
+        )
+    ab = np.empty((3, n - 2), order="F")
+    ab[0] = ab[2] = diag
+    np.multiply(diag, 10.0, out=ab[1])
+    ab[1] -= 12.0
+    stops = [n - 2]
+    # the worst row's bound on every row settles most sweeps without a pass
+    if (n - 2) * math.sqrt(12.0 * max(1.0 / worst - 1.0, 0.0)) > _SEGMENT_NATS:
+        growth = np.cumsum(np.sqrt(np.maximum(1.0 / diag - 1.0, 0.0)))
+        level = _SEGMENT_NATS / math.sqrt(12.0)
+        stops = np.searchsorted(growth, np.arange(level, growth[-1], level)).tolist() + stops
+    start = 0
+    for stop in stops:
+        if stop <= start:
+            continue
+        rhs = u[start + 2 : stop + 2]
+        rhs[0] = (12.0 - 10.0 * f[start + 1]) * u[start + 1] - f[start] * u[start]
+        rhs[1:2] = -f[start + 1] * u[start + 1]  # empty for a one-row segment
+        dtbtrs(ab[:, start:stop], rhs, uplo="L", overwrite_b=1)  # solves in place
+        peak = max(rhs.max(), -rhs.min())
+        if peak > RESCALE_THRESHOLD:
+            u[: stop + 2] /= peak
+        start = stop
     return u
 
 
@@ -307,35 +275,6 @@ def _sweep_loop(f: np.ndarray, u0: float, u1: float) -> np.ndarray:
         if abs(u[k + 1]) > RESCALE_THRESHOLD:
             u[: k + 2] /= RESCALE_THRESHOLD
     return u
-
-
-def numerov_sweep(geff, grid: RadialGrid, u0: float, u1: float, direction: str) -> np.ndarray:
-    """Integrate ``u'' + g(rho) u = 0`` across the grid from two seed values.
-
-    Parameters
-    ----------
-    geff : callable
-        Vectorized ``rho -> g(rho)`` (for bound problems ``g = E - U_eff``).
-    grid : RadialGrid
-        The mesh; the result is returned in grid order for both directions.
-    u0, u1 : float
-        Seed values at the two starting points (innermost pair for
-        ``outward``, outermost pair for ``inward``).
-    direction : str
-        ``"outward"`` or ``"inward"``.
-    """
-    if direction not in ("outward", "inward"):
-        raise ValueError(f"direction must be outward or inward, got {direction!r}")
-    rho = grid.points()
-    g = np.asarray(geff(rho), dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("g is not finite everywhere on the grid")
-    h = grid.step
-    f = 1.0 + (h * h / 12.0) * g
-    if direction == "inward":
-        u = _sweep(f[::-1], u0, u1)
-        return u[::-1]
-    return _sweep(f, u0, u1)
 
 
 def count_nodes(u: np.ndarray) -> int:
@@ -392,14 +331,15 @@ class _ShootingWorkspace:
         m = min(max(m, _STENCIL_PAD + 2), g.shape[0] - _STENCIL_PAD - 3)
         f = 1.0 + self.h2_12 * g[: m + _STENCIL_PAD + 1]
         seeds = small_rho_solution(self.problem, energy, self.rho[:2])
-        u_left = _sweep(f, float(seeds[0]), float(seeds[1]))
+        u_left = _sweep(f, float(seeds[0]), float(seeds[1]), self.rho)
         nodes = count_nodes(u_left[: m + 1])
         if gated and nodes != self.node_target:
             return m, nodes, u_left, None, None
         kappa_sq = self.u_eff[-1] - energy
         kappa = math.sqrt(kappa_sq) if kappa_sq > 0.0 else 1.0
         f = 1.0 + self.h2_12 * g[m - _STENCIL_PAD :]
-        u_right = _sweep(f[::-1], INWARD_SEED, INWARD_SEED * math.exp(kappa * self.h))[::-1]
+        rho = self.rho[m - _STENCIL_PAD :][::-1]
+        u_right = _sweep(f[::-1], INWARD_SEED, INWARD_SEED * math.exp(kappa * self.h), rho)[::-1]
         return m, nodes, u_left, u_right, self._defect_at(u_left, u_right, m)
 
     def classify(self, energy):
@@ -619,14 +559,17 @@ def solve_state(
             s_hi = ws.classify(hi)
         widenings += 1
     if s_lo < 0 or s_hi > 0:
-        report = [
-            f"E={-e:.6g} Ry: {ws.shoot(-e, gated=True)[1]} nodes"
-            for e in np.geomspace(-lo, -hi, 8)
-        ]
-        raise BracketingError(
+        scan = [(-e, ws.shoot(-e, gated=True)[1]) for e in np.geomspace(-lo, -hi, 8)]
+        message = (
             f"state with {node_target} nodes not bracketed in [{lo:.6g}, {hi:.6g}] Ry; "
-            "node-count scan: " + "; ".join(report)
+            "node-count scan: " + "; ".join(f"E={e:.6g} Ry: {k} nodes" for e, k in scan)
         )
+        if s_hi > 0:
+            message += (
+                f"; at the top of the bracket the node count is still {scan[-1][1]}, "
+                f"so the level lies above {hi:.6g} Ry and may not be bound"
+            )
+        raise BracketingError(message)
 
     # Bisect down to bisection_tol; past it, keep bisecting while the
     # midpoint's match defect exceeds DEFECT_TOL and the bracket can still

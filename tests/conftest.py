@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,12 @@ from planaratom import (
     solve_state,
 )
 from planaratom.model import CHERN_SIMONS_KINDS
-from planaratom.numerov import SolverConfig
+from planaratom.numerov import RadialGrid, SolverConfig
+
+
+def halved(grid: RadialGrid) -> RadialGrid:
+    """Same endpoints, twice the resolution (nested points)."""
+    return replace(grid, n_points=2 * grid.n_points - 1)
 
 
 def make_problem(atom: str, kind: str, lam=None, ell=0) -> EffectivePotentialParams:

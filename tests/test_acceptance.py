@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_problem
+from conftest import halved, make_problem
 from planaratom import cli
 from planaratom import model as md
 from planaratom import numerov as nv
@@ -73,7 +73,7 @@ def cs_cells():
 def cs_cells_halved(cs_cells):
     out = {}
     for (atom, lam), (problem, result, _) in cs_cells.items():
-        fine, _ = nv.solve_state(problem, 0, grid=result.grid.halved_step())
+        fine, _ = nv.solve_state(problem, 0, grid=halved(result.grid))
         out[(atom, lam)] = fine.energy
     return out
 
@@ -294,7 +294,7 @@ def test_criterion_7_numerov_order():
     cfg = nv.SolverConfig(bisection_tol=1e-12)
     coarse = nv.RadialGrid(1e-6, 40.0, 1501)
     e1, _ = nv.solve_state(problem, 0, config=cfg, grid=coarse)
-    e2, _ = nv.solve_state(problem, 0, config=cfg, grid=coarse.halved_step())
+    e2, _ = nv.solve_state(problem, 0, config=cfg, grid=halved(coarse))
     ratio = (e1.energy + 1.0) / (e2.energy + 1.0)
     report_line(7, "eigenvalue error order under step halving", 12.0 <= ratio <= 20.0,
                 f"ratio {ratio:.1f}")

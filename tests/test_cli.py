@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from planaratom import cli, model as md
+from planaratom import numerov as nv
 
 FAST = ["--rho-max", "40", "--points", "20001"]
 
@@ -77,7 +78,26 @@ class TestSolveCommand:
     def test_unknown_potential_token(self, capsys):
         code = cli.main(["solve", "--atom", "pe", "--potential", "coulomb4d"])
         assert code == 1
-        assert "--potential" in capsys.readouterr().err or True
+        assert "--potential" in capsys.readouterr().err
+
+    def test_coarse_grid_is_solver_error(self, capsys):
+        # h ~ 1000: f = 1 + h^2 g / 12 turns negative past the turning point
+        code = cli.main(
+            ["solve", "--atom", "pe", "--potential", "coulomb3d",
+             "--points", "1000", "--rho-max", "1e6"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: grid too coarse for Numerov at rho=")
+
+    def test_degenerate_seed_is_solver_error(self, capsys, monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise nv.DegenerateSeedError("both sweeps vanish at the matching point")
+
+        monkeypatch.setattr(cli, "solve_state", degenerate)
+        code = cli.main(["solve", "--atom", "pe", "--potential", "coulomb3d"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: both sweeps vanish at the matching point\n"
 
     def test_nonconverged_exit_two(self, capsys):
         code, out = run(

@@ -149,5 +149,3 @@ class TestUnits:
 
     def test_inverse_alpha_is_the_quoted_value(self):
         assert md.INV_ALPHA == 137.0356
-        assert md.V0 == 1.0
-        assert md.RYDBERG_PER_HARTREE == 2.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_problem
+from conftest import halved, make_problem
 from planaratom import model as md
 from planaratom import numerov as nv
 
@@ -33,9 +33,14 @@ class TestRadialGrid:
 
     def test_halved_step_nests(self):
         g = nv.RadialGrid(0.1, 10.0, 1001)
-        g2 = g.halved_step()
+        g2 = halved(g)
         assert g2.n_points == 2001
         assert np.allclose(g2.points()[::2], g.points(), rtol=0, atol=1e-14)
+
+
+def numerov_f(g, grid):
+    """``f = 1 + h^2 g / 12`` on the grid for ``g`` given as a callable of rho."""
+    return 1.0 + (grid.step**2 / 12.0) * np.asarray(g(grid.points()), dtype=float)
 
 
 class TestSweep:
@@ -43,29 +48,22 @@ class TestSweep:
         # grid near the truncation/roundoff optimum of the recurrence
         grid = nv.RadialGrid(0.1, 5.0, 2001)
         rho = grid.points()
-        u = nv.numerov_sweep(
-            lambda r: -np.ones_like(r), grid, math.exp(rho[0]), math.exp(rho[1]), "outward"
-        )
+        f = numerov_f(lambda r: -np.ones_like(r), grid)
+        u = nv._sweep(f, math.exp(rho[0]), math.exp(rho[1]))
         assert np.max(np.abs(u / np.exp(rho) - 1.0)) < 1e-9
 
     def test_harmonic(self):
         grid = nv.RadialGrid(0.1, 10.0, 1001)
         rho = grid.points()
-        u = nv.numerov_sweep(
-            lambda r: np.ones_like(r), grid, math.sin(rho[0]), math.sin(rho[1]), "outward"
-        )
+        f = numerov_f(lambda r: np.ones_like(r), grid)
+        u = nv._sweep(f, math.sin(rho[0]), math.sin(rho[1]))
         assert np.max(np.abs(u - np.sin(rho))) < 1e-9
 
     def test_inward_exponential(self):
         grid = nv.RadialGrid(0.1, 5.0, 2001)
         rho = grid.points()
-        u = nv.numerov_sweep(
-            lambda r: -np.ones_like(r),
-            grid,
-            math.exp(-rho[-1]),
-            math.exp(-rho[-2]),
-            "inward",
-        )
+        f = numerov_f(lambda r: -np.ones_like(r), grid)
+        u = nv._sweep(f[::-1], math.exp(-rho[-1]), math.exp(-rho[-2]))[::-1]
         assert np.max(np.abs(u / np.exp(-rho) - 1.0)) < 1e-9
 
     def test_hydrogen_ground_state_profile(self):
@@ -75,13 +73,8 @@ class TestSweep:
         grid = nv.RadialGrid(1e-6, 30.0, 120001)
         rho = grid.points()
         seeds = oracles.hydrogen_ground_u(rho[:2], 1.0)
-        u = nv.numerov_sweep(
-            lambda r: -1.0 - np.asarray(md.effective_potential(problem, r)),
-            grid,
-            seeds[0],
-            seeds[1],
-            "outward",
-        )
+        f = numerov_f(lambda r: -1.0 - md.effective_potential(problem, r), grid)
+        u = nv._sweep(f, seeds[0], seeds[1])
         inner = (rho > 0.05) & (rho < 4.0)
         exact = oracles.hydrogen_ground_u(rho, 1.0)
         assert np.max(np.abs(u[inner] / exact[inner] - 1.0)) < 1e-7
@@ -93,9 +86,21 @@ class TestSweep:
         f = 1.0 + (0.01**2 / 12.0) * g
         fast = nv._sweep(f, 0.37, 0.38)
         slow = nv._sweep_loop(f, 0.37, 0.38)
-        # both paths carry the same recurrence; they differ only by the
-        # n^2 * eps roundoff floor of three-term recurrences
-        assert np.allclose(fast, slow, rtol=1e-6, atol=1e-300)
+        # forward substitution runs the loop's recurrence; only fused
+        # multiply-adds in LAPACK set the two apart
+        assert np.allclose(fast, slow, rtol=1e-8, atol=1e-300)
+
+    def test_cs_sweep_matches_reference_loop(self, solve_cached):
+        problem, res, _ = solve_cached("pe", "chern_simons", 2e-5)
+        rho = res.grid.points()
+        g = res.energy - md.effective_potential(problem, rho)
+        f = 1.0 + (res.grid.step**2 / 12.0) * g
+        seeds = nv.small_rho_solution(problem, res.energy, rho[:2])
+        m = nv._outer_turning_point(g)
+        fast = nv._sweep(f, seeds[0], seeds[1])[: m + 1]
+        slow = nv._sweep_loop(f, seeds[0], seeds[1])[: m + 1]
+        assert f.shape[0] == 200001
+        assert np.max(np.abs(fast - slow)) <= 1e-9 * np.max(np.abs(slow))
 
     def test_deep_forbidden_region_renormalizes(self):
         # growth by thousands of e-folds must neither overflow nor crash
@@ -105,15 +110,17 @@ class TestSweep:
         assert np.all(np.isfinite(u))
         assert np.max(np.abs(u)) <= nv.RESCALE_THRESHOLD * 10
 
-    def test_direction_token(self):
-        grid = nv.RadialGrid(0.1, 5.0, 1000)
-        with pytest.raises(ValueError, match="direction"):
-            nv.numerov_sweep(lambda r: -np.ones_like(r), grid, 1.0, 1.0, "sideways")
-
     def test_nonfinite_g_rejected(self):
         grid = nv.RadialGrid(0.1, 5.0, 1000)
-        with pytest.raises(ValueError, match="finite"):
-            nv.numerov_sweep(lambda r: np.full_like(r, np.nan), grid, 1.0, 1.0, "outward")
+        f = numerov_f(lambda r: np.full_like(r, np.nan), grid)
+        with pytest.raises(nv.GridTooCoarseError, match="finite"):
+            nv._sweep(f, 1.0, 1.0)
+
+    def test_nonpositive_f_named_by_rho(self):
+        grid = nv.RadialGrid(0.1, 5.0, 1000)
+        f = numerov_f(lambda r: np.where(r > 4.0, -1e7, -1.0), grid)
+        with pytest.raises(nv.GridTooCoarseError, match=r"rho=4\.00"):
+            nv._sweep(f, 1.0, 1.0, grid.points())
 
 
 class TestCountNodes:
@@ -202,6 +209,15 @@ class TestSolveState:
         _, res, _ = solve_cached("pmu", "coulomb3d")
         assert res.converged
         assert res.energy == pytest.approx(-185.84083, rel=1e-5)
+        # closed form -zeta: the 1e-8 Ry bisection and the O(h^4) grid error fit in 1e-7 Ry
+        assert abs(res.energy + md.make_atom("pmu").zeta) <= 1e-7
+
+    def test_grid_past_stability_limit_raises(self):
+        # near the origin f = 1 - l(l+1)/48 whatever the step: -0.17 for ell 7
+        problem = make_problem("pe", "coulomb3d", ell=7)
+        message = r"rho=0\.00\d+: f = 1 \+ h\^2 g/12 = -0\.1"
+        with pytest.raises(nv.GridTooCoarseError, match=message):
+            nv.solve_state(problem, 0)
 
     def test_cs_ground_same_scale_as_reference(self, solve_cached):
         # informational: the reference table lists -2.2417 for this cell
@@ -265,8 +281,19 @@ class TestKZeroSearch:
         # 100,001 points put the lowest one at +4.2e-5 Ry in a 400 box and
         # +1.0e-5 Ry in a 1600 box
         problem = make_problem("pe", "chern_simons_jordan", 2e-4, ell=2)
-        with pytest.raises(nv.BracketingError, match="not bracketed"):
+        with pytest.raises(nv.BracketingError, match="not bracketed") as err:
             nv.solve_state(problem, 0)
+        err.match(r"node count is still 0, so the level lies above -1\.25e-05 Ry")
+
+    def test_deep_level_defect_changes_sign_once(self, solve_cached):
+        # sweep roundoff must not add roots near a deep level: a spurious
+        # crossing lets bisection stop up to 4e-8 Ry away from it
+        problem, res, _ = solve_cached("pe", "chern_simons", 2e-4)
+        ws = nv._ShootingWorkspace(problem, res.grid)
+        m = nv._outer_turning_point(res.energy - ws.u_eff)
+        defects = [ws.shoot(res.energy + k * 1e-8, m)[-1] for k in range(-8, 9)]
+        signs = np.sign(defects)
+        assert np.count_nonzero(signs[1:] != signs[:-1]) == 1
 
 
 class TestSpectrumProperties:
@@ -274,7 +301,7 @@ class TestSpectrumProperties:
         problem = z1_problem("coulomb3d")
         cfg = nv.SolverConfig(bisection_tol=1e-12)
         coarse = nv.RadialGrid(1e-6, 40.0, 1501)
-        fine = coarse.halved_step()
+        fine = halved(coarse)
         e1, _ = nv.solve_state(problem, 0, config=cfg, grid=coarse)
         e2, _ = nv.solve_state(problem, 0, config=cfg, grid=fine)
         ratio = (e1.energy + 1.0) / (e2.energy + 1.0)
