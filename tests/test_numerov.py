@@ -49,21 +49,21 @@ class TestSweep:
         grid = nv.RadialGrid(0.1, 5.0, 2001)
         rho = grid.points()
         f = numerov_f(lambda r: -np.ones_like(r), grid)
-        u = nv._sweep(f, math.exp(rho[0]), math.exp(rho[1]))
+        u = nv._sweep(f, math.exp(rho[0]), math.exp(rho[1]), rho)
         assert np.max(np.abs(u / np.exp(rho) - 1.0)) < 1e-9
 
     def test_harmonic(self):
         grid = nv.RadialGrid(0.1, 10.0, 1001)
         rho = grid.points()
         f = numerov_f(lambda r: np.ones_like(r), grid)
-        u = nv._sweep(f, math.sin(rho[0]), math.sin(rho[1]))
+        u = nv._sweep(f, math.sin(rho[0]), math.sin(rho[1]), rho)
         assert np.max(np.abs(u - np.sin(rho))) < 1e-9
 
     def test_inward_exponential(self):
         grid = nv.RadialGrid(0.1, 5.0, 2001)
         rho = grid.points()
         f = numerov_f(lambda r: -np.ones_like(r), grid)
-        u = nv._sweep(f[::-1], math.exp(-rho[-1]), math.exp(-rho[-2]))[::-1]
+        u = nv._sweep(f[::-1], math.exp(-rho[-1]), math.exp(-rho[-2]), rho[::-1])[::-1]
         assert np.max(np.abs(u / np.exp(-rho) - 1.0)) < 1e-9
 
     def test_hydrogen_ground_state_profile(self):
@@ -74,7 +74,7 @@ class TestSweep:
         rho = grid.points()
         seeds = oracles.hydrogen_ground_u(rho[:2], 1.0)
         f = numerov_f(lambda r: -1.0 - md.effective_potential(problem, r), grid)
-        u = nv._sweep(f, seeds[0], seeds[1])
+        u = nv._sweep(f, seeds[0], seeds[1], rho)
         inner = (rho > 0.05) & (rho < 4.0)
         exact = oracles.hydrogen_ground_u(rho, 1.0)
         assert np.max(np.abs(u[inner] / exact[inner] - 1.0)) < 1e-7
@@ -84,7 +84,7 @@ class TestSweep:
         n = 3000
         g = 1.0 - 0.5 * np.linspace(0, 1, n) + 0.05 * rng.standard_normal(n)
         f = 1.0 + (0.01**2 / 12.0) * g
-        fast = nv._sweep(f, 0.37, 0.38)
+        fast = nv._sweep(f, 0.37, 0.38, 0.01 * np.arange(n))
         slow = nv._sweep_loop(f, 0.37, 0.38)
         # forward substitution runs the loop's recurrence; only fused
         # multiply-adds in LAPACK set the two apart
@@ -97,7 +97,7 @@ class TestSweep:
         f = 1.0 + (res.grid.step**2 / 12.0) * g
         seeds = nv.small_rho_solution(problem, res.energy, rho[:2])
         m = nv._outer_turning_point(g)
-        fast = nv._sweep(f, seeds[0], seeds[1])[: m + 1]
+        fast = nv._sweep(f, seeds[0], seeds[1], rho)[: m + 1]
         slow = nv._sweep_loop(f, seeds[0], seeds[1])[: m + 1]
         assert f.shape[0] == 200001
         assert np.max(np.abs(fast - slow)) <= 1e-9 * np.max(np.abs(slow))
@@ -106,7 +106,7 @@ class TestSweep:
         # growth by thousands of e-folds must neither overflow nor crash
         n = 200001
         f = 1.0 + (0.05**2 / 12.0) * np.full(n, -9.0)  # g = -9, e^(3 rho) growth
-        u = nv._sweep(f, 1e-3, 1e-3 * math.exp(0.15))
+        u = nv._sweep(f, 1e-3, 1e-3 * math.exp(0.15), 0.05 * np.arange(n))
         assert np.all(np.isfinite(u))
         assert np.max(np.abs(u)) <= nv.RESCALE_THRESHOLD * 10
 
@@ -114,13 +114,28 @@ class TestSweep:
         grid = nv.RadialGrid(0.1, 5.0, 1000)
         f = numerov_f(lambda r: np.full_like(r, np.nan), grid)
         with pytest.raises(nv.GridTooCoarseError, match="finite"):
-            nv._sweep(f, 1.0, 1.0)
+            nv._sweep(f, 1.0, 1.0, grid.points())
 
     def test_nonpositive_f_named_by_rho(self):
         grid = nv.RadialGrid(0.1, 5.0, 1000)
         f = numerov_f(lambda r: np.where(r > 4.0, -1e7, -1.0), grid)
         with pytest.raises(nv.GridTooCoarseError, match=r"rho=4\.00"):
             nv._sweep(f, 1.0, 1.0, grid.points())
+
+    def test_oscillation_past_stability_limit_rejected(self):
+        # f = 2: 12/f - 10 = -4, so a mode grows by 1.32 nats per step with
+        # alternating sign and a 1000-row sweep would overflow
+        rho = 0.1 * np.arange(1000)
+        with pytest.raises(nv.GridTooCoarseError, match=r"rho=0\.2: f = 1 \+ h\^2 g/12 = 2 "):
+            nv._sweep(np.full(1000, 2.0), 1.0, 1.0, rho)
+
+    def test_oscillation_inside_stability_limit_matches_reference_loop(self):
+        # f = 1.45: under 2.7 points per wavelength, yet the recurrence stays bounded
+        f = np.full(1000, 1.45)
+        fast = nv._sweep(f, 0.0, 1.0, 0.1 * np.arange(1000))
+        slow = nv._sweep_loop(f, 0.0, 1.0)
+        assert np.all(np.abs(slow) < 10.0)
+        assert np.max(np.abs(fast - slow)) <= 1e-9
 
 
 class TestCountNodes:
