@@ -1,9 +1,27 @@
 """Command-line front end.
 
-Subcommands: ``solve`` (one state), ``table energies|radii|ell-states``
-(reproduce the embedded reference tables with deviations), ``scan-potential``
-and ``wavefunction`` (plot-ready CSV), ``report`` (side-by-side discrepancy
-report), ``k0`` (Bessel debug).
+Subcommands and the flags each one reads:
+
+* ``solve``: one state. ``--atom --potential --lambda|--mgamma-ev --ell``
+  name it, ``--nodes --rho-min --rho-max --points --tol`` override the
+  grid and the bisection tolerance, ``--format csv|json --output`` and
+  ``--wavefunction-output`` say where the record and the samples go.
+* ``wavefunction``: the same state flags as ``solve`` and ``--output``;
+  always CSV (``rho,u``).
+* ``scan-potential``: ``--atom --potential --lambda|--mgamma-ev --ell``,
+  ``--rho-start --rho-stop --scan-points`` and ``--output``; always CSV
+  (``rho,u_eff``).
+* ``table energies|radii|ell-states``: the embedded reference tables next
+  to recomputed values, ``--format csv|json --output``.
+* ``report``: side-by-side discrepancy report, ``--format md|csv|json
+  --output``.
+* ``k0``: Bessel debug, ``--x --format csv|json --output``.
+
+Every command writes through :func:`_emit`: CSV opens with ``# schema=``
+and any ``# key=value`` comment lines, takes its header from the record
+keys, and JSON uses the same field names. ``--output -`` (or no
+``--output``) writes to stdout, except that ``table`` and ``report``
+default to ``table_<which>.<format>`` and ``report.<format>``.
 
 Exit codes: 0 success, 1 usage error (``usage error:``) or solver failure
 (``error:``: a state not bracketed, degenerate matching or a grid too coarse
@@ -16,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from dataclasses import dataclass
@@ -77,15 +94,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(value) -> str:
-    """Deterministic 12-significant-digit float formatting."""
-    if value is None:
-        return ""
-    if isinstance(value, (int,)) and not isinstance(value, bool):
-        return str(value)
-    return f"{float(value):.12g}"
-
-
 def load_published_tables() -> dict:
     """Embedded reference values keyed (table, atom, potential, lambda, ell)."""
     out = {}
@@ -132,13 +140,18 @@ class RunRequest:
         return SolverConfig()
 
 
+# Parsed-flag names that are also RunRequest fields; only the commands that
+# solve a state declare them.
+_SOLVER_FLAGS = ("nodes", "rho_min", "rho_max", "n_points", "tol")
+
+
 def _request_from_args(args) -> RunRequest:
     token = args.potential
     kind = POTENTIAL_TOKENS.get(token)
     if kind is None:
         raise _UsageError(f"unknown --potential token {token!r}")
     lam = args.lam
-    if getattr(args, "mgamma_ev", None) is not None:
+    if args.mgamma_ev is not None:
         if lam is not None:
             raise _UsageError("--lambda and --mgamma-ev are mutually exclusive")
         lam = lambda_from_ev(args.mgamma_ev)
@@ -146,22 +159,59 @@ def _request_from_args(args) -> RunRequest:
         raise _UsageError(f"--potential {token} requires --lambda (or --mgamma-ev)")
     if kind not in CHERN_SIMONS_KINDS and lam is not None:
         raise _UsageError(f"--lambda is not valid with --potential {token}")
-    return RunRequest(
-        atom=args.atom,
-        potential_token=token,
-        lam=lam,
-        ell=args.ell,
-        nodes=args.nodes,
-        rho_min=args.rho_min,
-        rho_max=args.rho_max,
-        n_points=args.points,
-        tol=args.tol,
-    )
+    solver = {k: v for k, v in vars(args).items() if k in _SOLVER_FLAGS}
+    return RunRequest(args.atom, token, lam, args.ell, **solver)
 
 
-def _write_text(path: str | None, text: str, default=None) -> None:
-    if path is None:
-        path = default
+def _cell(value) -> str:
+    """The one cell format: floats at 12 significant digits, booleans as
+    ``true``/``false``, None as an empty cell."""
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
+
+
+def _json_clean(obj):
+    """JSON value with every float rounded as :func:`_cell` prints it."""
+    if isinstance(obj, float):
+        return float(_cell(obj))
+    if isinstance(obj, dict):
+        return {k: _json_clean(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_json_clean(v) for v in obj]
+    return obj
+
+
+def _emit(fmt, path, rows, header=None, comments=(), stem=None, **meta) -> None:
+    """Write one command's output; every command goes through here.
+
+    ``rows`` are dicts, whose keys are the CSV header and the JSON field
+    names, or tuples under an explicit ``header`` (CSV only, for long
+    sample columns). Each dict in ``comments`` becomes a ``# key=value``
+    line after the schema line. JSON nests the rows under ``"rows"`` after
+    ``meta``, or writes a lone row flat when there is no ``meta``; ``md``
+    is the report's markdown. ``path`` ``-`` is stdout, and so is ``None``
+    unless the command names a default file ``<stem>.<fmt>``.
+    """
+    if fmt == "json":
+        payload = {**meta, "rows": rows} if meta else rows[0]
+        text = json.dumps(_json_clean({"schema": SCHEMA, **payload}), indent=2) + "\n"
+    elif fmt == "md":
+        text = _report_markdown(rows)
+    else:
+        if header is None:
+            header, rows = list(rows[0]), [rec.values() for rec in rows]
+        lines = [
+            "# " + " ".join(f"{k}={_cell(v)}" for k, v in c.items())
+            for c in ({"schema": SCHEMA}, *comments)
+        ]
+        lines.append(",".join(header))
+        lines.extend(",".join(map(_cell, row)) for row in rows)
+        text = "\n".join(lines) + "\n"
+    if path is None and stem is not None:
+        path = f"{stem}.{fmt}"
     if path is None or path == "-":
         sys.stdout.write(text)
         return
@@ -193,32 +243,15 @@ def _memo_solver():
     return solve
 
 
-_SOLVE_FIELDS = (
-    "atom",
-    "potential",
-    "lambda",
-    "ell",
-    "nodes",
-    "energy_ry",
-    "converged",
-    "match_defect",
-    "mean_rho",
-    "mean_r_bohr",
-    "rho_min",
-    "rho_max",
-    "n_points",
-    "bisection_tol",
-    "iterations",
-)
+def _state_fields(req: RunRequest, **more) -> dict:
+    """The fields naming a state, first in every per-state record."""
+    return {"atom": req.atom, "potential": req.potential_token, "lambda": req.lam,
+            "ell": req.ell, **more}
 
 
 def _solve_record(req: RunRequest, result, radius, config) -> dict:
     return {
-        "atom": req.atom,
-        "potential": req.potential_token,
-        "lambda": req.lam,
-        "ell": result.ell,
-        "nodes": result.nodes,
+        **_state_fields(req, nodes=result.nodes),
         "energy_ry": result.energy,
         "converged": result.converged,
         "match_defect": result.match_defect,
@@ -232,72 +265,26 @@ def _solve_record(req: RunRequest, result, radius, config) -> dict:
     }
 
 
-def _record_csv(fields, records) -> str:
-    buf = io.StringIO()
-    buf.write(f"# schema={SCHEMA}\n")
-    buf.write(",".join(fields) + "\n")
-    for rec in records:
-        cells = []
-        for name in fields:
-            v = rec[name]
-            if isinstance(v, bool):
-                cells.append("true" if v else "false")
-            elif isinstance(v, float):
-                cells.append(_fmt(v))
-            elif v is None:
-                cells.append("")
-            else:
-                cells.append(str(v))
-        buf.write(",".join(cells) + "\n")
-    return buf.getvalue()
-
-
-def _record_json(payload: dict) -> str:
-    def clean(obj):
-        if isinstance(obj, float):
-            return float(_fmt(obj))
-        if isinstance(obj, dict):
-            return {k: clean(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [clean(v) for v in obj]
-        return obj
-
-    return json.dumps(clean(payload), indent=2) + "\n"
+def _emit_wavefunction(path, req: RunRequest, result, wf) -> None:
+    outcome = {"energy_ry": result.energy, "converged": result.converged}
+    rows = zip(wf.grid.points().tolist(), wf.u.tolist())
+    comments = (_state_fields(req, nodes=result.nodes), outcome)
+    _emit("csv", path, rows, header=("rho", "u"), comments=comments)
 
 
 def cmd_solve(args) -> int:
     req = _request_from_args(args)
     result, wf, radius = _solve_request(req)
-    record = _solve_record(req, result, radius, req.config())
-    if args.format == "json":
-        text = _record_json({"schema": SCHEMA, **record})
-    else:
-        text = _record_csv(_SOLVE_FIELDS, [record])
-    _write_text(args.output, text)
+    _emit(args.format, args.output, [_solve_record(req, result, radius, req.config())])
     if args.wavefunction_output:
-        _write_text(args.wavefunction_output, _wavefunction_csv(req, result, wf))
+        _emit_wavefunction(args.wavefunction_output, req, result, wf)
     return 0 if result.converged else 2
-
-
-def _wavefunction_csv(req: RunRequest, result, wf) -> str:
-    buf = io.StringIO()
-    buf.write(f"# schema={SCHEMA}\n")
-    buf.write(
-        f"# atom={req.atom} potential={req.potential_token}"
-        f" lambda={_fmt(req.lam)} ell={result.ell} nodes={result.nodes}\n"
-    )
-    buf.write(f"# energy_ry={_fmt(result.energy)} converged={str(result.converged).lower()}\n")
-    buf.write("rho,u\n")
-    rho = wf.grid.points()
-    for r, v in zip(rho, wf.u):
-        buf.write(f"{_fmt(r)},{_fmt(v)}\n")
-    return buf.getvalue()
 
 
 def cmd_wavefunction(args) -> int:
     req = _request_from_args(args)
     result, wf, _ = _solve_request(req)
-    _write_text(args.output, _wavefunction_csv(req, result, wf))
+    _emit_wavefunction(args.output, req, result, wf)
     return 0 if result.converged else 2
 
 
@@ -305,35 +292,13 @@ def cmd_scan_potential(args) -> int:
     req = _request_from_args(args)
     if not (0 < args.rho_start < args.rho_stop):
         raise _UsageError("--rho-start/--rho-stop must satisfy 0 < start < stop")
-    problem = req.problem()
     import numpy as np
 
     rho = np.linspace(args.rho_start, args.rho_stop, args.scan_points)
-    u = effective_potential(problem, rho)
-    buf = io.StringIO()
-    buf.write(f"# schema={SCHEMA}\n")
-    buf.write(
-        f"# atom={req.atom} potential={req.potential_token}"
-        f" lambda={_fmt(req.lam)} ell={req.ell}\n"
-    )
-    buf.write("rho,u_eff\n")
-    for r, v in zip(rho, u):
-        buf.write(f"{_fmt(r)},{_fmt(v)}\n")
-    _write_text(args.output, buf.getvalue())
+    u = effective_potential(req.problem(), rho)
+    rows = zip(rho.tolist(), u.tolist())
+    _emit("csv", args.output, rows, header=("rho", "u_eff"), comments=(_state_fields(req),))
     return 0
-
-
-_TABLE_FIELDS = (
-    "atom",
-    "potential",
-    "lambda",
-    "ell",
-    "nodes",
-    "energy_ry",
-    "mean_r_bohr",
-    "published_value",
-    "deviation",
-)
 
 
 def _table_rows(which: str):
@@ -390,19 +355,7 @@ def _build_table(which: str, solve):
 def cmd_table(args) -> int:
     which = args.which.replace("-", "_")
     records = _build_table(which, _memo_solver())
-    default_name = f"table_{which}.{ 'json' if args.format == 'json' else 'csv'}"
-    if args.format == "json":
-        text = _record_json(
-            {
-                "schema": SCHEMA,
-                "table": which,
-                "version": __version__,
-                "rows": records,
-            }
-        )
-    else:
-        text = _record_csv(_TABLE_FIELDS, records)
-    _write_text(args.output, text, default=default_name)
+    _emit(args.format, args.output, records, stem=f"table_{which}", table=which, version=__version__)
     return 0
 
 
@@ -427,21 +380,6 @@ def _flag_for(published, computed, closed_form) -> str:
 
 # Closed-form Coulomb ground-state mean radius in Bohr radii is this over zeta.
 _CLOSED_RADIUS_FACTOR = {"coulomb3d": 1.5, "coulomb2d": 0.5}
-
-_REPORT_FIELDS = (
-    "section",
-    "atom",
-    "potential",
-    "lambda",
-    "quantity",
-    "published_value",
-    "computed",
-    "closed_form",
-    "jordan_variant",
-    "jordan_prefactor_ratio",
-    "deviation",
-    "flag",
-)
 
 
 def _build_report():
@@ -481,85 +419,61 @@ def _build_report():
     return rows
 
 
+# Report fields in the markdown tables' column order.
+_MARKDOWN_COLUMNS = (
+    "atom potential lambda published_value computed closed_form"
+    " jordan_variant jordan_prefactor_ratio flag"
+).split()
+
+
 def _report_markdown(rows) -> str:
-    buf = io.StringIO()
-    buf.write("# Reference-versus-recomputed discrepancy report\n\n")
-    buf.write(
+    lines = [
+        "# Reference-versus-recomputed discrepancy report",
+        "",
         "Flags: `match` (within 0.5%), `paper-numerical-error` (within 5%, "
         "consistent with the reference pipeline's quoted accuracy), "
         "`unresolved` (structural disagreement). The closed-form column "
         "adjudicates where an exact spectrum exists; the jordan column "
         "shows the weaker-prefactor variant of the massive-photon "
-        "potential.\n\n"
-    )
+        "potential.",
+        "",
+    ]
     for section in ("energies", "radii"):
         sect = [r for r in rows if r["section"] == section]
         if not sect:
             continue
-        buf.write(f"## {section}\n\n")
-        buf.write(
+        lines += [
+            f"## {section}",
+            "",
             "| atom | potential | lambda | published | computed | closed form "
-            "| jordan variant | jordan prefactor ratio | flag |\n"
-        )
-        buf.write("|---|---|---|---|---|---|---|---|---|\n")
-        for r in sect:
-            buf.write(
-                "| {atom} | {potential} | {lam} | {pub} | {comp} | {closed} "
-                "| {jord} | {ratio} | {flag} |\n".format(
-                    atom=r["atom"],
-                    potential=r["potential"],
-                    lam=_fmt(r["lambda"]),
-                    pub=_fmt(r["published_value"]),
-                    comp=_fmt(r["computed"]),
-                    closed=_fmt(r["closed_form"]),
-                    jord=_fmt(r["jordan_variant"]),
-                    ratio=_fmt(r["jordan_prefactor_ratio"]),
-                    flag=r["flag"],
-                )
-            )
-        buf.write("\n")
-    return buf.getvalue()
+            "| jordan variant | jordan prefactor ratio | flag |",
+            "|---|---|---|---|---|---|---|---|---|",
+        ]
+        lines += ["| " + " | ".join(_cell(r[k]) for k in _MARKDOWN_COLUMNS) + " |" for r in sect]
+        lines.append("")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_report(args) -> int:
-    rows = _build_report()
-    if args.format == "json":
-        text = _record_json({"schema": SCHEMA, "version": __version__, "rows": rows})
-        default_name = "report.json"
-    elif args.format == "md":
-        text = _report_markdown(rows)
-        default_name = "report.md"
-    else:
-        text = _record_csv(_REPORT_FIELDS, rows)
-        default_name = "report.csv"
-    _write_text(args.output, text, default=default_name)
+    _emit(args.format, args.output, _build_report(), stem="report", version=__version__)
     return 0
 
 
 def cmd_k0(args) -> int:
     ev = bessel_k0_eval(args.x)
-    if args.format == "json":
-        text = _record_json(
-            {
-                "schema": SCHEMA,
-                "x": ev.x,
-                "k0": ev.value,
-                "regime": ev.regime,
-                "underflow": ev.underflow,
-            }
-        )
-    else:
-        text = (
-            f"# schema={SCHEMA}\nx,k0,regime,underflow\n"
-            f"{_fmt(ev.x)},{_fmt(ev.value)},{ev.regime},{str(ev.underflow).lower()}\n"
-        )
-    _write_text(args.output, text)
+    record = {"x": ev.x, "k0": ev.value, "regime": ev.regime, "underflow": ev.underflow}
+    _emit(args.format, args.output, [record])
     return 0
 
 
-def _add_common_flags(p):
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+def _add_output_flags(p, *formats):
+    if formats:
+        p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--output", default=None, help="output path ('-' for stdout)")
+
+
+def _add_state_flags(p):
+    """Flags naming a state: the commands that build a problem."""
     p.add_argument("--atom", required=True, choices=ATOM_NAMES)
     p.add_argument(
         "--potential", required=True, help="coulomb3d coulomb2d chern-simons chern-simons-jordan"
@@ -569,10 +483,15 @@ def _add_common_flags(p):
     p.add_argument("--mgamma-ev", type=float, default=None,
                    help="photon topological mass in eV (alternative to --lambda)")
     p.add_argument("--ell", type=int, default=0)
+
+
+def _add_solver_flags(p):
+    """State flags plus the grid and tolerance overrides the solver reads."""
+    _add_state_flags(p)
     p.add_argument("--nodes", type=int, default=0)
     p.add_argument("--rho-min", type=float, default=None)
     p.add_argument("--rho-max", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
+    p.add_argument("--points", dest="n_points", metavar="POINTS", type=int, default=None)
     p.add_argument("--tol", type=float, default=None, help="bisection tolerance in Ry")
 
 
@@ -588,37 +507,37 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve one bound state")
-    _add_common_flags(p)
+    _add_output_flags(p, "csv", "json")
+    _add_solver_flags(p)
     p.add_argument("--wavefunction-output", default=None,
                    help="also write the normalized wavefunction CSV here")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("table", help="reproduce a reference table")
     p.add_argument("which", choices=("energies", "radii", "ell-states"))
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--output", default=None)
+    _add_output_flags(p, "csv", "json")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("scan-potential", help="sample the effective potential")
-    _add_common_flags(p)
+    _add_output_flags(p)
+    _add_state_flags(p)
     p.add_argument("--rho-start", type=float, required=True)
     p.add_argument("--rho-stop", type=float, required=True)
     p.add_argument("--scan-points", type=int, default=501)
     p.set_defaults(func=cmd_scan_potential)
 
     p = sub.add_parser("wavefunction", help="solve and emit the wavefunction CSV")
-    _add_common_flags(p)
+    _add_output_flags(p)
+    _add_solver_flags(p)
     p.set_defaults(func=cmd_wavefunction)
 
     p = sub.add_parser("report", help="reference-vs-recomputed discrepancy report")
-    p.add_argument("--format", choices=("csv", "json", "md"), default="md")
-    p.add_argument("--output", default=None)
+    _add_output_flags(p, "md", "csv", "json")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("k0", help="evaluate K0 (debug)")
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--output", default=None)
+    _add_output_flags(p, "csv", "json")
     p.set_defaults(func=cmd_k0)
 
     return parser

@@ -473,8 +473,10 @@ def default_grid(
 
     Coulomb kinds size the box from the closed-form tail constant; the K0
     kinds from a self-consistent depth estimate. 3D problems keep a tiny
-    ``rho_min`` (the regular solution is analytic there); 2D problems
-    start a fixed number of steps out, see the module docstring.
+    ``rho_min`` (the regular solution is analytic there). For ``ell >= 5``
+    it moves out just far enough that the centrifugal term leaves ``f >=
+    1/2`` on the first swept row: ``rho_min + 2h = h sqrt(l(l+1)/6)``. 2D
+    problems start a fixed number of steps out, see the module docstring.
     """
     kind = problem.potential.kind
     zeta = problem.atom.zeta
@@ -496,7 +498,8 @@ def default_grid(
         if problem.dimension == 2:
             rho_min = ORIGIN_STEP_MULTIPLE * rho_max / (n_points - 1)
         else:
-            rho_min = 1e-6
+            centrifugal = math.sqrt(problem.ell * (problem.ell + 1) / 6.0)
+            rho_min = max(1e-6, rho_max / (n_points - 1) * (centrifugal - 2.0))
     return RadialGrid(rho_min=rho_min, rho_max=rho_max, n_points=n_points)
 
 
@@ -600,7 +603,7 @@ def solve_state(
     u = _normalize_samples(u_raw, grid.step)
     nodes = count_nodes(u)
     width = hi - lo
-    converged = (
+    converged = bool(
         width <= config.bisection_tol and abs(defect) <= DEFECT_TOL and nodes == node_target
     )
     result = EigenResult(

@@ -19,12 +19,13 @@ class TestK0Command:
     def test_csv(self, capsys):
         code, out = run(capsys, ["k0", "--x", "1.0"])
         assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "# schema=planar-atom/v1"
-        assert lines[1] == "x,k0,regime,underflow"
-        cells = lines[2].split(",")
+        assert out == (
+            "# schema=planar-atom/v1\n"
+            "x,k0,regime,underflow\n"
+            "1,0.421024438241,series,false\n"
+        )
+        cells = out.splitlines()[2].split(",")
         assert float(cells[1]) == pytest.approx(0.4210244382407083, rel=1e-12)
-        assert cells[2] == "series"
 
     def test_json_underflow(self, capsys):
         code, out = run(capsys, ["k0", "--x", "701", "--format", "json"])
@@ -34,6 +35,15 @@ class TestK0Command:
         assert payload["k0"] == 0.0
         assert payload["underflow"] is True
         assert payload["regime"] == "asymptotic"
+        assert out == (
+            "{\n"
+            '  "schema": "planar-atom/v1",\n'
+            '  "x": 701.0,\n'
+            '  "k0": 0.0,\n'
+            '  "regime": "asymptotic",\n'
+            '  "underflow": true\n'
+            "}\n"
+        )
 
 
 class TestSolveCommand:
@@ -109,6 +119,17 @@ class TestSolveCommand:
         rec = dict(zip(header.split(","), row.split(",")))
         assert rec["converged"] == "false"
 
+    def test_nonconverged_json_when_defect_misses(self, capsys):
+        # the bracket closes on a one-node level whose defect (2.0) misses DEFECT_TOL
+        argv = ["solve", "--atom", "pmu", "--potential", "coulomb2d"] + FAST
+        code, out = run(capsys, argv + ["--format", "json"])
+        assert code == 2
+        assert json.loads(out)["converged"] is False
+        code, out = run(capsys, argv)
+        assert code == 2
+        header, row = out.splitlines()[1:3]
+        assert dict(zip(header.split(","), row.split(",")))["converged"] == "false"
+
     def test_mgamma_ev_conversion(self, capsys):
         code, out = run(
             capsys,
@@ -181,6 +202,44 @@ class TestScanPotential:
             vals.append(float(rows[0].split(",")[1]))
         assert vals[0] < vals[1] < vals[2]
 
+    def test_exact_text(self, capsys):
+        code, out = run(
+            capsys,
+            [
+                "scan-potential", "--atom", "pe", "--potential", "coulomb3d",
+                "--rho-start", "1", "--rho-stop", "2", "--scan-points", "3",
+            ],
+        )
+        assert code == 0
+        assert out == (
+            "# schema=planar-atom/v1\n"
+            "# atom=pe potential=coulomb3d lambda= ell=0\n"
+            "rho,u_eff\n"
+            "1,-1.99945560533\n"
+            "1.5,-1.33297040356\n"
+            "2,-0.999727802667\n"
+        )
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--format", "json"], ["--nodes", "1"], ["--rho-min", "7"],
+            ["--rho-max", "9"], ["--points", "5"], ["--tol", "1"],
+        ],
+    )
+    def test_solver_and_format_flags_rejected(self, capsys, flag):
+        code = cli.main(
+            [
+                "scan-potential", "--atom", "pe", "--potential", "coulomb3d",
+                "--rho-start", "1", "--rho-stop", "2", "--scan-points", "3",
+            ]
+            + flag
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: unrecognized arguments: " + flag[0])
+
     def test_bad_range(self, capsys):
         code = cli.main(
             [
@@ -210,9 +269,25 @@ class TestWavefunctionCommand:
         )
         assert code == 0
         meta, rho, u = self.parse(out)
-        assert any("energy_ry=" in m for m in meta)
+        assert meta[:2] == [
+            "# schema=planar-atom/v1",
+            "# atom=pe potential=coulomb2d lambda= ell=0 nodes=0",
+        ]
+        energy, converged = meta[2].removeprefix("# ").split(" ")
+        assert float(energy.removeprefix("energy_ry=")) == pytest.approx(-3.9978, rel=1e-4)
+        assert converged == "converged=true"
+        assert out.splitlines()[3] == "rho,u"
         assert np.all(u > -1e-12)  # nodeless, positive by convention
         assert np.count_nonzero(u > 0) > len(u) // 2
+
+    def test_format_flag_rejected(self, capsys):
+        code = cli.main(
+            ["wavefunction", "--atom", "pe", "--potential", "coulomb2d", "--format", "json"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: unrecognized arguments: --format")
 
     def test_3d_peak_position(self, capsys):
         code, out = run(
@@ -265,3 +340,31 @@ class TestFixturesAndFlags:
         assert code == 0
         text = target.read_text()
         assert text.startswith("# schema=planar-atom/v1\n")
+
+
+class TestJsonMirrorsCsv:
+    """JSON field names are the CSV header, in the same order."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--atom", "pe", "--potential", "coulomb3d"] + FAST,
+            ["k0", "--x", "2.5"],
+        ],
+    )
+    def test_single_record(self, capsys, argv):
+        _, csv_out = run(capsys, argv)
+        _, json_out = run(capsys, argv + ["--format", "json"])
+        header = csv_out.splitlines()[1].split(",")
+        assert list(json.loads(json_out)) == ["schema"] + header
+
+    def test_table_rows(self, capsys):
+        argv = ["table", "ell-states", "--output", "-"]
+        _, csv_out = run(capsys, argv)
+        _, json_out = run(capsys, argv + ["--format", "json"])
+        header = csv_out.splitlines()[1].split(",")
+        payload = json.loads(json_out)
+        assert list(payload) == ["schema", "table", "version", "rows"]
+        assert len(payload["rows"]) == len(csv_out.splitlines()) - 2
+        for rec in payload["rows"]:
+            assert list(rec) == header

@@ -228,11 +228,25 @@ class TestSolveState:
         assert abs(res.energy + md.make_atom("pmu").zeta) <= 1e-7
 
     def test_grid_past_stability_limit_raises(self):
-        # near the origin f = 1 - l(l+1)/48 whatever the step: -0.17 for ell 7
+        # from rho_min = 1e-6, f = 1 - l(l+1)/48 near rho = 2h whatever the step: -0.17 for ell 7
         problem = make_problem("pe", "coulomb3d", ell=7)
+        grid = nv.default_grid(problem, 0, rho_min=1e-6)
         message = r"rho=0\.00\d+: f = 1 \+ h\^2 g/12 = -0\.1"
         with pytest.raises(nv.GridTooCoarseError, match=message):
-            nv.solve_state(problem, 0)
+            nv.solve_state(problem, 0, grid=grid)
+
+    @pytest.mark.parametrize("ell", [7, 10])
+    def test_default_3d_grid_solves_high_ell(self, ell):
+        # the default rho_min moves out just far enough to keep f >= 1/2 on the first swept row
+        problem = make_problem("pe", "coulomb3d", ell=ell)
+        res, _ = nv.solve_state(problem, 0)
+        assert res.converged
+        assert abs(res.energy + md.make_atom("pe").zeta / (ell + 1) ** 2) <= 1e-8
+
+    def test_default_3d_grid_keeps_rho_min_through_ell_4(self):
+        for ell in range(5):
+            problem = make_problem("pe", "coulomb3d", ell=ell)
+            assert nv.default_grid(problem, 0).rho_min == 1e-6
 
     def test_cs_ground_same_scale_as_reference(self, solve_cached):
         # informational: the reference table lists -2.2417 for this cell
