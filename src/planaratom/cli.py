@@ -4,7 +4,7 @@ Subcommands and the flags each one reads:
 
 * ``solve``: one state. ``--atom --potential --lambda|--mgamma-ev --ell``
   name it, ``--nodes --rho-min --rho-max --points --tol`` override the
-  grid and the bisection tolerance, ``--format csv|json --output`` and
+  grid and the search tolerance, ``--format csv|json --output`` and
   ``--wavefunction-output`` say where the record and the samples go.
 * ``wavefunction``: the same state flags as ``solve`` and ``--output``;
   always CSV (``rho,u``).
@@ -23,9 +23,12 @@ keys, and JSON uses the same field names. ``--output -`` (or no
 ``--output``) writes to stdout, except that ``table`` and ``report``
 default to ``table_<which>.<format>`` and ``report.<format>``.
 
-Exit codes: 0 success, 1 usage error (``usage error:``) or solver failure
-(``error:``: a state not bracketed, degenerate matching or a grid too coarse
-for Numerov), 2 solver did not converge (record is still written). Output
+Exit codes: 0 success, 1 usage error (``usage error:``), solver failure
+(``error:``: a state not bracketed, degenerate matching, a grid too coarse
+for Numerov, a potential not finite on the grid or a wavefunction that
+cannot be normalized) or an output file that cannot be written (``error:
+cannot write <path>``), 2 solver did not converge (record is still
+written). Output
 is deterministic: fixed column orders, floats at 12 significant digits, no
 timestamps.
 """
@@ -85,6 +88,10 @@ _MGAMMA_HELP = (
 
 class _UsageError(Exception):
     pass
+
+
+class _OutputError(Exception):
+    """An output file could not be written."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -215,8 +222,11 @@ def _emit(fmt, path, rows, header=None, comments=(), stem=None, **meta) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _solve_request(req: RunRequest):
@@ -262,6 +272,7 @@ def _solve_record(req: RunRequest, result, radius, config) -> dict:
         "n_points": result.grid.n_points,
         "bisection_tol": config.bisection_tol,
         "iterations": result.iterations,
+        "sweeps": result.sweeps,
     }
 
 
@@ -492,7 +503,7 @@ def _add_solver_flags(p):
     p.add_argument("--rho-min", type=float, default=None)
     p.add_argument("--rho-max", type=float, default=None)
     p.add_argument("--points", dest="n_points", metavar="POINTS", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None, help="bisection tolerance in Ry")
+    p.add_argument("--tol", type=float, default=None, help="final bracket width of the eigenvalue search in Ry")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -548,11 +559,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    # SolverError before ValueError: NormalizationError is both
+    except (SolverError, _OutputError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (_UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

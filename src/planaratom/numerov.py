@@ -2,29 +2,39 @@
 
 The radial problem is ``u''(rho) + [E - U_eff(rho)] u(rho) = 0`` with the
 energy ``E`` carried in rydberg (twice the Hartree value). Eigenvalues are
-found in two fused stages on a bracket ``[E_lo, E_hi]`` (see
+found by one search on a bracket ``[E_lo, E_hi]`` (see
 :func:`default_bracket`: 1.5x the closed form for Coulomb kinds, the
 self-consistent depth estimate of the ground level for the K0 kinds, and
-widened when it misses):
+widened when it misses). Every trial energy is one shooting step
+(``_ShootingWorkspace.shoot``): an outward and an inward sweep, the nodes
+of the outward one counted up to the match index, and the log-derivative
+mismatch (the defect) of the two at that index. Below the eigenvalue a
+trial has too few nodes or a positive defect, above it too many nodes or a
+negative defect; that sign keeps the bracket.
 
-1. node counting on the outward sweep isolates the sub-bracket where the
-   count of the targeted state transitions from ``node_target`` to
-   ``node_target + 1``;
-2. within it, bisection on the sign of the log-derivative mismatch between
-   the outward and inward sweeps at the outermost classical turning point.
+1. Node stage: midpoints, each matched at its own outermost classical
+   turning point, until both ends have the target node count and a defect.
+2. Interpolation stage: the match index is fixed at the turning point of
+   the upper end, and the lower end is shot again there. Past it every energy in the bracket is classically
+   forbidden, so the inward sweep has no node there, the node count up to
+   it is the target throughout the bracket, and the defect is continuous
+   and strictly decreasing across the bracket with a single root. Each
+   step shoots the inverse quadratic (or secant) estimate of that root,
+   falling back to the midpoint when the estimate leaves the bracket or
+   the bracket has not halved in two steps, and steps at least
+   ``bisection_tol/2`` past the end with the smaller defect so the far end
+   closes in too (R. P. Brent, *Algorithms for Minimization without
+   Derivatives*, 1973).
 
-Both stages reduce to one sign predicate: below the eigenvalue the outward
-sweep has too few nodes or a positive mismatch, above it too many nodes or
-a negative mismatch. The mismatch is strictly decreasing in ``E`` between
-its poles, so the bisection is rigorous. Every trial energy, the final
-assembly and :func:`match_defect` go through one shooting step
-(``_ShootingWorkspace.shoot``). Bisection runs until the bracket is within
-``SolverConfig.bisection_tol`` and then on while the mismatch at its
-midpoint exceeds ``DEFECT_TOL`` and the bracket can still shrink, within
-``SolverConfig.max_bisections``. The returned energy is that midpoint; it
-is flagged converged when the bracket is within ``bisection_tol``, its own
-mismatch within ``DEFECT_TOL`` and the node count on target. The other
-``SolverConfig`` fields set the starting bracket and the widening budget.
+The search stops when the bracket is within ``SolverConfig.bisection_tol``
+and the end with the smaller defect is within ``DEFECT_TOL``, goes on past
+the tolerance while that defect is larger and the bracket can still
+shrink, and takes at most ``SolverConfig.max_bisections`` steps. The
+returned energy is that end, and its two sweeps, joined at the match index,
+are the wavefunction. It is flagged converged when the bracket is within
+``bisection_tol``, its defect within ``DEFECT_TOL`` and the node count on
+target. The other ``SolverConfig`` fields set the starting bracket and the
+widening budget.
 
 Near the origin every potential here is singular; sweeps are seeded with a
 short Frobenius expansion of the regular solution (power law ``rho^s`` with
@@ -49,6 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import simpson
@@ -94,6 +105,18 @@ class GridTooCoarseError(SolverError):
     """A swept row has ``f = 1 + h^2 g / 12`` outside ``(0, 1.5)``, Numerov's stable range."""
 
 
+class NonFinitePotentialError(SolverError):
+    """The effective potential overflows or is undefined somewhere on the grid."""
+
+
+class NormalizationError(SolverError, ValueError):
+    """The samples have a zero or non-finite norm.
+
+    Also a ``ValueError``: :func:`planaratom.observables.normalize` raises
+    it for samples its caller passed in.
+    """
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Uniform mesh in the dimensionless radial coordinate."""
@@ -122,7 +145,8 @@ class SolverConfig:
 
     ``energy_bracket`` is the starting bracket in rydberg (``None`` uses
     :func:`default_bracket`); ``bisection_tol`` the final bracket width;
-    ``max_bisections`` and ``max_widenings`` the iteration budgets.
+    ``max_bisections`` caps the search steps and ``max_widenings`` the
+    bracket widenings.
     """
 
     energy_bracket: tuple[float, float] | None = None
@@ -141,7 +165,13 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Converged (or flagged) eigenvalue with search diagnostics."""
+    """Converged (or flagged) eigenvalue with search diagnostics.
+
+    ``iterations`` counts search steps (trial energies inside the bracket),
+    ``sweeps`` every Numerov sweep of the solve, and ``match_index`` is the
+    grid index where the returned wavefunction's two sweeps are joined and
+    ``match_defect`` is measured.
+    """
 
     energy: float
     nodes: int
@@ -150,6 +180,8 @@ class EigenResult:
     match_defect: float
     bracket_width: float
     iterations: int
+    sweeps: int
+    match_index: int
     grid: RadialGrid
 
 
@@ -303,6 +335,19 @@ def _outer_turning_point(g: np.ndarray) -> int:
     return int(crossings[-1]) if crossings.size else (g.shape[0] - 1) // 2
 
 
+class _Shot(NamedTuple):
+    """One shooting trial. ``u_left`` covers grid indices [0, m+pad] and
+    ``u_right`` [m-pad, N-1]; a gated trial off the target node count has
+    neither ``u_right`` nor ``defect``, see :meth:`_ShootingWorkspace.shoot`."""
+
+    energy: float
+    m: int
+    nodes: int
+    u_left: np.ndarray
+    u_right: np.ndarray | None
+    defect: float | None
+
+
 class _ShootingWorkspace:
     """Per-problem state shared across energy trials of one solve."""
 
@@ -314,21 +359,20 @@ class _ShootingWorkspace:
         self.h = grid.step
         self.u_eff = np.asarray(effective_potential(problem, self.rho), dtype=float)
         if not np.all(np.isfinite(self.u_eff)):
-            raise ValueError("effective potential is not finite on the grid")
+            raise NonFinitePotentialError("effective potential is not finite on the grid")
         self.h2_12 = self.h * self.h / 12.0
+        self.sweeps = 0
 
-    def shoot(self, energy, match_index=None, gated=False):
+    def shoot(self, energy, match_index=None, gated=False) -> _Shot:
         """One shooting trial: sweep outward and inward, match in between.
 
         The match index ``m`` is ``match_index`` if given, else the
-        outermost classical turning point, clamped away from the ends. The
-        outward sweep covers grid indices [0, m+pad] and the inward sweep
-        [m-pad, N-1], in grid order. Returns ``(m, nodes, u_left, u_right,
-        defect)`` with ``nodes`` counted on the outward sweep up to ``m``.
-        With ``gated`` the inward sweep is skipped (``u_right`` and
-        ``defect`` None) when ``nodes`` differs from ``node_target``.
-        ``defect`` is also None when the outward sweep has a node pinned at
-        the match point, see :meth:`_defect_at`.
+        outermost classical turning point, clamped away from the ends.
+        ``nodes`` is counted on the outward sweep up to ``m``. With
+        ``gated`` the inward sweep is skipped (``u_right`` and ``defect``
+        None) when ``nodes`` differs from ``node_target``. ``defect`` is
+        also None when the outward sweep has a node pinned at the match
+        point, see :meth:`_defect_at`.
         """
         g = energy - self.u_eff
         m = _outer_turning_point(g) if match_index is None else int(match_index)
@@ -336,33 +380,31 @@ class _ShootingWorkspace:
         f = 1.0 + self.h2_12 * g[: m + _STENCIL_PAD + 1]
         seeds = small_rho_solution(self.problem, energy, self.rho[:2])
         u_left = _sweep(f, float(seeds[0]), float(seeds[1]), self.rho)
+        self.sweeps += 1
         nodes = count_nodes(u_left[: m + 1])
         if gated and nodes != self.node_target:
-            return m, nodes, u_left, None, None
+            return _Shot(energy, m, nodes, u_left, None, None)
         kappa_sq = self.u_eff[-1] - energy
         kappa = math.sqrt(kappa_sq) if kappa_sq > 0.0 else 1.0
         f = 1.0 + self.h2_12 * g[m - _STENCIL_PAD :]
         rho = self.rho[m - _STENCIL_PAD :][::-1]
         u_right = _sweep(f[::-1], INWARD_SEED, INWARD_SEED * math.exp(kappa * self.h), rho)[::-1]
-        return m, nodes, u_left, u_right, self._defect_at(u_left, u_right, m)
+        self.sweeps += 1
+        return _Shot(energy, m, nodes, u_left, u_right, self._defect_at(u_left, u_right, m))
 
-    def classify(self, energy):
-        """Sign predicate for bisection: +1 below the target eigenvalue, -1 above.
+    def sign(self, shot: _Shot) -> int:
+        """+1 if ``shot`` lies below the target eigenvalue, -1 above.
 
-        Node counting decides alone when the count is off target (the
-        inward sweep is skipped then); otherwise the sign of the defect.
+        Node counting decides alone when the count is off target;
+        otherwise the sign of the defect.
         """
-        _, nodes, _, _, defect = self.shoot(energy, gated=True)
-        return self._sign(nodes, defect)
-
-    def _sign(self, nodes, defect):
-        if nodes != self.node_target:
-            return 1 if nodes < self.node_target else -1
-        if defect is None:
+        if shot.nodes != self.node_target:
+            return 1 if shot.nodes < self.node_target else -1
+        if shot.defect is None:
             # outward node sitting on the match point: just past the
             # left-problem eigenvalue, hence above the target energy
             return -1
-        return 1 if defect > 0.0 else -1
+        return 1 if shot.defect > 0.0 else -1
 
     def _defect_at(self, u_left, u_right, m):
         """Log-derivative mismatch at the match index, nudging off nodes.
@@ -387,23 +429,18 @@ class _ShootingWorkspace:
             raise DegenerateSeedError("both sweeps vanish at the matching point")
         return None
 
-    def assemble(self, energy):
-        """Glue the outward and inward sweeps at the match point, unnormalized.
-
-        Returns ``(u, defect, sign)``: the glued samples, the match defect
-        (inf when there is no usable match point) and the bisection sign of
-        ``energy`` as :meth:`classify` gives it.
-        """
-        m, nodes, u_left, u_right, defect = self.shoot(energy)
-        sign = self._sign(nodes, defect)
-        ul, ur = u_left[m], u_right[_STENCIL_PAD]
+    def glue(self, shot: _Shot) -> np.ndarray:
+        """The outward and inward sweeps of an ungated ``shot``, joined at its
+        match point and unnormalized."""
+        m = shot.m
+        ul, ur = shot.u_left[m], shot.u_right[_STENCIL_PAD]
         if ul == 0.0 and ur == 0.0:
             raise DegenerateSeedError("both sweeps vanish at the matching point")
         scale = ul / ur if ur != 0.0 else 1.0
         u = np.empty(self.grid.n_points)
-        u[: m + 1] = u_left[: m + 1]
-        u[m + 1 :] = scale * u_right[_STENCIL_PAD + 1 :]
-        return u, (defect if defect is not None else math.inf), sign
+        u[: m + 1] = shot.u_left[: m + 1]
+        u[m + 1 :] = scale * shot.u_right[_STENCIL_PAD + 1 :]
+        return u
 
 
 def match_defect(
@@ -423,7 +460,7 @@ def match_defect(
         raise ValueError("match_index must be strictly interior")
     if not energy_ry < 0:
         raise ValueError("bound-state energies are negative")
-    *_, defect = _ShootingWorkspace(problem, grid).shoot(energy_ry, match_index)
+    defect = _ShootingWorkspace(problem, grid).shoot(energy_ry, match_index).defect
     if defect is None:
         raise DegenerateSeedError("no usable matching point near the requested index")
     return defect
@@ -519,7 +556,7 @@ def default_bracket(
 def _normalize_samples(u: np.ndarray, h: float) -> np.ndarray:
     norm_sq = simpson(u * u, dx=h)
     if norm_sq <= 0.0 or not np.isfinite(norm_sq):
-        raise ValueError("cannot normalize a zero or non-finite wavefunction")
+        raise NormalizationError("cannot normalize a zero or non-finite wavefunction")
     out = u / math.sqrt(norm_sq)
     peak = np.max(np.abs(out))
     first_lobe = np.nonzero(np.abs(out) > 0.01 * peak)[0]
@@ -537,9 +574,10 @@ def solve_state(
     """Find the bound state with ``node_target`` radial nodes.
 
     Returns the eigenvalue (rydberg) with search diagnostics and the
-    normalized matched wavefunction. Raises :class:`BracketingError` when no
-    sign change is found after the configured widenings; an exhausted
-    iteration budget returns a result flagged ``converged=False`` instead.
+    normalized matched wavefunction; the module docstring describes the
+    search. Raises :class:`BracketingError` when no sign change is found
+    after the configured widenings; an exhausted step budget returns a
+    result flagged ``converged=False`` instead.
     """
     if node_target < 0:
         raise ValueError("node_target must be non-negative")
@@ -548,75 +586,118 @@ def solve_state(
     if grid is None:
         grid = default_grid(problem, node_target)
     ws = _ShootingWorkspace(problem, grid, node_target)
-
+    tol = config.bisection_tol
     lo, hi = (
         config.energy_bracket
         if config.energy_bracket is not None
-        else default_bracket(problem, node_target, config.bisection_tol)
+        else default_bracket(problem, node_target, tol)
     )
-    s_lo = ws.classify(lo)
-    s_hi = ws.classify(hi)
+    below, above = ws.shoot(lo, gated=True), ws.shoot(hi, gated=True)
     widenings = 0
-    while (s_lo < 0 or s_hi > 0) and widenings < config.max_widenings:
-        if s_lo < 0:
-            lo *= 2.0
-            s_lo = ws.classify(lo)
-        if s_hi > 0:
-            hi *= 0.5
-            s_hi = ws.classify(hi)
+    while (ws.sign(below) < 0 or ws.sign(above) > 0) and widenings < config.max_widenings:
+        if ws.sign(below) < 0:
+            below = ws.shoot(2.0 * below.energy, gated=True)
+        if ws.sign(above) > 0:
+            above = ws.shoot(0.5 * above.energy, gated=True)
         widenings += 1
-    if s_lo < 0 or s_hi > 0:
-        scan = [(-e, ws.shoot(-e, gated=True)[1]) for e in np.geomspace(-lo, -hi, 8)]
+    if ws.sign(below) < 0 or ws.sign(above) > 0:
+        lo, hi = below.energy, above.energy
+        scan = [(-e, ws.shoot(-e, gated=True).nodes) for e in np.geomspace(-lo, -hi, 8)]
         message = (
             f"state with {node_target} nodes not bracketed in [{lo:.6g}, {hi:.6g}] Ry; "
             "node-count scan: " + "; ".join(f"E={e:.6g} Ry: {k} nodes" for e, k in scan)
         )
-        if s_hi > 0:
+        if ws.sign(above) > 0:
             message += (
                 f"; at the top of the bracket the node count is still {scan[-1][1]}, "
                 f"so the level lies above {hi:.6g} Ry and may not be bound"
             )
         raise BracketingError(message)
 
-    # Bisect down to bisection_tol; past it, keep bisecting while the
-    # midpoint's match defect exceeds DEFECT_TOL and the bracket can still
-    # shrink. The midpoint the loop stops on is the returned energy.
+    m = None  # the fixed match index of the interpolation stage
+    recent = []  # (energy, defect) of the latest shots matched at m, newest last
+    widths = []  # bracket width before each search step
     iterations = 0
     while True:
-        energy = 0.5 * (lo + hi)
-        if hi - lo > config.bisection_tol and iterations < config.max_bisections:
-            sign = ws.classify(energy)
+        if m is None and below.defect is not None and above.defect is not None:
+            # both ends on target: from here on every shot matches at the
+            # upper end's turning point, forbidden ground for the whole bracket
+            m = above.m
+            if below.m != m:
+                below = ws.shoot(below.energy, m, gated=True)
+            recent = [(s.energy, s.defect) for s in (below, above)]
+        ends = [s for s in (below, above) if s.defect is not None]
+        best = min(ends, key=lambda s: abs(s.defect), default=None)
+        width = above.energy - below.energy
+        if best is not None and width <= tol and abs(best.defect) <= DEFECT_TOL:
+            break
+        if iterations >= config.max_bisections:
+            break
+        energy = 0.5 * (below.energy + above.energy)
+        halved = len(widths) < 2 or width <= 0.5 * widths[-2]
+        if m is not None and len(ends) == 2 and halved:
+            energy = _safeguarded_trial(recent, below, above, best, tol, energy)
+        if not below.energy < energy < above.energy:
+            break
+        shot = ws.shoot(energy, m, gated=True)
+        if m is not None and shot.defect is not None:
+            recent = [*recent[-2:], (shot.energy, shot.defect)]
+        if ws.sign(shot) > 0:
+            below = shot
         else:
-            u_raw, defect, sign = ws.assemble(energy)
-            if (
-                abs(defect) <= DEFECT_TOL
-                or iterations >= config.max_bisections
-                or not lo < energy < hi
-            ):
-                break
-        if sign >= 0:
-            lo = energy
-        else:
-            hi = energy
+            above = shot
+        widths.append(width)
         iterations += 1
 
-    u = _normalize_samples(u_raw, grid.step)
+    # the returned energy is the end with the smaller defect, so its sweeps
+    # give the wavefunction; none has one only when the budget ran out, or
+    # the bracket stopped shrinking, before an end reached the target nodes
+    final = best if best is not None else ws.shoot(0.5 * (below.energy + above.energy), m)
+    u = _normalize_samples(ws.glue(final), grid.step)
     nodes = count_nodes(u)
-    width = hi - lo
-    converged = bool(
-        width <= config.bisection_tol and abs(defect) <= DEFECT_TOL and nodes == node_target
-    )
+    defect = final.defect if final.defect is not None else math.inf
+    converged = bool(width <= tol and abs(defect) <= DEFECT_TOL and nodes == node_target)
     result = EigenResult(
-        energy=energy,
+        energy=final.energy,
         nodes=nodes,
         ell=problem.ell,
         converged=converged,
         match_defect=defect,
         bracket_width=width,
         iterations=iterations,
+        sweeps=ws.sweeps,
+        match_index=final.m,
         grid=grid,
     )
-    return result, WaveFunction(grid=grid, u=u, energy=energy)
+    return result, WaveFunction(grid=grid, u=u, energy=final.energy)
+
+
+def _safeguarded_trial(pts, below, above, best, tol, midpoint):
+    """Next trial energy of the interpolation stage.
+
+    Inverse quadratic interpolation of the defect's root through the three
+    ``(energy, defect)`` pairs ``pts``, the secant through the last two
+    when there are not three distinct defects; ``midpoint`` when the
+    estimate leaves the bracket. While the bracket is wider than ``tol``
+    the trial sits at least ``tol/2`` past the ``best`` end, so a shot that
+    lands across the root closes the far end to within ``tol``.
+    """
+    if len(pts) == 3 and len({f for _, f in pts}) == 3:
+        trial = sum(
+            x * math.prod(fj / (fj - fi) for j, (_, fj) in enumerate(pts) if j != i)
+            for i, (x, fi) in enumerate(pts)
+        )
+    else:
+        (x0, f0), (x1, f1) = pts[-2:]
+        if f0 == f1:
+            return midpoint
+        trial = x1 - f1 * (x1 - x0) / (f1 - f0)
+    lo, hi = below.energy, above.energy
+    if hi - lo > tol and lo < trial < hi:
+        far = hi if best is below else lo
+        step = max(abs(trial - best.energy), 0.5 * tol)
+        trial = best.energy + math.copysign(step, far - best.energy)
+    return trial if lo < trial < hi else midpoint
 
 
 def fd_lowest_energies(

@@ -109,6 +109,40 @@ class TestSolveCommand:
         assert code == 1
         assert capsys.readouterr().err == "error: both sweeps vanish at the matching point\n"
 
+    def test_nonfinite_potential_is_solver_error(self, capsys):
+        # l(l+1)/rho^2 overflows at rho = 1e-200
+        with np.errstate(divide="ignore", over="ignore"):
+            code = cli.main(
+                ["solve", "--atom", "pe", "--potential", "coulomb3d", "--ell", "1",
+                 "--rho-min", "1e-200"] + FAST
+            )
+        assert code == 1
+        assert capsys.readouterr().err == "error: effective potential is not finite on the grid\n"
+
+    def test_normalization_failure_is_solver_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(nv, "simpson", lambda y, dx: math.nan)
+        code = cli.main(["solve", "--atom", "pe", "--potential", "coulomb3d"] + FAST)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: cannot normalize a zero or non-finite wavefunction\n"
+
+    def test_unwritable_output_is_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code = cli.main(["k0", "--x", "1", "--output", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: cannot write {path}: No such file or directory\n"
+
+    def test_record_counts_search_work(self, capsys):
+        code, out = run(
+            capsys,
+            ["solve", "--atom", "pe", "--potential", "coulomb3d", "--format", "json"] + FAST,
+        )
+        payload = json.loads(out)
+        assert code == 0
+        # no widening here: two bracket ends, one end shot again at the fixed match
+        # index and at most two sweeps per search step
+        assert 2 <= payload["sweeps"] <= 2 * payload["iterations"] + 6
+
     def test_nonconverged_exit_two(self, capsys):
         code, out = run(
             capsys,

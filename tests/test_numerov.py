@@ -197,9 +197,12 @@ class TestMatchDefect:
         problem = z1_problem(kind)
         grid = nv.default_grid(problem, 0, n_points=20001)
         res, _ = nv.solve_state(problem, 0, grid=grid)
+        # the solver matches at the turning point of its bracket's upper end,
+        # at or past the turning point of the energy it returns
         g = res.energy - md.effective_potential(problem, grid.points())
-        m = int(np.nonzero((g[:-1] > 0.0) & (g[1:] <= 0.0))[0][-1])
-        assert nv.match_defect(res.energy, problem, grid, m) == res.match_defect
+        assert res.match_index >= int(np.nonzero((g[:-1] > 0.0) & (g[1:] <= 0.0))[0][-1])
+        assert np.all(g[res.match_index + 1 :] <= 0.0)
+        assert nv.match_defect(res.energy, problem, grid, res.match_index) == res.match_defect
 
     def test_interior_index_required(self):
         grid = self.grid3()
@@ -272,11 +275,13 @@ class TestSolveState:
             nv.solve_state(problem, 0, config=cfg, grid=nv.RadialGrid(1e-6, 40.0, 20001))
 
     def test_iteration_budget_flags_nonconverged(self):
+        # the budget caps search steps; without it this search runs 24 steps,
+        # until its bracket is one ulp wide
         problem = z1_problem("coulomb3d")
-        cfg = nv.SolverConfig(bisection_tol=1e-300, max_bisections=25)
+        cfg = nv.SolverConfig(bisection_tol=1e-300, max_bisections=12)
         res, _ = nv.solve_state(problem, 0, config=cfg, grid=nv.RadialGrid(1e-6, 40.0, 20001))
         assert not res.converged
-        assert res.iterations == 25
+        assert res.iterations == 12
 
     def test_node_target_validation(self):
         with pytest.raises(ValueError):
@@ -294,6 +299,8 @@ class TestKZeroSearch:
         assert lo < res.energy
         # the (-50, -1e-4) Ry bracket took 33 bisections for every state
         assert res.iterations <= 29
+        # bisection took 44-79 sweeps per state
+        assert res.sweeps <= 34
 
     @pytest.mark.parametrize("nodes", [0, 1])
     @pytest.mark.parametrize("ell", [0, 1, 2])
@@ -304,6 +311,7 @@ class TestKZeroSearch:
         assert res.converged
         assert abs(res.match_defect) <= nv.DEFECT_TOL
         assert res.nodes == nodes
+        assert res.sweeps <= 34
 
     def test_jordan_without_bound_level_not_bracketed(self):
         # pe jordan at lam=2e-4 has no bound ell-2 level: finite differences on
@@ -323,6 +331,35 @@ class TestKZeroSearch:
         defects = [ws.shoot(res.energy + k * 1e-8, m)[-1] for k in range(-8, 9)]
         signs = np.sign(defects)
         assert np.count_nonzero(signs[1:] != signs[:-1]) == 1
+
+
+class TestInterpolatedSearch:
+    def test_pole_free_match_index(self, solve_cached):
+        # matched at the turning point of the bracket's midpoint, this search
+        # met a pole of the defect and stopped on it at -0.948 Ry, unconverged
+        state = ("te", "chern_simons", 5.845299749391227e-05, 1, 0)
+        _, res, _ = solve_cached(*state)
+        _, ref, _ = solve_cached(*state, tol=1e-12)
+        assert res.converged and ref.converged
+        assert ref.energy == pytest.approx(-0.95050524, abs=1e-8)
+        assert abs(res.energy - ref.energy) <= 1e-8
+
+    # each (ell, nodes) pair picks one of the six atoms
+    @pytest.mark.parametrize("ell,nodes,atom", [
+        (0, 0, "pe"), (0, 1, "de"), (1, 0, "te"), (1, 1, "pmu"), (2, 0, "dmu"), (2, 1, "tmu"),
+    ])
+    @pytest.mark.parametrize("kind,lam", [
+        ("coulomb3d", None), ("coulomb2d", None),
+        ("chern_simons", 2e-5), ("chern_simons_jordan", 2e-5),
+    ])
+    def test_energy_within_tolerance_of_tight_solve(self, solve_cached, kind, lam, ell, nodes, atom):
+        _, res, wf = solve_cached(atom, kind, lam, ell=ell, nodes=nodes)
+        _, ref, _ = solve_cached(atom, kind, lam, ell=ell, nodes=nodes, tol=1e-12)
+        assert res.converged and ref.converged
+        assert abs(res.energy - ref.energy) <= 1e-8
+        # the returned energy is a shot the search made, and its sweeps are the wavefunction
+        assert wf.energy == res.energy
+        assert res.bracket_width <= nv.SolverConfig().bisection_tol
 
 
 class TestSpectrumProperties:
