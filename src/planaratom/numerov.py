@@ -336,15 +336,13 @@ def _outer_turning_point(g: np.ndarray) -> int:
 
 
 class _Shot(NamedTuple):
-    """One shooting trial. ``u_left`` covers grid indices [0, m+pad] and
-    ``u_right`` [m-pad, N-1]; a gated trial off the target node count has
-    neither ``u_right`` nor ``defect``, see :meth:`_ShootingWorkspace.shoot`."""
+    """One shooting trial: its energy, match index, node count up to the
+    match index and defect (None when gated off target or pinned on a node,
+    see :meth:`_ShootingWorkspace.shoot`)."""
 
     energy: float
     m: int
     nodes: int
-    u_left: np.ndarray
-    u_right: np.ndarray | None
     defect: float | None
 
 
@@ -363,16 +361,19 @@ class _ShootingWorkspace:
         self.h2_12 = self.h * self.h / 12.0
         self.sweeps = 0
 
-    def shoot(self, energy, match_index=None, gated=False) -> _Shot:
+    def shoot(self, energy, match_index=None, gated=False, out=None) -> _Shot:
         """One shooting trial: sweep outward and inward, match in between.
 
         The match index ``m`` is ``match_index`` if given, else the
         outermost classical turning point, clamped away from the ends.
         ``nodes`` is counted on the outward sweep up to ``m``. With
-        ``gated`` the inward sweep is skipped (``u_right`` and ``defect``
-        None) when ``nodes`` differs from ``node_target``. ``defect`` is
-        also None when the outward sweep has a node pinned at the match
-        point, see :meth:`_defect_at`.
+        ``gated`` the inward sweep is skipped (``defect`` None) when
+        ``nodes`` differs from ``node_target``. ``defect`` is also None
+        when the outward sweep has a node pinned at the match point, see
+        :meth:`_defect_at`. Given ``out``, a trial that sweeps inward writes
+        both sweeps there, joined at ``m`` and unnormalized; the sweeps
+        themselves never outlive the call (held across trials, they
+        fragment the heap and raise the process's resident memory).
         """
         g = energy - self.u_eff
         m = _outer_turning_point(g) if match_index is None else int(match_index)
@@ -383,14 +384,21 @@ class _ShootingWorkspace:
         self.sweeps += 1
         nodes = count_nodes(u_left[: m + 1])
         if gated and nodes != self.node_target:
-            return _Shot(energy, m, nodes, u_left, None, None)
+            return _Shot(energy, m, nodes, None)
         kappa_sq = self.u_eff[-1] - energy
         kappa = math.sqrt(kappa_sq) if kappa_sq > 0.0 else 1.0
         f = 1.0 + self.h2_12 * g[m - _STENCIL_PAD :]
         rho = self.rho[m - _STENCIL_PAD :][::-1]
         u_right = _sweep(f[::-1], INWARD_SEED, INWARD_SEED * math.exp(kappa * self.h), rho)[::-1]
         self.sweeps += 1
-        return _Shot(energy, m, nodes, u_left, u_right, self._defect_at(u_left, u_right, m))
+        defect = self._defect_at(u_left, u_right, m)
+        if out is not None:
+            ul, ur = u_left[m], u_right[_STENCIL_PAD]
+            if ul == 0.0 and ur == 0.0:
+                raise DegenerateSeedError("both sweeps vanish at the matching point")
+            out[: m + 1] = u_left[: m + 1]
+            np.multiply(u_right[_STENCIL_PAD + 1 :], ul / ur if ur != 0.0 else 1.0, out=out[m + 1 :])
+        return _Shot(energy, m, nodes, defect)
 
     def sign(self, shot: _Shot) -> int:
         """+1 if ``shot`` lies below the target eigenvalue, -1 above.
@@ -428,19 +436,6 @@ class _ShootingWorkspace:
         if u_left[m] == 0.0 and u_right[_STENCIL_PAD] == 0.0:
             raise DegenerateSeedError("both sweeps vanish at the matching point")
         return None
-
-    def glue(self, shot: _Shot) -> np.ndarray:
-        """The outward and inward sweeps of an ungated ``shot``, joined at its
-        match point and unnormalized."""
-        m = shot.m
-        ul, ur = shot.u_left[m], shot.u_right[_STENCIL_PAD]
-        if ul == 0.0 and ur == 0.0:
-            raise DegenerateSeedError("both sweeps vanish at the matching point")
-        scale = ul / ur if ur != 0.0 else 1.0
-        u = np.empty(self.grid.n_points)
-        u[: m + 1] = shot.u_left[: m + 1]
-        u[m + 1 :] = scale * shot.u_right[_STENCIL_PAD + 1 :]
-        return u
 
 
 def match_defect(
@@ -618,16 +613,21 @@ def solve_state(
     recent = []  # (energy, defect) of the latest shots matched at m, newest last
     widths = []  # bracket width before each search step
     iterations = 0
+    # joined sweeps of `kept`, the end with the smaller defect, and of the latest trial
+    u, spare = np.empty(grid.n_points), np.empty(grid.n_points)
+    kept = shot = None
     while True:
         if m is None and below.defect is not None and above.defect is not None:
             # both ends on target: from here on every shot matches at the
             # upper end's turning point, forbidden ground for the whole bracket
             m = above.m
             if below.m != m:
-                below = ws.shoot(below.energy, m, gated=True)
+                below = shot = ws.shoot(below.energy, m, gated=True, out=spare)
             recent = [(s.energy, s.defect) for s in (below, above)]
         ends = [s for s in (below, above) if s.defect is not None]
         best = min(ends, key=lambda s: abs(s.defect), default=None)
+        if best is not None and best is shot:
+            u, spare, kept = spare, u, shot
         width = above.energy - below.energy
         if best is not None and width <= tol and abs(best.defect) <= DEFECT_TOL:
             break
@@ -639,7 +639,7 @@ def solve_state(
             energy = _safeguarded_trial(recent, below, above, best, tol, energy)
         if not below.energy < energy < above.energy:
             break
-        shot = ws.shoot(energy, m, gated=True)
+        shot = ws.shoot(energy, m, gated=True, out=spare)
         if m is not None and shot.defect is not None:
             recent = [*recent[-2:], (shot.energy, shot.defect)]
         if ws.sign(shot) > 0:
@@ -649,11 +649,17 @@ def solve_state(
         widths.append(width)
         iterations += 1
 
-    # the returned energy is the end with the smaller defect, so its sweeps
-    # give the wavefunction; none has one only when the budget ran out, or
-    # the bracket stopped shrinking, before an end reached the target nodes
-    final = best if best is not None else ws.shoot(0.5 * (below.energy + above.energy), m)
-    u = _normalize_samples(ws.glue(final), grid.step)
+    # the returned energy is the end with the smaller defect, and its joined
+    # sweeps are the wavefunction. An end from before the search (a start or
+    # widening shot) was not joined and is shot again; a search that stopped
+    # before both ends reached the target node count may have no end with a
+    # defect, and then the midpoint is shot as before.
+    final = best
+    if best is None:
+        final = ws.shoot(0.5 * (below.energy + above.energy), m, out=u)
+    elif best is not kept:
+        final = ws.shoot(best.energy, best.m, out=u)
+    u = _normalize_samples(u, grid.step)
     nodes = count_nodes(u)
     defect = final.defect if final.defect is not None else math.inf
     converged = bool(width <= tol and abs(defect) <= DEFECT_TOL and nodes == node_target)
