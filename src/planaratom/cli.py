@@ -28,9 +28,8 @@ Exit codes: 0 success, 1 usage error (``usage error:``), solver failure
 for Numerov, a potential not finite on the grid or a wavefunction that
 cannot be normalized) or an output file that cannot be written (``error:
 cannot write <path>``), 2 solver did not converge (record is still
-written). Output
-is deterministic: fixed column orders, floats at 12 significant digits, no
-timestamps.
+written). Output is deterministic: fixed column orders, floats at 12
+significant digits, no timestamps.
 """
 
 from __future__ import annotations
@@ -503,7 +502,8 @@ def _add_solver_flags(p):
     p.add_argument("--rho-min", type=float, default=None)
     p.add_argument("--rho-max", type=float, default=None)
     p.add_argument("--points", dest="n_points", metavar="POINTS", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None, help="final bracket width of the eigenvalue search in Ry")
+    p.add_argument("--tol", type=float, default=None,
+                   help="final bracket width of the eigenvalue search in Ry")
 
 
 def build_parser() -> argparse.ArgumentParser:

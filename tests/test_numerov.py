@@ -227,7 +227,7 @@ class TestSolveState:
         _, res, _ = solve_cached("pmu", "coulomb3d")
         assert res.converged
         assert res.energy == pytest.approx(-185.84083, rel=1e-5)
-        # closed form -zeta: the 1e-8 Ry bisection and the O(h^4) grid error fit in 1e-7 Ry
+        # closed form -zeta: the 1e-8 Ry search tolerance and the O(h^4) grid error fit in 1e-7 Ry
         assert abs(res.energy + md.make_atom("pmu").zeta) <= 1e-7
 
     def test_grid_past_stability_limit_raises(self):
@@ -324,7 +324,7 @@ class TestKZeroSearch:
 
     def test_deep_level_defect_changes_sign_once(self, solve_cached):
         # sweep roundoff must not add roots near a deep level: a spurious
-        # crossing lets bisection stop up to 4e-8 Ry away from it
+        # crossing lets the search stop up to 4e-8 Ry away from it
         problem, res, _ = solve_cached("pe", "chern_simons", 2e-4)
         ws = nv._ShootingWorkspace(problem, res.grid)
         m = nv._outer_turning_point(res.energy - ws.u_eff)
@@ -357,9 +357,18 @@ class TestInterpolatedSearch:
         _, ref, _ = solve_cached(atom, kind, lam, ell=ell, nodes=nodes, tol=1e-12)
         assert res.converged and ref.converged
         assert abs(res.energy - ref.energy) <= 1e-8
-        # the returned energy is a shot the search made, and its sweeps are the wavefunction
         assert wf.energy == res.energy
         assert res.bracket_width <= nv.SolverConfig().bisection_tol
+
+    @pytest.mark.parametrize("kind,lam", [("coulomb2d", None), ("chern_simons", 2e-5)])
+    def test_wavefunction_is_the_returned_shot(self, solve_cached, kind, lam):
+        # the search keeps the joined sweeps of its better end instead of
+        # shooting the returned energy again
+        problem, res, wf = solve_cached("pe", kind, lam)
+        u = np.empty(res.grid.n_points)
+        shot = nv._ShootingWorkspace(problem, res.grid).shoot(res.energy, res.match_index, out=u)
+        assert shot.defect == res.match_defect
+        assert np.array_equal(nv._normalize_samples(u, res.grid.step), wf.u)
 
 
 class TestSpectrumProperties:
