@@ -15,6 +15,9 @@ Subcommands and the flags each one reads:
   to recomputed values, ``--format csv|json --output``.
 * ``report``: side-by-side discrepancy report, ``--format md|csv|json
   --output``.
+
+``table`` and ``report`` solve their distinct states concurrently, one
+thread per CPU the process may run on (:func:`_solve_states`).
 * ``k0``: Bessel debug, ``--x --format csv|json --output``.
 
 Every command writes through :func:`_emit`: CSV opens with ``# schema=``
@@ -25,7 +28,7 @@ default to ``table_<which>.<format>`` and ``report.<format>``.
 
 Exit codes: 0 success, 1 usage error (``usage error:``), solver failure
 (``error:``: a state not bracketed, degenerate matching, a grid too coarse
-for Numerov, a potential not finite on the grid or a wavefunction that
+for Numerov or a 2D grid that starts past the state, a potential not finite on the grid or a wavefunction that
 cannot be normalized) or an output file that cannot be written (``error:
 cannot write <path>``), 2 solver did not converge (record is still
 written). Output is deterministic: fixed column orders, floats at 12
@@ -37,7 +40,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -57,6 +62,7 @@ from .numerov import (
     RadialGrid,
     SolverConfig,
     SolverError,
+    check_origin_gap,
     closed_form_energy,
     default_grid,
     solve_state,
@@ -132,13 +138,15 @@ class RunRequest:
         return EffectivePotentialParams(spec, make_atom(self.atom), self.ell)
 
     def grid(self, problem) -> RadialGrid:
-        return default_grid(
+        grid = default_grid(
             problem,
             self.nodes,
             rho_min=self.rho_min,
             rho_max=self.rho_max,
             n_points=self.n_points,
         )
+        check_origin_gap(problem, grid)
+        return grid
 
     def config(self) -> SolverConfig:
         if self.tol is not None:
@@ -234,22 +242,33 @@ def _solve_request(req: RunRequest):
     return result, wf, mean_radius(wf, problem)
 
 
-def _memo_solver():
-    """Solver for table rows that solves each distinct state once per command.
+def _solve_key(key):
+    result, _, radius = _solve_request(RunRequest(*key))
+    return result, radius
 
-    Called as ``solve(atom, token, lam, ell, nodes)``, it returns the
-    ``(EigenResult, RadiusResult)`` pair. Wavefunctions are not kept, so
-    memory does not grow with the number of states.
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _solve_states(keys) -> dict:
+    """Solve each distinct state key ``(atom, token, lam, ell, nodes)`` once.
+
+    Maps each key to its ``(EigenResult, RadiusResult)`` pair. The states
+    are solved concurrently, one worker per available CPU (the sweeps run
+    outside the GIL); a failure raises the first failing key's error in
+    ``keys`` order and cancels the states not yet started. Wavefunctions
+    are not kept, so memory does not grow with the number of states.
     """
-    memo = {}
-
-    def solve(*key):
-        if key not in memo:
-            result, _, radius = _solve_request(RunRequest(*key))
-            memo[key] = result, radius
-        return memo[key]
-
-    return solve
+    keys = list(dict.fromkeys(keys))
+    pool = ThreadPoolExecutor(max_workers=min(len(keys), _cpu_count()))
+    try:
+        return dict(zip(keys, pool.map(_solve_key, keys)))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _state_fields(req: RunRequest, **more) -> dict:
@@ -338,12 +357,17 @@ def _table_rows(which: str):
     return rows
 
 
-def _build_table(which: str, solve):
-    """Table records; ``solve`` is a :func:`_memo_solver`."""
+def _state_keys(which: str) -> list:
+    """The state keys of a table's rows, in row order."""
+    return [row[:5] for row in _table_rows(which)]
+
+
+def _build_table(which: str, states: dict):
+    """Table records; ``states`` is :func:`_solve_states` of its rows' keys."""
     published = load_published_tables()
     records = []
     for atom, token, lam, ell, nodes, quantity in _table_rows(which):
-        result, radius = solve(atom, token, lam, ell, nodes)
+        result, radius = states[(atom, token, lam, ell, nodes)]
         value = result.energy if quantity == "energy_ry" else radius.mean_r_bohr
         pub = published.get((which, atom, token, lam, ell))
         records.append(
@@ -364,7 +388,7 @@ def _build_table(which: str, solve):
 
 def cmd_table(args) -> int:
     which = args.which.replace("-", "_")
-    records = _build_table(which, _memo_solver())
+    records = _build_table(which, _solve_states(_state_keys(which)))
     _emit(args.format, args.output, records, stem=f"table_{which}", table=which, version=__version__)
     return 0
 
@@ -393,10 +417,13 @@ _CLOSED_RADIUS_FACTOR = {"coulomb3d": 1.5, "coulomb2d": 0.5}
 
 
 def _build_report():
-    solve = _memo_solver()
+    energies = _state_keys("energies")
+    variants = [(atom, "chern-simons-jordan", *rest) for atom, token, *rest in energies
+                if token == "chern-simons"]
+    states = _solve_states(energies + variants + _state_keys("radii"))
     rows = []
     for section, quantity in (("energies", "energy_ry"), ("radii", "mean_r_bohr")):
-        for rec in _build_table(section, solve):
+        for rec in _build_table(section, states):
             atom, token, lam = rec["atom"], rec["potential"], rec["lambda"]
             problem = RunRequest(atom, token, lam).problem()
             jordan = None
@@ -404,7 +431,7 @@ def _build_report():
             if section == "energies":
                 closed = closed_form_energy(problem, 0)
                 if token == "chern-simons":
-                    jordan = solve(atom, "chern-simons-jordan", lam, 0, 0)[0].energy
+                    jordan = states[(atom, "chern-simons-jordan", lam, 0, 0)][0].energy
                     jordan_ratio = jordan_variant_gap(problem)
             else:
                 factor = _CLOSED_RADIUS_FACTOR.get(token)

@@ -43,7 +43,9 @@ which keeps the eigenvalue error at the ``O(h^4)`` bulk level. For the 2D
 kinds the first grid point is placed a fixed number of steps away from the
 origin — the ``-1/(4 rho^2)`` term makes the true solution's curvature
 unbounded there, and a uniform grid starting much closer than one step
-cannot represent it.
+cannot represent it. :func:`check_origin_gap` rejects a 2D grid whose
+first point sits more than ``MAX_KAPPA_RHO_MIN`` ground-level decay lengths
+out, where the seed no longer describes the state.
 
 Each sweep solves the three-term recurrence as one lower-triangular band
 system with LAPACK (``dtbtrs``), the two seeds on its right-hand side. A
@@ -79,6 +81,15 @@ INWARD_SEED = 1e-150
 # First grid point sits this many steps from the origin for 2D kinds.
 ORIGIN_STEP_MULTIPLE = 80.0
 
+# Largest kappa * rho_min of a 2D grid, kappa = sqrt(-E) of the ground level
+# from the closed form or estimate_cs_ground_energy. Measured against grids
+# starting at 0.05 (ell 0-2, nodes 0-3), energies at 0.5 move by at most
+# 2.6e-5 relative for Coulomb 2D, 1.5e-4 for chern-simons and 1.9e-3 for the
+# weak jordan variant; at 1 a Coulomb 2D one moves by 2e-3, still flagged
+# converged. Default grids stay below 0.19 for lambda in [2e-6, 2e-4] (ell
+# 0-3, nodes 0-3) and below 0.37 for any lambda >= 1e-20.
+MAX_KAPPA_RHO_MIN = 0.5
+
 # Number of Frobenius correction terms used in outward seeds.
 SEED_SERIES_TERMS = 6
 
@@ -94,7 +105,17 @@ class SolverError(RuntimeError):
 
 
 class BracketingError(SolverError):
-    """The requested state could not be bracketed; carries a scan report."""
+    """The requested state could not be bracketed.
+
+    ``bracket`` is the last ``(E_lo, E_hi)`` tried, in rydberg, and ``scan``
+    the node-count scan across it, a list of ``(energy, nodes)`` pairs; the
+    message reports both.
+    """
+
+    def __init__(self, message, bracket, scan):
+        super().__init__(message)
+        self.bracket = bracket
+        self.scan = scan
 
 
 class DegenerateSeedError(SolverError):
@@ -102,7 +123,12 @@ class DegenerateSeedError(SolverError):
 
 
 class GridTooCoarseError(SolverError):
-    """A swept row has ``f = 1 + h^2 g / 12`` outside ``(0, 1.5)``, Numerov's stable range."""
+    """The grid cannot resolve the state.
+
+    Either a swept row has ``f = 1 + h^2 g / 12`` outside ``(0, 1.5)``,
+    Numerov's stable range, or a 2D grid starts past ``MAX_KAPPA_RHO_MIN``
+    decay lengths from the origin.
+    """
 
 
 class NonFinitePotentialError(SolverError):
@@ -607,7 +633,7 @@ def solve_state(
                 f"; at the top of the bracket the node count is still {scan[-1][1]}, "
                 f"so the level lies above {hi:.6g} Ry and may not be bound"
             )
-        raise BracketingError(message)
+        raise BracketingError(message, (lo, hi), scan)
 
     m = None  # the fixed match index of the interpolation stage
     recent = []  # (energy, defect) of the latest shots matched at m, newest last
@@ -676,6 +702,32 @@ def solve_state(
         grid=grid,
     )
     return result, WaveFunction(grid=grid, u=u, energy=final.energy)
+
+
+def check_origin_gap(problem: EffectivePotentialParams, grid: RadialGrid) -> None:
+    """Raise :class:`GridTooCoarseError` when a 2D grid starts past the state.
+
+    The CLI checks every grid it builds; :func:`solve_state` itself takes
+    any grid, so a caller may trade accuracy for speed. The first point must sit within ``MAX_KAPPA_RHO_MIN`` ground-level decay
+    lengths ``1/kappa`` of the origin. The ground level's, whatever the node
+    target: an excited level's innermost node sits about 1.45 of them out,
+    so its own, longer, decay length would let the grid start on that node.
+    The message names the largest ``rho_min`` allowed and the points that
+    put ``rho_min = ORIGIN_STEP_MULTIPLE * h`` there.
+    """
+    if problem.dimension != 2:
+        return
+    e_est = closed_form_energy(problem, 0)
+    kappa = math.sqrt(-(e_est if e_est is not None else estimate_cs_ground_energy(problem)))
+    if kappa * grid.rho_min <= MAX_KAPPA_RHO_MIN:
+        return
+    rho_min = MAX_KAPPA_RHO_MIN / kappa
+    points = math.ceil(ORIGIN_STEP_MULTIPLE * grid.rho_max / rho_min) + 1
+    raise GridTooCoarseError(
+        f"grid starts past the state: rho_min={grid.rho_min:.6g} is {kappa * grid.rho_min:.3g} "
+        f"decay lengths from the origin, above {MAX_KAPPA_RHO_MIN:g}; use rho_min <= "
+        f"{rho_min:.6g}, which with rho_max={grid.rho_max:.6g} takes at least {points} points"
+    )
 
 
 def _safeguarded_trial(pts, below, above, best, tol, midpoint):

@@ -62,3 +62,22 @@ def hydrogen_ground_u(rho: np.ndarray, sqrt_zeta: float) -> np.ndarray:
 def hydrogen_first_excited_u(rho: np.ndarray) -> np.ndarray:
     """Unnormalized exact 3D first-excited reduced function (zeta = 1)."""
     return rho * (1.0 - rho / 2.0) * np.exp(-rho / 2.0)
+
+
+def k0_series_full(x: np.ndarray) -> np.ndarray:
+    """K0's ascending series summed to all 20 terms over the whole array.
+
+    The plain form of ``specfun._k0_series_array``, with no chunks and no
+    early stop; the two must agree bitwise for 0 < x <= 2.
+    """
+    q = 0.25 * x * x
+    i0 = np.ones_like(x)
+    acc = np.zeros_like(x)
+    term = np.ones_like(x)
+    harmonic = 0.0
+    for k in range(1, 21):
+        term = term * q / (k * k)
+        harmonic += 1.0 / k
+        i0 += term
+        acc += term * harmonic
+    return -(np.log(0.5 * x) + 0.5772156649015329) * i0 + acc

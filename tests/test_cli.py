@@ -1,11 +1,13 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from planaratom import cli, model as md
 from planaratom import numerov as nv
+from planaratom.observables import mean_radius
 
 FAST = ["--rho-max", "40", "--points", "20001"]
 
@@ -144,25 +146,33 @@ class TestSolveCommand:
         assert 2 <= payload["sweeps"] <= 2 * payload["iterations"] + 6
 
     def test_nonconverged_exit_two(self, capsys):
-        code, out = run(
-            capsys,
-            ["solve", "--atom", "pe", "--potential", "coulomb3d", "--tol", "1e-300"] + FAST,
-        )
+        argv = ["solve", "--atom", "pe", "--potential", "coulomb3d", "--tol", "1e-300"] + FAST
+        code, out = run(capsys, argv)
         assert code == 2
         header, row = out.splitlines()[1:3]
         rec = dict(zip(header.split(","), row.split(",")))
         assert rec["converged"] == "false"
-
-    def test_nonconverged_json_when_defect_misses(self, capsys):
-        # the bracket closes on a one-node level whose defect (2.0) misses DEFECT_TOL
-        argv = ["solve", "--atom", "pmu", "--potential", "coulomb2d"] + FAST
         code, out = run(capsys, argv + ["--format", "json"])
         assert code == 2
         assert json.loads(out)["converged"] is False
-        code, out = run(capsys, argv)
-        assert code == 2
-        header, row = out.splitlines()[1:3]
-        assert dict(zip(header.split(","), row.split(",")))["converged"] == "false"
+
+    @pytest.mark.parametrize("points, reach", [("20001", "4.36"), ("100001", "0.872")])
+    def test_grid_past_the_state_is_solver_error(self, capsys, points, reach):
+        # pmu's 2D ground level decays over 1/27.3: rho_min = 80 h = 0.16 (or 0.032)
+        # starts the grid 4.36 (0.872) decay lengths out, where the solve returned
+        # -323.8 Ry unconverged (-742.675 Ry flagged converged; exact -743.363)
+        code = cli.main(
+            ["solve", "--atom", "pmu", "--potential", "coulomb2d", "--rho-max", "40",
+             "--points", points]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: grid starts past the state: rho_min={float(80 * 40 / (int(points) - 1)):.6g}"
+            f" is {reach} decay lengths from the origin, above 0.5; use rho_min <= 0.0183387,"
+            " which with rho_max=40 takes at least 174496 points\n"
+        )
 
     def test_mgamma_ev_conversion(self, capsys):
         code, out = run(
@@ -402,3 +412,37 @@ class TestJsonMirrorsCsv:
         assert len(payload["rows"]) == len(csv_out.splitlines()) - 2
         for rec in payload["rows"]:
             assert list(rec) == header
+
+
+class TestConcurrentTables:
+    def test_ell_states_match_sequential_solves(self):
+        keys = cli._state_keys("ell_states")
+        sequential = {}
+        for key in keys:
+            req = cli.RunRequest(*key)
+            problem = req.problem()
+            result, wf = nv.solve_state(problem, req.nodes, grid=req.grid(problem))
+            sequential[key] = result, mean_radius(wf, problem)
+        concurrent = cli._solve_states(keys)
+        assert cli._build_table("ell_states", concurrent) == cli._build_table(
+            "ell_states", sequential
+        )
+
+    def test_first_failing_row_in_row_order_is_reported(self, capsys, monkeypatch):
+        # pe ell 2 (row 2) fails after pmu ell 2 (row 4) has failed: the error of
+        # row 2 is printed, as when the rows were solved one after another
+        solve = cli.solve_state
+
+        def failing(problem, node_target=0, **kwargs):
+            if problem.ell == 2:
+                if problem.atom.name == "pe":
+                    time.sleep(0.5)
+                raise nv.SolverError(f"{problem.atom.name} ell={problem.ell} failed")
+            return solve(problem, node_target, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_state", failing)
+        code = cli.main(["table", "ell-states", "--output", "-"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: pe ell=2 failed\n"

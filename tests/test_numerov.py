@@ -274,6 +274,19 @@ class TestSolveState:
         with pytest.raises(nv.BracketingError, match="not bracketed"):
             nv.solve_state(problem, 0, config=cfg, grid=nv.RadialGrid(1e-6, 40.0, 20001))
 
+    def test_bracketing_error_carries_its_scan(self):
+        # neither end moves past the ground level at -1 Ry: the top halves twice
+        problem = z1_problem("coulomb3d")
+        cfg = nv.SolverConfig(energy_bracket=(-5000.0, -4000.0), max_widenings=2)
+        with pytest.raises(nv.BracketingError) as err:
+            nv.solve_state(problem, 0, config=cfg, grid=nv.RadialGrid(1e-6, 40.0, 20001))
+        assert err.value.bracket == (-5000.0, -1000.0)
+        energies = [e for e, _ in err.value.scan]
+        assert energies == pytest.approx(list(-np.geomspace(5000.0, 1000.0, 8)), rel=1e-15)
+        assert [k for _, k in err.value.scan] == [0] * 8
+        for e, k in err.value.scan:
+            assert f"E={e:.6g} Ry: {k} nodes" in str(err.value)
+
     def test_iteration_budget_flags_nonconverged(self):
         # the budget caps search steps; without it this search runs 24 steps,
         # until its bracket is one ulp wide
@@ -321,6 +334,30 @@ class TestKZeroSearch:
         with pytest.raises(nv.BracketingError, match="not bracketed") as err:
             nv.solve_state(problem, 0)
         err.match(r"node count is still 0, so the level lies above -1\.25e-05 Ry")
+
+    def test_default_2d_grids_start_inside_the_state(self):
+        # the bound on kappa * rho_min rejects no default grid
+        for atom in md.ATOM_NAMES:
+            for kind, lams in (("coulomb2d", [None]),
+                               ("chern_simons", [2e-6, 2e-5, 2e-4]),
+                               ("chern_simons_jordan", [2e-6, 2e-5, 2e-4])):
+                for lam in lams:
+                    for ell in range(4):
+                        problem = make_problem(atom, kind, lam, ell=ell)
+                        for nodes in range(4):
+                            nv.check_origin_gap(problem, nv.default_grid(problem, nodes))
+
+    def test_2d_grid_past_the_state_rejected(self):
+        # the closed-form ground level of pmu decays over 1/27.26: rho_min = 0.032
+        # starts the grid 0.872 decay lengths out
+        problem = make_problem("pmu", "coulomb2d")
+        grid = nv.default_grid(problem, 0, rho_max=40.0, n_points=100001)
+        with pytest.raises(nv.GridTooCoarseError, match=r"rho_min=0\.032 is 0\.872 decay"):
+            nv.check_origin_gap(problem, grid)
+        needed = nv.default_grid(problem, 0, rho_max=40.0, n_points=174496)
+        nv.check_origin_gap(problem, needed)
+        res, _ = nv.solve_state(problem, 0, grid=needed)
+        assert res.converged
 
     def test_deep_level_defect_changes_sign_once(self, solve_cached):
         # sweep roundoff must not add roots near a deep level: a spurious

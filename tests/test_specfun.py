@@ -41,6 +41,14 @@ class TestK0:
         right = special.k0(xb)[0]
         assert abs(left - right) / left <= 1e-12
 
+    @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 200001])
+    def test_chunked_series_equals_full_sum_bitwise(self, n):
+        # chunk edges and the early stop must not move a single bit
+        rng = np.random.default_rng(n)
+        x = 2.0 * np.exp(-30.0 * rng.random(n))  # spans (0, 2], log-uniform below 2
+        x[0] = 2.0
+        assert np.array_equal(sf._k0_series_array(x), oracles.k0_series_full(x))
+
     def test_regime_reported(self):
         assert sf.bessel_k0_eval(1.5).regime == "series"
         assert sf.bessel_k0_eval(2.5).regime == "asymptotic"
