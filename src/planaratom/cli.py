@@ -15,10 +15,10 @@ Subcommands and the flags each one reads:
   to recomputed values, ``--format csv|json --output``.
 * ``report``: side-by-side discrepancy report, ``--format md|csv|json
   --output``.
+* ``k0``: Bessel debug, ``--x --format csv|json --output``.
 
 ``table`` and ``report`` solve their distinct states concurrently, one
 thread per CPU the process may run on (:func:`_solve_states`).
-* ``k0``: Bessel debug, ``--x --format csv|json --output``.
 
 Every command writes through :func:`_emit`: CSV opens with ``# schema=``
 and any ``# key=value`` comment lines, takes its header from the record
@@ -28,11 +28,12 @@ default to ``table_<which>.<format>`` and ``report.<format>``.
 
 Exit codes: 0 success, 1 usage error (``usage error:``), solver failure
 (``error:``: a state not bracketed, degenerate matching, a grid too coarse
-for Numerov or a 2D grid that starts past the state, a potential not finite on the grid or a wavefunction that
-cannot be normalized) or an output file that cannot be written (``error:
-cannot write <path>``), 2 solver did not converge (record is still
-written). Output is deterministic: fixed column orders, floats at 12
-significant digits, no timestamps.
+for Numerov or a 2D grid that starts past the state, a potential not
+finite on the grid or a wavefunction that cannot be normalized) or an
+output file that cannot be written (``error: cannot write <path>``), 2
+solver did not converge (record is still written). Output is
+deterministic: fixed column orders, floats at 12 significant digits, no
+timestamps.
 """
 
 from __future__ import annotations

@@ -708,10 +708,11 @@ def check_origin_gap(problem: EffectivePotentialParams, grid: RadialGrid) -> Non
     """Raise :class:`GridTooCoarseError` when a 2D grid starts past the state.
 
     The CLI checks every grid it builds; :func:`solve_state` itself takes
-    any grid, so a caller may trade accuracy for speed. The first point must sit within ``MAX_KAPPA_RHO_MIN`` ground-level decay
-    lengths ``1/kappa`` of the origin. The ground level's, whatever the node
-    target: an excited level's innermost node sits about 1.45 of them out,
-    so its own, longer, decay length would let the grid start on that node.
+    any grid, so a caller may trade accuracy for speed. The first point must
+    sit within ``MAX_KAPPA_RHO_MIN`` ground-level decay lengths ``1/kappa``
+    of the origin. The ground level's, whatever the node target: an excited
+    level's innermost node sits about 1.45 of them out, so its own, longer,
+    decay length would let the grid start on that node.
     The message names the largest ``rho_min`` allowed and the points that
     put ``rho_min = ORIGIN_STEP_MULTIPLE * h`` there.
     """

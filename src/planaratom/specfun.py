@@ -8,10 +8,9 @@ is evaluated in two regimes:
   series summed in the same loop; the cancellation against the log term
   loses at most one digit at the seam. It is kept because it tracks the
   ``-ln(x/2) - gamma`` limit to 1e-14 as ``x -> 0``, closer than
-  ``scipy.special.k0`` does. It is summed in chunks of ``_K0_CHUNK``
-  points with in-place operations, so its temporaries stay small whatever
-  the grid, and each chunk stops at the last term that can still change a
-  double (see :func:`_k0_series_array`).
+  ``scipy.special.k0`` does. It is summed with in-place operations and
+  stops at the last term that can still change a double (see
+  :func:`_k0_series_array`).
 * ``x > 2``: ``scipy.special.k0``.
 
 Arguments above ``X_MAX`` underflow: ``exp(-x)`` is below the smallest
@@ -43,10 +42,6 @@ _K0_SWITCH = 2.0
 # below 1e-19 relative.
 _K0_SERIES_TERMS = 20
 
-# Points per chunk of the ascending series: 64 KB per temporary, small
-# enough for the heap to reuse instead of mapping fresh pages.
-_K0_CHUNK = 8192
-
 
 @dataclass(frozen=True)
 class BesselEval:
@@ -73,46 +68,39 @@ def _check_positive(x: float, name: str) -> float:
 def _k0_series_array(x: np.ndarray) -> np.ndarray:
     """Ascending series for K0, vectorized, valid for 0 < x <= 2.
 
-    Summed over chunks of ``_K0_CHUNK`` points. A chunk stops after term
-    ``k`` once the next term at its largest ``q = x^2/4``, times
-    ``H_{k+1}``, is below ``2^-56 q_max``, that is once ``term_k(q_max)
+    Stops after term ``k`` once the next term at the largest ``q = x^2/4``,
+    times ``H_{k+1}``, is below ``2^-56 q_max``, that is once ``term_k(q_max)
     H_{k+1} / (k+1)^2`` is below ``2^-56``. That bound covers every later
-    term at every point of the chunk: ``term_j(q)/q`` grows with ``q`` and,
-    for ``q <= 1``, ``term_j H_j`` falls with ``j``. Each sum it would be
-    added to is at least ``q``: ``i0 >= 1`` and ``acc >= q``, the first
-    term. So every later addition is below a quarter ulp of its sum and
-    rounds away, and the result is bitwise equal to the full
-    ``_K0_SERIES_TERMS``-term sum.
+    term at every point: ``term_j(q)/q`` grows with ``q`` and, for
+    ``q <= 1``, ``term_j H_j`` falls with ``j``. Each sum it would be added
+    to is at least ``q``: ``i0 >= 1`` and ``acc >= q``, the first term. So
+    every later addition is below a quarter ulp of its sum and rounds away,
+    and the result is bitwise equal to the full ``_K0_SERIES_TERMS``-term
+    sum.
     """
-    flat = x.reshape(-1)
-    out = np.empty_like(flat)
-    for start in range(0, flat.shape[0], _K0_CHUNK):
-        xc = flat[start : start + _K0_CHUNK]
-        q = 0.25 * xc
-        q *= xc
-        q_max = float(q.max())
-        i0 = np.ones_like(q)
-        acc = np.zeros_like(q)
-        term = np.ones_like(q)
-        scratch = np.empty_like(q)
-        term_max = 1.0  # the term at q_max
-        harmonic = 0.0
-        for k in range(1, _K0_SERIES_TERMS + 1):
-            term *= q
-            term /= k * k
-            harmonic += 1.0 / k
-            i0 += term
-            acc += np.multiply(term, harmonic, out=scratch)
-            term_max *= q_max / (k * k)
-            if term_max * (harmonic + 1.0 / (k + 1)) < 2.0**-56 * (k + 1) ** 2:
-                break
-        res = out[start : start + _K0_CHUNK]
-        np.multiply(xc, 0.5, out=res)
-        np.log(res, out=res)
-        res += EULER_GAMMA
-        res *= i0
-        np.subtract(acc, res, out=res)
-    return out.reshape(x.shape)
+    q = 0.25 * x
+    q *= x
+    q_max = float(q.max())
+    i0 = np.ones_like(q)
+    acc = np.zeros_like(q)
+    term = np.ones_like(q)
+    scratch = np.empty_like(q)
+    term_max = 1.0  # the term at q_max
+    harmonic = 0.0
+    for k in range(1, _K0_SERIES_TERMS + 1):
+        term *= q
+        term /= k * k
+        harmonic += 1.0 / k
+        i0 += term
+        acc += np.multiply(term, harmonic, out=scratch)
+        term_max *= q_max / (k * k)
+        if term_max * (harmonic + 1.0 / (k + 1)) < 2.0**-56 * (k + 1) ** 2:
+            break
+    res = np.multiply(x, 0.5, out=scratch)
+    np.log(res, out=res)
+    res += EULER_GAMMA
+    res *= i0
+    return np.subtract(acc, res, out=res)
 
 
 def bessel_k0_array(x: np.ndarray) -> np.ndarray:
@@ -124,10 +112,8 @@ def bessel_k0_array(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.size and (not np.all(np.isfinite(x)) or np.any(x <= 0.0)):
         raise ValueError("bessel_k0 requires positive finite arguments")
-    small = x <= _K0_SWITCH
-    if small.all():  # every default grid: no masked copies
-        return _k0_series_array(x)
     out = np.zeros_like(x)
+    small = x <= _K0_SWITCH
     large = ~small & (x <= X_MAX)
     if np.any(small):
         out[small] = _k0_series_array(x[small])

@@ -67,7 +67,7 @@ def hydrogen_first_excited_u(rho: np.ndarray) -> np.ndarray:
 def k0_series_full(x: np.ndarray) -> np.ndarray:
     """K0's ascending series summed to all 20 terms over the whole array.
 
-    The plain form of ``specfun._k0_series_array``, with no chunks and no
+    The plain form of ``specfun._k0_series_array``, out of place and with no
     early stop; the two must agree bitwise for 0 < x <= 2.
     """
     q = 0.25 * x * x

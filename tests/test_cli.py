@@ -156,6 +156,19 @@ class TestSolveCommand:
         assert code == 2
         assert json.loads(out)["converged"] is False
 
+    def test_nonconverged_json_when_defect_misses(self, capsys):
+        # the bracket closes (width 3e-14) on a one-node level whose defect (1.45)
+        # misses DEFECT_TOL: h = 0.05 is 6.7 pmu Bohr radii
+        argv = ["solve", "--atom", "pmu", "--potential", "coulomb3d", "--rho-max", "100",
+                "--points", "2001"]
+        code, out = run(capsys, argv + ["--format", "json"])
+        assert code == 2
+        assert json.loads(out)["converged"] is False
+        code, out = run(capsys, argv)
+        assert code == 2
+        header, row = out.splitlines()[1:3]
+        assert dict(zip(header.split(","), row.split(",")))["converged"] == "false"
+
     @pytest.mark.parametrize("points, reach", [("20001", "4.36"), ("100001", "0.872")])
     def test_grid_past_the_state_is_solver_error(self, capsys, points, reach):
         # pmu's 2D ground level decays over 1/27.3: rho_min = 80 h = 0.16 (or 0.032)

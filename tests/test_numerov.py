@@ -1,3 +1,4 @@
+import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -286,6 +287,19 @@ class TestSolveState:
         assert [k for _, k in err.value.scan] == [0] * 8
         for e, k in err.value.scan:
             assert f"E={e:.6g} Ry: {k} nodes" in str(err.value)
+
+    def test_converged_is_a_plain_bool_when_defect_misses(self):
+        # pmu 2D on a grid that starts 4.36 decay lengths out: the bracket closes
+        # on a one-node level whose defect (2.0) misses DEFECT_TOL, and the flag
+        # must still serialize
+        problem = make_problem("pmu", "coulomb2d")
+        res, _ = nv.solve_state(
+            problem, 0, grid=nv.default_grid(problem, 0, rho_max=40.0, n_points=20001)
+        )
+        assert res.bracket_width <= nv.SolverConfig().bisection_tol
+        assert abs(res.match_defect) > nv.DEFECT_TOL
+        assert type(res.converged) is bool
+        assert json.dumps(res.converged) == "false"
 
     def test_iteration_budget_flags_nonconverged(self):
         # the budget caps search steps; without it this search runs 24 steps,

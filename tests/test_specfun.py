@@ -41,12 +41,15 @@ class TestK0:
         right = special.k0(xb)[0]
         assert abs(left - right) / left <= 1e-12
 
-    @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 200001])
-    def test_chunked_series_equals_full_sum_bitwise(self, n):
-        # chunk edges and the early stop must not move a single bit
+    @pytest.mark.parametrize(
+        "n, x_max", [(1, 2.0), (8193, 2.0), (200001, 2.0), (8193, 0.3), (200001, 0.02)]
+    )
+    def test_series_equals_full_sum_bitwise(self, n, x_max):
+        # the early stop must not move a single bit, wherever the largest argument
+        # sets it (after term 11 at x_max 2, 6 at 0.3, 4 at 0.02)
         rng = np.random.default_rng(n)
-        x = 2.0 * np.exp(-30.0 * rng.random(n))  # spans (0, 2], log-uniform below 2
-        x[0] = 2.0
+        x = x_max * np.exp(-30.0 * rng.random(n))  # log-uniform in (0, x_max]
+        x[0] = x_max
         assert np.array_equal(sf._k0_series_array(x), oracles.k0_series_full(x))
 
     def test_regime_reported(self):
