@@ -292,6 +292,8 @@ def _solve_record(req: RunRequest, result, radius, config) -> dict:
         "bisection_tol": config.bisection_tol,
         "iterations": result.iterations,
         "sweeps": result.sweeps,
+        "points_swept": result.points_swept,
+        "energy_error_ry": result.energy_error_ry,
     }
 
 

@@ -36,6 +36,23 @@ are the wavefunction. It is flagged converged when the bracket is within
 target. The other ``SolverConfig`` fields set the starting bracket and the
 widening budget.
 
+:func:`solve_state` runs that search twice. The quarter-grid stage runs it
+from the default bracket on every fourth point of the grid (same
+``rho_min`` and ``rho_max``, the potential subsampled, so it is evaluated
+once per state). Its energy ``E_4h`` starts the search on the full grid in
+``E_4h +- max(WARM_BRACKET_REL |E_4h|, bisection_tol)``, a few shots wide
+and widened like any bracket when it misses; most of the node stage then
+runs on a quarter of the points. The pair gives the Richardson estimate
+``EigenResult.energy_error_ry = (E_h - E_4h)/255`` of ``E_exact - E_h`` for
+an O(h^4) method. It covers the step error only: a 2D grid's start
+(``rho_min = 80 h`` moves with h, so the pair is not pure h^4) and the
+search tolerance are not in it. The search starts cold, from the default
+bracket and with no estimate, when the caller gives ``energy_bracket``,
+``n_points - 1`` is not a multiple of 4, the quarter grid would have fewer
+than 1000 points, or its search raises a :class:`SolverError` (as when a
+high ``ell`` puts the quarter grid's first swept row past the stable range)
+or does not converge.
+
 Near the origin every potential here is singular; sweeps are seeded with a
 short Frobenius expansion of the regular solution (power law ``rho^s`` with
 ``s = l + 1`` in 3D and ``s = l + 1/2`` in 2D, plus series corrections),
@@ -48,13 +65,16 @@ first point sits more than ``MAX_KAPPA_RHO_MIN`` ground-level decay lengths
 out, where the seed no longer describes the state.
 
 Each sweep solves the three-term recurrence as one lower-triangular band
-system with LAPACK (``dtbtrs``), the two seeds on its right-hand side. A
-bound on the per-step growth cuts the sweep into segments only where it
-could overflow, and values are rescaled between segments, so deep
-classically forbidden regions are safe; default grids need one segment. A
-grid past Numerov's stability limit (``f = 1 + h^2 g / 12`` outside ``(0,
-1.5)`` on a swept row) raises :class:`GridTooCoarseError`. A plain-loop
-reference implementation is kept for the tests.
+system with LAPACK (``dtbtrs``), the two seeds on its right-hand side. Each
+row is divided by its diagonal ``f_k`` beforehand, so the system has a unit
+diagonal and the forward substitution multiplies and adds only, which
+takes the division off its critical path. A bound on the per-step growth
+cuts the sweep into segments only where it could overflow, and values are
+rescaled between segments, so deep classically forbidden regions are safe;
+default grids need one segment. A grid past Numerov's stability limit (``f
+= 1 + h^2 g / 12`` outside ``(0, 1.5)`` on a swept row) raises
+:class:`GridTooCoarseError`; inside that range ``f_k`` is a safe divisor.
+A plain-loop reference implementation is kept for the tests.
 """
 
 from __future__ import annotations
@@ -95,6 +115,11 @@ SEED_SERIES_TERMS = 6
 
 # Largest |match_defect| of a result flagged converged.
 DEFECT_TOL = 1e-6
+
+# Half-width of the warm-start bracket relative to the quarter-grid energy.
+# |E_4h - E_h|/|E| measured at most 3.6e-7 on default grids (four kinds, ell
+# 0-3, nodes 0-3) and 4.7e-7 on benchmark chern-simons inputs.
+WARM_BRACKET_REL = 3e-6
 
 # Points kept past the match index so 5-point derivative stencils fit.
 _STENCIL_PAD = 4
@@ -193,10 +218,14 @@ class SolverConfig:
 class EigenResult:
     """Converged (or flagged) eigenvalue with search diagnostics.
 
-    ``iterations`` counts search steps (trial energies inside the bracket),
-    ``sweeps`` every Numerov sweep of the solve, and ``match_index`` is the
-    grid index where the returned wavefunction's two sweeps are joined and
-    ``match_defect`` is measured.
+    ``iterations`` counts the steps of the search on ``grid`` (trial
+    energies inside the bracket); ``sweeps`` every Numerov sweep of the
+    solve and ``points_swept`` the grid points they cover, both counting the
+    quarter-grid stage too. ``match_index`` is the grid index where the
+    returned wavefunction's two sweeps are joined and ``match_defect`` is
+    measured. ``energy_error_ry`` estimates ``E_exact - energy`` from the
+    quarter-grid energy, ``(E_h - E_4h)/255``; None when the search started
+    cold (see the module docstring).
     """
 
     energy: float
@@ -207,8 +236,10 @@ class EigenResult:
     bracket_width: float
     iterations: int
     sweeps: int
+    points_swept: int
     match_index: int
     grid: RadialGrid
+    energy_error_ry: float | None
 
 
 @dataclass(frozen=True)
@@ -272,13 +303,15 @@ def _sweep(f: np.ndarray, u0: float, u1: float, rho: np.ndarray) -> np.ndarray:
     """Numerov recurrence as a lower-triangular banded solve.
 
     ``f = 1 + h^2 g / 12`` and ``rho`` in sweep order; seeds sit at the
-    first two entries. Row ``k >= 2`` of the system reads ``f_k u_k - (12 -
-    10 f_{k-1}) u_{k-1} + f_{k-2} u_{k-2} = 0``, the seed terms move to the
-    right-hand side, and LAPACK's ``dtbtrs`` solves it by forward
-    substitution outside the GIL. The recurrence is stable only for ``0 < f
-    < 1.5``: past 1.5 (``h^2 g > 6``, under 2.6 points per wavelength) a
-    spurious mode grows with alternating sign, and a row outside that range
-    raises :class:`GridTooCoarseError`, naming its ``rho``. Inside it, one
+    first two entries. Row ``k >= 2`` of the system reads ``u_k - (12 - 10
+    f_{k-1})/f_k u_{k-1} + f_{k-2}/f_k u_{k-2} = 0`` (the recurrence divided
+    by ``f_k``, so no division is left in the substitution), the seed terms
+    move to the right-hand side, and LAPACK's ``dtbtrs`` solves it by
+    forward substitution with a unit diagonal outside the GIL. The
+    recurrence is stable only for ``0 < f < 1.5``: past 1.5 (``h^2 g > 6``,
+    under 2.6 points per wavelength) a spurious mode grows with alternating
+    sign, and a row outside that range raises :class:`GridTooCoarseError`,
+    naming its ``rho``. Inside it, one
     step grows the solution by about ``arccosh((6 - 5f)/f) <= sqrt(12 (1/f -
     1))`` nats (the rate of the growing mode for constant ``f``, none for
     ``f >= 1``); the sweep is cut where that bound adds up to 300 nats
@@ -298,7 +331,6 @@ def _sweep(f: np.ndarray, u0: float, u1: float, rho: np.ndarray) -> np.ndarray:
             f"grid too coarse for Numerov at rho={rho[k]:.6g}: f = 1 + h^2 g/12 = {f[k]:.3g} "
             "must be finite and in (0, 1.5) for a stable recurrence; refine it or raise rho_min"
         )
-    ab = np.empty((3, n - 2), order="F")
     stops = [n - 2]
     # fast path: the worst row's bound on every row stays under one segment; it spares
     # the growth sum on over 90% of the rows swept in the benchmark workloads
@@ -306,18 +338,24 @@ def _sweep(f: np.ndarray, u0: float, u1: float, rho: np.ndarray) -> np.ndarray:
         growth = np.cumsum(np.sqrt(np.maximum(1.0 / diag - 1.0, 0.0)))
         cuts = np.arange(_SEGMENT_GROWTH, growth[-1], _SEGMENT_GROWTH)
         stops = np.searchsorted(growth, cuts).tolist() + stops
-    ab[0] = ab[2] = diag
-    np.multiply(diag, 10.0, out=ab[1])
-    ab[1] -= 12.0
+    # column j holds unknown u_{j+2}; row k is scaled by 1/f_k, so the diagonal is one
+    # (never stored, diag="U") and the off-diagonals read (10 f_{k-1} - 12)/f_k and
+    # f_{k-2}/f_k. The last column's off-diagonals fall outside the matrix.
+    ab = np.empty((3, n - 2), order="F")
+    np.multiply(diag[:-1], 10.0, out=ab[1, :-1])
+    ab[1, :-1] -= 12.0
+    ab[1, :-1] /= diag[1:]
+    np.divide(diag[:-2], diag[2:], out=ab[2, :-2])
     start = 0
     for stop in stops:
         if stop <= start:
             continue
         rhs = u[start + 2 : stop + 2]
-        rhs[0] = (12.0 - 10.0 * f[start + 1]) * u[start + 1] - f[start] * u[start]
-        rhs[1:2] = -f[start + 1] * u[start + 1]  # empty for a one-row segment
+        rhs[0] = ((12.0 - 10.0 * f[start + 1]) * u[start + 1] - f[start] * u[start]) / f[start + 2]
+        # empty for a one-row segment, where f[start + 3] lies past the end
+        rhs[1:2] = -f[start + 1] * u[start + 1] / f[start + 3 : start + 4]
         # f2py solves in place; the slice assignment copies back only if it did not
-        rhs[:], info = dtbtrs(ab[:, start:stop], rhs, uplo="L", overwrite_b=1)
+        rhs[:], info = dtbtrs(ab[:, start:stop], rhs, uplo="L", diag="U", overwrite_b=1)
         if info != 0:
             raise SolverError(f"LAPACK dtbtrs failed with info={info}")
         peak = max(rhs.max(), -rhs.min())
@@ -375,17 +413,32 @@ class _Shot(NamedTuple):
 class _ShootingWorkspace:
     """Per-problem state shared across energy trials of one solve."""
 
-    def __init__(self, problem, grid, node_target=0):
+    def __init__(self, problem, grid, node_target=0, u_eff=None):
         self.problem = problem
         self.grid = grid
         self.node_target = node_target
         self.rho = grid.points()
         self.h = grid.step
-        self.u_eff = np.asarray(effective_potential(problem, self.rho), dtype=float)
-        if not np.all(np.isfinite(self.u_eff)):
-            raise NonFinitePotentialError("effective potential is not finite on the grid")
+        if u_eff is None:
+            u_eff = np.asarray(effective_potential(problem, self.rho), dtype=float)
+            if not np.all(np.isfinite(u_eff)):
+                raise NonFinitePotentialError("effective potential is not finite on the grid")
+        self.u_eff = u_eff
         self.h2_12 = self.h * self.h / 12.0
         self.sweeps = 0
+        self.points_swept = 0
+
+    def quartered(self) -> _ShootingWorkspace | None:
+        """Workspace on every fourth point of this grid, reusing its potential.
+
+        None when ``n_points - 1`` is not a multiple of 4 or the quarter grid
+        would have fewer than 1000 points.
+        """
+        n = self.grid.n_points
+        if (n - 1) % 4 or (n - 1) // 4 + 1 < 1000:
+            return None
+        grid = RadialGrid(self.grid.rho_min, self.grid.rho_max, (n - 1) // 4 + 1)
+        return _ShootingWorkspace(self.problem, grid, self.node_target, self.u_eff[::4])
 
     def shoot(self, energy, match_index=None, gated=False, out=None) -> _Shot:
         """One shooting trial: sweep outward and inward, match in between.
@@ -408,6 +461,7 @@ class _ShootingWorkspace:
         seeds = small_rho_solution(self.problem, energy, self.rho[:2])
         u_left = _sweep(f, float(seeds[0]), float(seeds[1]), self.rho)
         self.sweeps += 1
+        self.points_swept += f.shape[0]
         nodes = count_nodes(u_left[: m + 1])
         if gated and nodes != self.node_target:
             return _Shot(energy, m, nodes, None)
@@ -417,6 +471,7 @@ class _ShootingWorkspace:
         rho = self.rho[m - _STENCIL_PAD :][::-1]
         u_right = _sweep(f[::-1], INWARD_SEED, INWARD_SEED * math.exp(kappa * self.h), rho)[::-1]
         self.sweeps += 1
+        self.points_swept += f.shape[0]
         defect = self._defect_at(u_left, u_right, m)
         if out is not None:
             ul, ur = u_left[m], u_right[_STENCIL_PAD]
@@ -608,11 +663,33 @@ def solve_state(
         grid = default_grid(problem, node_target)
     ws = _ShootingWorkspace(problem, grid, node_target)
     tol = config.bisection_tol
-    lo, hi = (
-        config.energy_bracket
-        if config.energy_bracket is not None
-        else default_bracket(problem, node_target, tol)
-    )
+    bracket, quarter, e_coarse = config.energy_bracket, None, None
+    if bracket is None:
+        bracket, quarter = default_bracket(problem, node_target, tol), ws.quartered()
+    if quarter is not None:
+        try:
+            coarse, _ = _search(quarter, bracket, config)
+        except SolverError:
+            coarse = None
+        if coarse is not None and coarse.converged:
+            e_coarse = coarse.energy
+        ws.sweeps += quarter.sweeps
+        ws.points_swept += quarter.points_swept
+    if e_coarse is not None:
+        pad = max(WARM_BRACKET_REL * abs(e_coarse), tol)
+        bracket = (e_coarse - pad, e_coarse + pad)
+    return _search(ws, bracket, config, e_coarse)
+
+
+def _search(ws, bracket, config, e_coarse=None) -> tuple[EigenResult, WaveFunction]:
+    """The search of the module docstring on ``ws`` from ``bracket``.
+
+    ``e_coarse`` is the quarter-grid energy the bracket was built around,
+    None for a cold start; it sets ``EigenResult.energy_error_ry``.
+    """
+    problem, grid, node_target = ws.problem, ws.grid, ws.node_target
+    tol = config.bisection_tol
+    lo, hi = bracket
     below, above = ws.shoot(lo, gated=True), ws.shoot(hi, gated=True)
     widenings = 0
     while (ws.sign(below) < 0 or ws.sign(above) > 0) and widenings < config.max_widenings:
@@ -698,8 +775,10 @@ def solve_state(
         bracket_width=width,
         iterations=iterations,
         sweeps=ws.sweeps,
+        points_swept=ws.points_swept,
         match_index=final.m,
         grid=grid,
+        energy_error_ry=None if e_coarse is None else (final.energy - e_coarse) / 255.0,
     )
     return result, WaveFunction(grid=grid, u=u, energy=final.energy)
 

@@ -81,3 +81,19 @@ def k0_series_full(x: np.ndarray) -> np.ndarray:
         i0 += term
         acc += term * harmonic
     return -(np.log(0.5 * x) + 0.5772156649015329) * i0 + acc
+
+
+def numerov_loop_longdouble(f: np.ndarray, u0: float, u1: float) -> np.ndarray:
+    """The Numerov recurrence ``f_{k+1} u_{k+1} = (12 - 10 f_k) u_k - f_{k-1} u_{k-1}``
+    stepped one row at a time in ``np.longdouble``, without rescaling.
+
+    Rounding in extended precision (64-bit mantissa on x86) sits three
+    orders of magnitude below a double sweep's, so the gap between the two
+    is the double sweep's own rounding error.
+    """
+    fl = np.asarray(f, dtype=np.longdouble)
+    u = np.empty(fl.shape[0], dtype=np.longdouble)
+    u[0], u[1] = u0, u1
+    for k in range(1, fl.shape[0] - 1):
+        u[k + 1] = ((12 - 10 * fl[k]) * u[k] - fl[k - 1] * u[k - 1]) / fl[k + 1]
+    return u

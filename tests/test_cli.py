@@ -141,9 +141,17 @@ class TestSolveCommand:
         )
         payload = json.loads(out)
         assert code == 0
-        # no widening here: two bracket ends, one end shot again at the fixed match
-        # index and at most two sweeps per search step
-        assert 2 <= payload["sweeps"] <= 2 * payload["iterations"] + 6
+        assert list(payload)[-3:] == ["sweeps", "points_swept", "energy_error_ry"]
+        # no widening here. The search on the grid shoots two bracket ends, one end
+        # again at the fixed match index and at most two sweeps per search step, each
+        # over at most the whole grid; the other sweeps, of the quarter-grid stage,
+        # cover at most a quarter of it
+        n = payload["n_points"]
+        full_grid_sweeps = 2 * payload["iterations"] + 6
+        assert payload["sweeps"] > full_grid_sweeps
+        assert payload["points_swept"] <= full_grid_sweeps * n + payload["sweeps"] * ((n - 1) // 4 + 1)
+        # the 20,001-point grid quarters, so the record carries an error estimate
+        assert abs(payload["energy_error_ry"]) < 1e-8
 
     def test_nonconverged_exit_two(self, capsys):
         argv = ["solve", "--atom", "pe", "--potential", "coulomb3d", "--tol", "1e-300"] + FAST

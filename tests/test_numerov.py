@@ -103,6 +103,32 @@ class TestSweep:
         assert f.shape[0] == 200001
         assert np.max(np.abs(fast - slow)) <= 1e-9 * np.max(np.abs(slow))
 
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="no extended precision"
+    )
+    def test_cs_sweep_within_rounding_of_long_double_loop(self, solve_cached):
+        # the row-scaled sweep reads 2.8e-10; the division-free w = f u form of the
+        # recurrence read 9.4e-9 here
+        problem, res, _ = solve_cached("pe", "chern_simons", 2e-5)
+        rho = res.grid.points()
+        g = res.energy - md.effective_potential(problem, rho)
+        f = 1.0 + (res.grid.step**2 / 12.0) * g
+        seeds = nv.small_rho_solution(problem, res.energy, rho[:2])
+        m = nv._outer_turning_point(g)
+        fast = nv._sweep(f, seeds[0], seeds[1], rho)[: m + 1]
+        exact = oracles.numerov_loop_longdouble(f[: m + 1], seeds[0], seeds[1])
+        assert np.max(np.abs(fast - exact)) <= 5e-10 * np.max(np.abs(exact))
+
+    def test_one_row_last_segment(self):
+        # the last row alone grows by over _SEGMENT_GROWTH nats, so the sweep's last
+        # segment is that one row and its second seed row lies past the end
+        f = np.ones(1000)
+        f[-1] = 1e-4
+        rho = 0.1 * np.arange(1000)
+        fast = nv._sweep(f, 0.5, 0.6, rho)
+        slow = nv._sweep_loop(f, 0.5, 0.6)
+        assert np.allclose(fast, slow, rtol=1e-12, atol=0.0)
+
     def test_deep_forbidden_region_renormalizes(self):
         # growth by thousands of e-folds must neither overflow nor crash
         n = 200001
@@ -326,8 +352,9 @@ class TestKZeroSearch:
         assert lo < res.energy
         # the (-50, -1e-4) Ry bracket took 33 bisections for every state
         assert res.iterations <= 29
-        # bisection took 44-79 sweeps per state
-        assert res.sweeps <= 34
+        # bisection took 44-79 sweeps per state, the cold interpolating search
+        # 8.9-12.1 grids' worth of points
+        assert res.points_swept <= 10 * res.grid.n_points
 
     @pytest.mark.parametrize("nodes", [0, 1])
     @pytest.mark.parametrize("ell", [0, 1, 2])
@@ -338,7 +365,8 @@ class TestKZeroSearch:
         assert res.converged
         assert abs(res.match_defect) <= nv.DEFECT_TOL
         assert res.nodes == nodes
-        assert res.sweeps <= 34
+        # the cold interpolating search swept 8.5-14.7 grids' worth of points
+        assert res.points_swept <= 10 * res.grid.n_points
 
     def test_jordan_without_bound_level_not_bracketed(self):
         # pe jordan at lam=2e-4 has no bound ell-2 level: finite differences on
@@ -420,6 +448,116 @@ class TestInterpolatedSearch:
         shot = nv._ShootingWorkspace(problem, res.grid).shoot(res.energy, res.match_index, out=u)
         assert shot.defect == res.match_defect
         assert np.array_equal(nv._normalize_samples(u, res.grid.step), wf.u)
+
+
+def cold(problem, nodes, grid=None):
+    """``solve_state`` started from the default bracket, without the quarter-grid stage."""
+    config = nv.SolverConfig(energy_bracket=nv.default_bracket(problem, nodes, 1e-8))
+    return nv.solve_state(problem, nodes, config=config, grid=grid)[0]
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("nodes", range(4))
+    @pytest.mark.parametrize("kind,lam", [
+        ("coulomb3d", None), ("coulomb2d", None),
+        ("chern_simons", 2e-5), ("chern_simons_jordan", 2e-5),
+    ])
+    def test_warm_and_cold_energies_agree(self, solve_cached, kind, lam, nodes):
+        problem, warm, _ = solve_cached("pe", kind, lam, nodes=nodes)
+        cold_res = cold(problem, nodes)
+        assert warm.converged and cold_res.converged
+        assert warm.energy_error_ry is not None and cold_res.energy_error_ry is None
+        assert abs(warm.energy - cold_res.energy) <= nv.SolverConfig().bisection_tol
+        # the quarter-grid stage is in the counts, and still the warm solve sweeps less
+        assert warm.sweeps > 2 * warm.iterations + 6
+        assert warm.points_swept < cold_res.points_swept
+
+    @pytest.mark.parametrize("ell,nodes", [(0, 0), (1, 0), (0, 2), (3, 1)])
+    @pytest.mark.parametrize("kind", ["coulomb3d", "coulomb2d"])
+    @pytest.mark.parametrize("atom", ["pe", "pmu"])
+    def test_error_estimate_bounds_coulomb_error(self, solve_cached, atom, kind, ell, nodes):
+        _, res, _ = solve_cached(atom, kind, ell=ell, nodes=nodes)
+        zeta = md.make_atom(atom).zeta
+        exact = (oracles.coulomb3d_energy if kind == "coulomb3d" else oracles.coulomb2d_energy)(
+            zeta, nodes, ell
+        )
+        tol = nv.SolverConfig().bisection_tol
+        assert abs(exact - res.energy) <= 1.25 * abs(res.energy_error_ry) + tol
+
+    def test_error_estimate_sign_and_size_where_step_error_dominates(self, solve_cached):
+        # pmu's 2D ground level: exact - E_h = +1.04e-6 Ry, a hundred times the search tolerance
+        _, res, _ = solve_cached("pmu", "coulomb2d")
+        error = oracles.coulomb2d_energy(md.make_atom("pmu").zeta, 0) - res.energy
+        assert error > 1e-7
+        assert res.energy_error_ry == pytest.approx(error, rel=0.25)
+
+    def test_quarter_grid_too_coarse_falls_back(self):
+        # f < 0 on the quarter grid's first swept row: ell 15 needs h <= 0.4 rho_min
+        problem = make_problem("pe", "coulomb3d", ell=15)
+        res, _ = nv.solve_state(problem, 0)
+        assert res.converged and res.energy_error_ry is None
+        assert abs(res.energy + md.make_atom("pe").zeta / 16**2) <= 1e-8
+        assert res.sweeps == cold(problem, 0).sweeps
+
+    def test_grid_that_cannot_be_quartered_falls_back(self):
+        problem = z1_problem("coulomb3d")
+        grid = nv.RadialGrid(1e-6, 40.0, 20002)
+        res, _ = nv.solve_state(problem, 0, grid=grid)
+        ref = cold(problem, 0, grid)
+        assert res.energy_error_ry is None
+        assert (res.energy, res.sweeps, res.points_swept) == (ref.energy, ref.sweeps, ref.points_swept)
+
+    def test_quarter_grid_under_1000_points_falls_back(self):
+        problem = z1_problem("coulomb3d")
+        for n, warm in ((3993, False), (3997, True)):
+            res, _ = nv.solve_state(problem, 0, grid=nv.RadialGrid(1e-6, 40.0, n))
+            assert res.converged
+            assert (res.energy_error_ry is not None) is warm
+
+    def test_caller_bracket_starts_cold(self):
+        problem = z1_problem("coulomb3d")
+        grid = nv.RadialGrid(1e-6, 40.0, 20001)
+        config = nv.SolverConfig(energy_bracket=(-1.5, -0.1))
+        res, _ = nv.solve_state(problem, 0, config=config, grid=grid)
+        assert res.converged and res.energy_error_ry is None
+        assert res.sweeps <= 2 * res.iterations + 6
+
+    def test_bracket_miss_recovers_by_widening(self, monkeypatch, solve_cached):
+        # a bracket tol wide about E_4h misses pmu's 2D ground level, 2.4e-4 Ry above
+        # it: the upper end halves toward zero and the search converges from there
+        problem, warm, _ = solve_cached("pmu", "coulomb2d")
+        monkeypatch.setattr(nv, "WARM_BRACKET_REL", 0.0)
+        shots = []
+        shoot = nv._ShootingWorkspace.shoot
+
+        def recording(ws, energy, *args, **kwargs):
+            shots.append((ws.grid.n_points, energy))
+            return shoot(ws, energy, *args, **kwargs)
+
+        monkeypatch.setattr(nv._ShootingWorkspace, "shoot", recording)
+        res, _ = nv.solve_state(problem, 0)
+        assert res.converged
+        assert res.energy_error_ry == pytest.approx(warm.energy_error_ry, rel=1e-3)
+        assert abs(res.energy - warm.energy) <= nv.SolverConfig().bisection_tol
+        widened = [e for n, e in shots if n == res.grid.n_points and e > 0.6 * warm.energy]
+        assert widened == [pytest.approx(0.5 * (warm.energy - 255.0 * warm.energy_error_ry + 1e-8))]
+
+    @pytest.mark.parametrize("kind,lams,levels", [
+        ("coulomb3d", [None], [(0, 0), (1, 1), (2, 0)]),
+        ("coulomb2d", [None], [(0, 0), (1, 1), (2, 0)]),
+        ("chern_simons", [2e-6, 2e-4], [(0, 0), (1, 1), (2, 0)]),
+        ("chern_simons_jordan", [5e-5, 2e-4], [(0, 0)]),
+    ])
+    def test_4001_point_grids_solve(self, kind, lams, levels):
+        # the benchmark's warm-up solves run on such grids, some starting past the
+        # state; their quarter grids have 1001 points
+        for atom in md.ATOM_NAMES:
+            for lam in lams:
+                for ell, nodes in levels:
+                    problem = make_problem(atom, kind, lam, ell=ell)
+                    grid = nv.default_grid(problem, nodes, n_points=4001)
+                    res, _ = nv.solve_state(problem, nodes, grid=grid)
+                    assert np.isfinite(res.energy)
 
 
 class TestSpectrumProperties:
