@@ -12,6 +12,7 @@ from planaratom import (
     make_atom,
     solve_state,
 )
+from planaratom import numerov as nv
 from planaratom.model import CHERN_SIMONS_KINDS
 from planaratom.numerov import RadialGrid, SolverConfig
 
@@ -45,3 +46,28 @@ def solve_cached():
         return cache[key]
 
     return solve
+
+
+@pytest.fixture
+def shots(monkeypatch):
+    """Log of the test's shooting trials as ``(grid points, energy, sweeps made)``."""
+    log = []
+    shoot = nv._ShootingWorkspace.shoot
+
+    def recording(ws, energy, *args, **kwargs):
+        before = ws.sweeps
+        try:
+            return shoot(ws, energy, *args, **kwargs)
+        finally:
+            log.append((ws.grid.n_points, energy, ws.sweeps - before))
+
+    monkeypatch.setattr(nv._ShootingWorkspace, "shoot", recording)
+    return log
+
+
+def sweeps_per_grid(log) -> dict[int, int]:
+    """Sweeps of a ``shots`` log, summed by grid size."""
+    out = {}
+    for n, _, sweeps in log:
+        out[n] = out.get(n, 0) + sweeps
+    return out

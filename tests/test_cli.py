@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import sweeps_per_grid
 from planaratom import cli, model as md
 from planaratom import numerov as nv
 from planaratom.observables import mean_radius
@@ -135,21 +136,31 @@ class TestSolveCommand:
         assert capsys.readouterr().err == f"error: cannot write {path}: No such file or directory\n"
 
     def test_record_counts_search_work(self, capsys):
-        code, out = run(
-            capsys,
-            ["solve", "--atom", "pe", "--potential", "coulomb3d", "--format", "json"] + FAST,
-        )
+        # a 20,002-point grid does not quarter, so the search starts cold. No widening
+        # here: two bracket ends, one end shot again at the fixed match index and at
+        # most two sweeps per search step
+        argv = ["solve", "--atom", "pe", "--potential", "coulomb3d", "--format", "json"]
+        code, out = run(capsys, argv + ["--rho-max", "40", "--points", "20002"])
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["energy_error_ry"] is None
+        assert 2 <= payload["sweeps"] <= 2 * payload["iterations"] + 6
+
+    def test_record_counts_both_stages(self, capsys, shots):
+        argv = ["solve", "--atom", "pe", "--potential", "coulomb3d", "--format", "json"]
+        code, out = run(capsys, argv + FAST)
         payload = json.loads(out)
         assert code == 0
         assert list(payload)[-3:] == ["sweeps", "points_swept", "energy_error_ry"]
-        # no widening here. The search on the grid shoots two bracket ends, one end
-        # again at the fixed match index and at most two sweeps per search step, each
-        # over at most the whole grid; the other sweeps, of the quarter-grid stage,
-        # cover at most a quarter of it
-        n = payload["n_points"]
-        full_grid_sweeps = 2 * payload["iterations"] + 6
-        assert payload["sweeps"] > full_grid_sweeps
-        assert payload["points_swept"] <= full_grid_sweeps * n + payload["sweeps"] * ((n - 1) // 4 + 1)
+        sweeps = sweeps_per_grid(shots)
+        assert sweeps.keys() == {20001, 5001}
+        # the search on the grid is bounded as a cold one is; `iterations` counts its steps
+        assert 2 <= sweeps[20001] <= 2 * payload["iterations"] + 6
+        # the quarter grid's search starts cold (21 sweeps on this state, as many as
+        # the cold search on the 20,002-point grid above)
+        assert sweeps[5001] <= 24
+        assert payload["sweeps"] == sweeps[20001] + sweeps[5001]
+        assert payload["points_swept"] <= sweeps[20001] * 20001 + sweeps[5001] * 5001
         # the 20,001-point grid quarters, so the record carries an error estimate
         assert abs(payload["energy_error_ry"]) < 1e-8
 
