@@ -60,8 +60,8 @@ from .model import (
     make_atom,
 )
 from .numerov import (
+    BISECTION_TOL,
     RadialGrid,
-    SolverConfig,
     SolverError,
     check_origin_gap,
     closed_form_energy,
@@ -131,7 +131,7 @@ class RunRequest:
     rho_min: float | None = None
     rho_max: float | None = None
     n_points: int | None = None
-    tol: float | None = None
+    tol: float = BISECTION_TOL
 
     def problem(self) -> EffectivePotentialParams:
         kind = POTENTIAL_TOKENS[self.potential_token]
@@ -148,11 +148,6 @@ class RunRequest:
         )
         check_origin_gap(problem, grid)
         return grid
-
-    def config(self) -> SolverConfig:
-        if self.tol is not None:
-            return SolverConfig(bisection_tol=self.tol)
-        return SolverConfig()
 
 
 # Parsed-flag names that are also RunRequest fields; only the commands that
@@ -239,7 +234,7 @@ def _emit(fmt, path, rows, header=None, comments=(), stem=None, **meta) -> None:
 
 def _solve_request(req: RunRequest):
     problem = req.problem()
-    result, wf = solve_state(problem, req.nodes, config=req.config(), grid=req.grid(problem))
+    result, wf = solve_state(problem, req.nodes, grid=req.grid(problem), bisection_tol=req.tol)
     return result, wf, mean_radius(wf, problem)
 
 
@@ -278,7 +273,7 @@ def _state_fields(req: RunRequest, **more) -> dict:
             "ell": req.ell, **more}
 
 
-def _solve_record(req: RunRequest, result, radius, config) -> dict:
+def _solve_record(req: RunRequest, result, radius) -> dict:
     return {
         **_state_fields(req, nodes=result.nodes),
         "energy_ry": result.energy,
@@ -289,7 +284,7 @@ def _solve_record(req: RunRequest, result, radius, config) -> dict:
         "rho_min": result.grid.rho_min,
         "rho_max": result.grid.rho_max,
         "n_points": result.grid.n_points,
-        "bisection_tol": config.bisection_tol,
+        "bisection_tol": req.tol,
         "iterations": result.iterations,
         "sweeps": result.sweeps,
         "points_swept": result.points_swept,
@@ -307,7 +302,7 @@ def _emit_wavefunction(path, req: RunRequest, result, wf) -> None:
 def cmd_solve(args) -> int:
     req = _request_from_args(args)
     result, wf, radius = _solve_request(req)
-    _emit(args.format, args.output, [_solve_record(req, result, radius, req.config())])
+    _emit(args.format, args.output, [_solve_record(req, result, radius)])
     if args.wavefunction_output:
         _emit_wavefunction(args.wavefunction_output, req, result, wf)
     return 0 if result.converged else 2
@@ -532,7 +527,7 @@ def _add_solver_flags(p):
     p.add_argument("--rho-min", type=float, default=None)
     p.add_argument("--rho-max", type=float, default=None)
     p.add_argument("--points", dest="n_points", metavar="POINTS", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=float, default=BISECTION_TOL,
                    help="final bracket width of the eigenvalue search in Ry")
 
 
@@ -589,7 +584,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    # SolverError before ValueError: NormalizationError is both
     except (SolverError, _OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

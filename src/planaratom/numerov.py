@@ -26,15 +26,14 @@ negative defect; that sign keeps the bracket.
    closes in too (R. P. Brent, *Algorithms for Minimization without
    Derivatives*, 1973).
 
-The search stops when the bracket is within ``SolverConfig.bisection_tol``
-and the end with the smaller defect is within ``DEFECT_TOL``, goes on past
-the tolerance while that defect is larger and the bracket can still
-shrink, and takes at most ``SolverConfig.max_bisections`` steps. The
-returned energy is that end, and its two sweeps, joined at the match index,
-are the wavefunction. It is flagged converged when the bracket is within
-``bisection_tol``, its defect within ``DEFECT_TOL`` and the node count on
-target. The other ``SolverConfig`` fields set the starting bracket and the
-widening budget.
+The search stops when the bracket is within ``bisection_tol`` and the end
+with the smaller defect is within ``DEFECT_TOL``, goes on past the
+tolerance while that defect is larger and the bracket can still shrink,
+and takes at most ``MAX_SEARCH_STEPS`` steps. The returned energy is that
+end, and its two sweeps, joined at the match index, are the wavefunction.
+It is flagged converged when the bracket is within ``bisection_tol``, its
+defect within ``DEFECT_TOL`` and the node count on target. A bracket that
+misses is widened at most ``MAX_WIDENINGS`` times.
 
 :func:`solve_state` runs that search twice. The quarter-grid stage runs it
 from the default bracket on every fourth point of the grid (same
@@ -47,9 +46,9 @@ runs on a quarter of the points. The pair gives the Richardson estimate
 an O(h^4) method. It covers the step error only: a 2D grid's start
 (``rho_min = 80 h`` moves with h, so the pair is not pure h^4) and the
 search tolerance are not in it. The search starts cold, from the default
-bracket and with no estimate, when the caller gives ``energy_bracket``,
-``n_points - 1`` is not a multiple of 4, the quarter grid would have fewer
-than the ``MIN_POINTS`` any grid needs, or its search raises a
+bracket and with no estimate, when ``n_points - 1`` is not a multiple of 4,
+the quarter grid would have fewer than the ``MIN_POINTS`` any grid needs,
+or its search raises a
 :class:`SolverError` (as when a high ``ell`` puts the quarter grid's first
 swept row past the stable range) or does not converge.
 
@@ -77,8 +76,7 @@ could overflow, and values are rescaled between segments, so deep
 classically forbidden regions are safe; default grids need one segment. A
 grid past Numerov's stability limit (``f = 1 + h^2 g / 12`` outside ``(0,
 1.5)`` on a swept row) raises :class:`GridTooCoarseError`; inside that
-range ``f_k`` is a safe divisor. A plain-loop reference implementation is
-kept for the tests.
+range ``f_k`` is a safe divisor.
 """
 
 from __future__ import annotations
@@ -89,7 +87,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dtbtrs
 
 from .model import CHERN_SIMONS_KINDS, EffectivePotentialParams, effective_potential
@@ -122,6 +119,15 @@ SEED_SERIES_TERMS = 6
 
 # Largest |match_defect| of a result flagged converged.
 DEFECT_TOL = 1e-6
+
+# Default final bracket width of the search, in rydberg.
+BISECTION_TOL = 1e-8
+
+# Most search steps of one search; a search that runs out is flagged unconverged.
+MAX_SEARCH_STEPS = 200
+
+# Most widenings of a starting bracket that misses the state.
+MAX_WIDENINGS = 3
 
 # Half-width of the warm-start bracket relative to the quarter-grid energy.
 # |E_4h - E_h|/|E| measured at most 3.6e-7 on default grids (four kinds, ell
@@ -167,12 +173,8 @@ class NonFinitePotentialError(SolverError):
     """The effective potential overflows or is undefined somewhere on the grid."""
 
 
-class NormalizationError(SolverError, ValueError):
-    """The samples have a zero or non-finite norm.
-
-    Also a ``ValueError``: :func:`planaratom.observables.normalize` raises
-    it for samples its caller passed in.
-    """
+class NormalizationError(SolverError):
+    """The samples have a zero or non-finite norm."""
 
 
 @dataclass(frozen=True)
@@ -195,30 +197,6 @@ class RadialGrid:
 
     def points(self) -> np.ndarray:
         return np.linspace(self.rho_min, self.rho_max, self.n_points)
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Knobs for the eigenvalue search.
-
-    ``energy_bracket`` is the starting bracket in rydberg (``None`` uses
-    :func:`default_bracket`); ``bisection_tol`` the final bracket width;
-    ``max_bisections`` caps the search steps and ``max_widenings`` the
-    bracket widenings.
-    """
-
-    energy_bracket: tuple[float, float] | None = None
-    bisection_tol: float = 1e-8
-    max_bisections: int = 200
-    max_widenings: int = 3
-
-    def __post_init__(self):
-        if self.bisection_tol <= 0:
-            raise ValueError("bisection_tol must be positive")
-        if self.energy_bracket is not None:
-            lo, hi = self.energy_bracket
-            if not (lo < hi < 0):
-                raise ValueError("energy bracket must satisfy E_lo < E_hi < 0")
 
 
 @dataclass(frozen=True)
@@ -372,18 +350,6 @@ def _sweep(f: np.ndarray, u0: float, u1: float, rho: np.ndarray) -> np.ndarray:
     return u
 
 
-def _sweep_loop(f: np.ndarray, u0: float, u1: float) -> np.ndarray:
-    """Reference recurrence (plain loop), used by the tests as an oracle."""
-    n = f.shape[0]
-    u = np.empty(n)
-    u[0], u[1] = u0, u1
-    for k in range(1, n - 1):
-        u[k + 1] = ((12.0 - 10.0 * f[k]) * u[k] - f[k - 1] * u[k - 1]) / f[k + 1]
-        if abs(u[k + 1]) > RESCALE_THRESHOLD:
-            u[: k + 2] /= RESCALE_THRESHOLD
-    return u
-
-
 def count_nodes(u: np.ndarray) -> int:
     """Strict sign changes over interior points; grid-exact zeros count once."""
     u = np.asarray(u, dtype=float)
@@ -526,29 +492,6 @@ class _ShootingWorkspace:
         return None
 
 
-def match_defect(
-    energy_ry: float,
-    problem: EffectivePotentialParams,
-    grid: RadialGrid,
-    match_index: int,
-) -> float:
-    """Log-derivative mismatch of the two sweeps at ``match_index``.
-
-    The raw difference ``u'_L/u_L - u'_R/u_R`` is normalized by the larger
-    log-derivative magnitude (floored at 1), which keeps it dimensionless
-    without moving its zeros. Continuous and strictly decreasing in the
-    energy between its poles; crosses zero exactly at the eigenvalues.
-    """
-    if not (0 < match_index < grid.n_points - 1):
-        raise ValueError("match_index must be strictly interior")
-    if not energy_ry < 0:
-        raise ValueError("bound-state energies are negative")
-    defect = _ShootingWorkspace(problem, grid).shoot(energy_ry, match_index).defect
-    if defect is None:
-        raise DegenerateSeedError("no usable matching point near the requested index")
-    return defect
-
-
 def closed_form_energy(problem: EffectivePotentialParams, nodes: int) -> float | None:
     """Exact Coulomb spectrum in rydberg; None for the K0 kinds."""
     zeta = problem.atom.zeta
@@ -598,6 +541,8 @@ def default_grid(
     1/2`` on the first swept row: ``rho_min + 2h = h sqrt(l(l+1)/6)``. 2D
     problems start a fixed number of steps out, see the module docstring.
     """
+    if node_target < 0:
+        raise ValueError("node_target must be non-negative")
     kind = problem.potential.kind
     zeta = problem.atom.zeta
     if kind in CHERN_SIMONS_KINDS:
@@ -651,31 +596,30 @@ def _normalize_samples(u: np.ndarray, h: float) -> np.ndarray:
 def solve_state(
     problem: EffectivePotentialParams,
     node_target: int = 0,
-    config: SolverConfig | None = None,
     grid: RadialGrid | None = None,
+    bisection_tol: float = BISECTION_TOL,
 ) -> tuple[EigenResult, WaveFunction]:
     """Find the bound state with ``node_target`` radial nodes.
 
     Returns the eigenvalue (rydberg) with search diagnostics and the
     normalized matched wavefunction; the module docstring describes the
-    search. Raises :class:`BracketingError` when no sign change is found
-    after the configured widenings; an exhausted step budget returns a
-    result flagged ``converged=False`` instead.
+    search, whose final bracket is ``bisection_tol`` Ry wide. Raises
+    :class:`BracketingError` when no sign change is found after
+    ``MAX_WIDENINGS`` widenings; an exhausted step budget returns a result
+    flagged ``converged=False`` instead.
     """
     if node_target < 0:
         raise ValueError("node_target must be non-negative")
-    if config is None:
-        config = SolverConfig()
+    if not 0.0 < bisection_tol < math.inf:
+        raise ValueError("bisection_tol must be positive and finite")
     if grid is None:
         grid = default_grid(problem, node_target)
     ws = _ShootingWorkspace(problem, grid, node_target)
-    tol = config.bisection_tol
-    bracket, quarter, e_coarse = config.energy_bracket, None, None
-    if bracket is None:
-        bracket, quarter = default_bracket(problem, node_target, tol), ws.quartered()
+    bracket, e_coarse = default_bracket(problem, node_target, bisection_tol), None
+    quarter = ws.quartered()
     if quarter is not None:
         try:
-            coarse, _ = _search(quarter, bracket, config)
+            coarse, _ = _search(quarter, bracket, bisection_tol)
         except SolverError:
             coarse = None
         if coarse is not None and coarse.converged:
@@ -683,23 +627,22 @@ def solve_state(
         ws.sweeps += quarter.sweeps
         ws.points_swept += quarter.points_swept
     if e_coarse is not None:
-        pad = max(WARM_BRACKET_REL * abs(e_coarse), tol)
+        pad = max(WARM_BRACKET_REL * abs(e_coarse), bisection_tol)
         bracket = (e_coarse - pad, e_coarse + pad)
-    return _search(ws, bracket, config, e_coarse)
+    return _search(ws, bracket, bisection_tol, e_coarse)
 
 
-def _search(ws, bracket, config, e_coarse=None) -> tuple[EigenResult, WaveFunction]:
-    """The search of the module docstring on ``ws`` from ``bracket``.
+def _search(ws, bracket, tol, e_coarse=None) -> tuple[EigenResult, WaveFunction]:
+    """The search of the module docstring on ``ws`` from ``bracket`` down to ``tol``.
 
     ``e_coarse`` is the quarter-grid energy the bracket was built around,
     None for a cold start; it sets ``EigenResult.energy_error_ry``.
     """
     problem, grid, node_target = ws.problem, ws.grid, ws.node_target
-    tol = config.bisection_tol
     lo, hi = bracket
     below, above = ws.shoot(lo, gated=True), ws.shoot(hi, gated=True)
     widenings = 0
-    while (ws.sign(below) < 0 or ws.sign(above) > 0) and widenings < config.max_widenings:
+    while (ws.sign(below) < 0 or ws.sign(above) > 0) and widenings < MAX_WIDENINGS:
         if ws.sign(below) < 0:
             below = ws.shoot(2.0 * below.energy, gated=True)
         if ws.sign(above) > 0:
@@ -741,7 +684,7 @@ def _search(ws, bracket, config, e_coarse=None) -> tuple[EigenResult, WaveFuncti
         width = above.energy - below.energy
         if best is not None and width <= tol and abs(best.defect) <= DEFECT_TOL:
             break
-        if iterations >= config.max_bisections:
+        if iterations >= MAX_SEARCH_STEPS:
             break
         energy = 0.5 * (below.energy + above.energy)
         halved = len(widths) < 2 or width <= 0.5 * widths[-2]
@@ -844,36 +787,3 @@ def _safeguarded_trial(pts, below, above, best, tol, midpoint):
         trial = best.energy + math.copysign(step, far - best.energy)
     return trial if lo < trial < hi else midpoint
 
-
-def fd_lowest_energies(
-    problem: EffectivePotentialParams,
-    grid: RadialGrid,
-    n_states: int = 1,
-) -> np.ndarray:
-    """Independent check: three-point finite-difference diagonalization.
-
-    Builds the tridiagonal discretization of ``-d^2/drho^2 + U_eff`` on the
-    same mesh, with the inner boundary closed by the regular-solution ratio
-    at the first grid point (Dirichlet at the outer edge), and returns the
-    lowest eigenvalues in rydberg. The boundary ratio depends weakly on the
-    energy, so it is iterated a few times from the previous eigenvalue.
-    """
-    rho = grid.points()
-    h = grid.step
-    u_eff = np.asarray(effective_potential(problem, rho), dtype=float)
-    inner = u_eff[1:-1]
-    off = np.full(inner.shape[0] - 1, -1.0 / (h * h))
-
-    def lowest(energy_guess):
-        seed = small_rho_solution(problem, energy_guess, rho[:2])
-        ratio = float(seed[0] / seed[1])
-        diag = 2.0 / (h * h) + inner
-        diag[0] -= ratio / (h * h)
-        return eigh_tridiagonal(
-            diag, off, eigvals_only=True, select="i", select_range=(0, n_states - 1)
-        )
-
-    vals = lowest(0.0)
-    for _ in range(3):
-        vals = lowest(float(vals[0]))
-    return vals

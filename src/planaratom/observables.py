@@ -1,4 +1,4 @@
-"""Normalization and mean-radius observables for converged wavefunctions.
+"""Norm and mean-radius observables of converged wavefunctions.
 
 The dimension-aware mean radius ``<r> = int r^D R^2 dr / int r^(D-1) R^2 dr``
 with ``R = u / r^((D-1)/2)`` collapses to ``<rho> = int rho u^2 drho`` for a
@@ -8,20 +8,14 @@ radii follows from ``r = rho / sqrt(zeta)``.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
 
 # effective_potential is unused here; perfbench/tracing.py wraps this binding by name
 from .model import EffectivePotentialParams, effective_potential  # noqa: F401
-from .numerov import (
-    WaveFunction,
-    _normalize_samples,
-    indicial_exponent,
-    small_rho_solution,
-)
+from .numerov import WaveFunction, indicial_exponent, small_rho_solution
 
 # How far int u^2 drho may sit from 1 before mean_radius refuses the input.
 NORM_TOLERANCE = 1e-6
@@ -39,18 +33,6 @@ class RadiusResult:
 def norm_squared(wf: WaveFunction) -> float:
     """Composite-Simpson value of ``int u^2 drho`` on the grid."""
     return float(simpson(wf.u * wf.u, dx=wf.grid.step))
-
-
-def normalize(wf: WaveFunction) -> WaveFunction:
-    """Rescale so ``int u^2 drho = 1``; sign fixed positive on the first lobe.
-
-    Raises
-    ------
-    ValueError
-        If the samples are identically zero (or numerically degenerate).
-    """
-    u = _normalize_samples(np.asarray(wf.u, dtype=float), wf.grid.step)
-    return replace(wf, u=u)
 
 
 def _origin_moments(wf: WaveFunction, problem: EffectivePotentialParams):

@@ -132,20 +132,3 @@ def bessel_k0_eval(x: float) -> BesselEval:
         return BesselEval(x=x, value=value, regime="series")
     return BesselEval(x=x, value=float(special.k0(x)), regime="asymptotic")
 
-
-def bessel_k0(x: float) -> float:
-    """Modified Bessel function of the second kind, order zero.
-
-    Parameters
-    ----------
-    x : float
-        Argument, ``x > 0``. Values above ``X_MAX`` return exact 0
-        (see ``bessel_k0_eval`` for the underflow flag).
-
-    Returns
-    -------
-    float
-        K0(x), relative error below 1e-12 against the integral
-        representation over [1e-6, 50].
-    """
-    return bessel_k0_eval(x).value

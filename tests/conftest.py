@@ -14,7 +14,7 @@ from planaratom import (
 )
 from planaratom import numerov as nv
 from planaratom.model import CHERN_SIMONS_KINDS
-from planaratom.numerov import RadialGrid, SolverConfig
+from planaratom.numerov import RadialGrid
 
 
 def halved(grid: RadialGrid) -> RadialGrid:
@@ -36,12 +36,11 @@ def solve_cached():
     """
     cache = {}
 
-    def solve(atom, kind, lam=None, ell=0, nodes=0, grid=None, tol=None):
+    def solve(atom, kind, lam=None, ell=0, nodes=0, grid=None, tol=nv.BISECTION_TOL):
         key = (atom, kind, lam, ell, nodes, grid, tol)
         if key not in cache:
             problem = make_problem(atom, kind, lam, ell)
-            config = SolverConfig() if tol is None else SolverConfig(bisection_tol=tol)
-            result, wf = solve_state(problem, nodes, config=config, grid=grid)
+            result, wf = solve_state(problem, nodes, grid=grid, bisection_tol=tol)
             cache[key] = (problem, result, wf)
         return cache[key]
 

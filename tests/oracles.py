@@ -1,8 +1,11 @@
 """Independent reference routes used to pin expected values.
 
-Nothing here touches the implementation paths under test: K0 comes from
-its integral representation by adaptive quadrature, and the Coulomb
-spectra from their closed forms.
+K0 comes from its integral representation by adaptive quadrature, the
+Coulomb spectra from their closed forms, and the Numerov recurrence from a
+plain loop. :func:`fd_lowest_energies` diagonalizes a finite-difference
+Hamiltonian, a route apart from the shooting search; it takes the
+program's ``effective_potential`` and its seed ratio at the origin, so it
+checks the search and the sweeps, not the potential.
 """
 
 import math
@@ -10,6 +13,10 @@ import warnings
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.linalg import eigh_tridiagonal
+
+from planaratom.model import effective_potential
+from planaratom.numerov import RESCALE_THRESHOLD, small_rho_solution
 
 
 def _quad_scaled(x: float) -> float:
@@ -97,3 +104,46 @@ def numerov_loop_longdouble(f: np.ndarray, u0: float, u1: float) -> np.ndarray:
     for k in range(1, fl.shape[0] - 1):
         u[k + 1] = ((12 - 10 * fl[k]) * u[k] - fl[k - 1] * u[k - 1]) / fl[k + 1]
     return u
+
+
+def sweep_loop(f: np.ndarray, u0: float, u1: float) -> np.ndarray:
+    """The Numerov recurrence stepped one row at a time in double precision,
+    rescaled past ``RESCALE_THRESHOLD`` as the program's banded sweep is."""
+    n = f.shape[0]
+    u = np.empty(n)
+    u[0], u[1] = u0, u1
+    for k in range(1, n - 1):
+        u[k + 1] = ((12.0 - 10.0 * f[k]) * u[k] - f[k - 1] * u[k - 1]) / f[k + 1]
+        if abs(u[k + 1]) > RESCALE_THRESHOLD:
+            u[: k + 2] /= RESCALE_THRESHOLD
+    return u
+
+
+def fd_lowest_energies(problem, grid, n_states: int = 1) -> np.ndarray:
+    """Three-point finite-difference diagonalization.
+
+    Builds the tridiagonal discretization of ``-d^2/drho^2 + U_eff`` on the
+    same mesh, with the inner boundary closed by the regular-solution ratio
+    at the first grid point (Dirichlet at the outer edge), and returns the
+    lowest eigenvalues in rydberg. The boundary ratio depends weakly on the
+    energy, so it is iterated a few times from the previous eigenvalue.
+    """
+    rho = grid.points()
+    h = grid.step
+    u_eff = np.asarray(effective_potential(problem, rho), dtype=float)
+    inner = u_eff[1:-1]
+    off = np.full(inner.shape[0] - 1, -1.0 / (h * h))
+
+    def lowest(energy_guess):
+        seed = small_rho_solution(problem, energy_guess, rho[:2])
+        ratio = float(seed[0] / seed[1])
+        diag = 2.0 / (h * h) + inner
+        diag[0] -= ratio / (h * h)
+        return eigh_tridiagonal(
+            diag, off, eigvals_only=True, select="i", select_range=(0, n_states - 1)
+        )
+
+    vals = lowest(0.0)
+    for _ in range(3):
+        vals = lowest(float(vals[0]))
+    return vals

@@ -93,6 +93,25 @@ class TestSolveCommand:
         assert code == 1
         assert "--potential" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tolerance_not_positive_and_finite_is_usage_error(self, capsys, tol):
+        # a NaN tolerance used to reach the sweeps and fail there as a solver error
+        code = cli.main(["solve", "--atom", "pe", "--potential", "coulomb3d", f"--tol={tol}"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "usage error: bisection_tol must be positive and finite\n"
+
+    @pytest.mark.parametrize("potential", [["coulomb3d"], ["chern-simons", "--lambda", "2e-5"]])
+    def test_negative_nodes_is_usage_error(self, capsys, potential):
+        # the default grid is built before the solver checks the node target: a
+        # Coulomb kind divided by zero there, a K0 kind sized a box of zero
+        code = cli.main(["solve", "--atom", "pe", "--potential", *potential, "--nodes", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "usage error: node_target must be non-negative\n"
+
     def test_coarse_grid_is_solver_error(self, capsys):
         # h ~ 1000: f = 1 + h^2 g / 12 turns negative past the turning point
         code = cli.main(

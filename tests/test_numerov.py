@@ -86,7 +86,7 @@ class TestSweep:
         g = 1.0 - 0.5 * np.linspace(0, 1, n) + 0.05 * rng.standard_normal(n)
         f = 1.0 + (0.01**2 / 12.0) * g
         fast = nv._sweep(f, 0.37, 0.38, 0.01 * np.arange(n))
-        slow = nv._sweep_loop(f, 0.37, 0.38)
+        slow = oracles.sweep_loop(f, 0.37, 0.38)
         # forward substitution runs the loop's recurrence; only fused
         # multiply-adds in LAPACK set the two apart
         assert np.allclose(fast, slow, rtol=1e-8, atol=1e-300)
@@ -99,7 +99,7 @@ class TestSweep:
         seeds = nv.small_rho_solution(problem, res.energy, rho[:2])
         m = nv._outer_turning_point(g)
         fast = nv._sweep(f, seeds[0], seeds[1], rho)[: m + 1]
-        slow = nv._sweep_loop(f, seeds[0], seeds[1])[: m + 1]
+        slow = oracles.sweep_loop(f, seeds[0], seeds[1])[: m + 1]
         assert f.shape[0] == 200001
         assert np.max(np.abs(fast - slow)) <= 1e-9 * np.max(np.abs(slow))
 
@@ -128,7 +128,7 @@ class TestSweep:
         f[-1] = 1e-4
         rho = 0.1 * np.arange(1000)
         fast = nv._sweep(f, 0.5, 0.6, rho)
-        slow = nv._sweep_loop(f, 0.5, 0.6)
+        slow = oracles.sweep_loop(f, 0.5, 0.6)
         assert np.allclose(fast, slow, rtol=1e-12, atol=0.0)
 
     def test_deep_forbidden_region_renormalizes(self):
@@ -162,7 +162,7 @@ class TestSweep:
         # f = 1.45: under 2.7 points per wavelength, yet the recurrence stays bounded
         f = np.full(1000, 1.45)
         fast = nv._sweep(f, 0.0, 1.0, 0.1 * np.arange(1000))
-        slow = nv._sweep_loop(f, 0.0, 1.0)
+        slow = oracles.sweep_loop(f, 0.0, 1.0)
         assert np.all(np.abs(slow) < 10.0)
         assert np.max(np.abs(fast - slow)) <= 1e-9
 
@@ -188,6 +188,11 @@ class TestCountNodes:
         assert nv.count_nodes(np.array([-1.0, 1.0, 1.0, 1.0, -1.0])) == 0
 
 
+def match_defect(energy, problem, grid, match_index):
+    """Defect of one shot at ``energy`` matched at ``match_index``."""
+    return nv._ShootingWorkspace(problem, grid).shoot(energy, match_index).defect
+
+
 class TestMatchDefect:
     def grid3(self):
         return nv.RadialGrid(1e-6, 40.0, 50001)
@@ -198,27 +203,27 @@ class TestMatchDefect:
     def test_zero_at_3d_eigenvalue(self):
         grid = self.grid3()
         m = self.match_index(grid, 2.0)
-        d = nv.match_defect(-1.0, z1_problem("coulomb3d"), grid, m)
+        d = match_defect(-1.0, z1_problem("coulomb3d"), grid, m)
         assert abs(d) < 1e-5
 
     def test_nonzero_off_eigenvalue(self):
         grid = self.grid3()
         m = self.match_index(grid, 2.0)
-        d = nv.match_defect(-1.21, z1_problem("coulomb3d"), grid, m)
+        d = match_defect(-1.21, z1_problem("coulomb3d"), grid, m)
         assert abs(d) > 1e-2
 
     def test_sign_change_across_eigenvalue(self):
         grid = self.grid3()
         m = self.match_index(grid, 2.0)
-        below = nv.match_defect(-1.0 - 1e-3, z1_problem("coulomb3d"), grid, m)
-        above = nv.match_defect(-1.0 + 1e-3, z1_problem("coulomb3d"), grid, m)
+        below = match_defect(-1.0 - 1e-3, z1_problem("coulomb3d"), grid, m)
+        above = match_defect(-1.0 + 1e-3, z1_problem("coulomb3d"), grid, m)
         assert below > 0.0 > above
 
     def test_zero_at_2d_eigenvalue(self):
         problem = z1_problem("coulomb2d")
         grid = nv.default_grid(problem, 0)
         m = self.match_index(grid, 0.5)
-        d = nv.match_defect(-4.0, problem, grid, m)
+        d = match_defect(-4.0, problem, grid, m)
         assert abs(d) < 1e-5
 
     @pytest.mark.parametrize("kind", ["coulomb3d", "coulomb2d"])
@@ -231,17 +236,7 @@ class TestMatchDefect:
         g = res.energy - md.effective_potential(problem, grid.points())
         assert res.match_index >= int(np.nonzero((g[:-1] > 0.0) & (g[1:] <= 0.0))[0][-1])
         assert np.all(g[res.match_index + 1 :] <= 0.0)
-        assert nv.match_defect(res.energy, problem, grid, res.match_index) == res.match_defect
-
-    def test_interior_index_required(self):
-        grid = self.grid3()
-        with pytest.raises(ValueError, match="interior"):
-            nv.match_defect(-1.0, z1_problem("coulomb3d"), grid, 0)
-
-    def test_bound_energy_required(self):
-        grid = self.grid3()
-        with pytest.raises(ValueError, match="negative"):
-            nv.match_defect(0.5, z1_problem("coulomb3d"), grid, 100)
+        assert match_defect(res.energy, problem, grid, res.match_index) == res.match_defect
 
 
 class TestSolveState:
@@ -297,18 +292,24 @@ class TestSolveState:
         assert ratio == pytest.approx((rho[1] / rho[0]) ** s, rel=0.01)
         assert nv.count_nodes(wf.u) == 0
 
-    def test_not_bracketed(self):
-        problem = z1_problem("coulomb3d")
-        cfg = nv.SolverConfig(energy_bracket=(-5000.0, -4000.0), max_widenings=2)
-        with pytest.raises(nv.BracketingError, match="not bracketed"):
-            nv.solve_state(problem, 0, config=cfg, grid=nv.RadialGrid(1e-6, 40.0, 20001))
+    @pytest.fixture
+    def missed_bracket(self, monkeypatch):
+        """A starting bracket far below the ground level, widened at most twice."""
+        monkeypatch.setattr(nv, "default_bracket", lambda *args: (-5000.0, -4000.0))
+        monkeypatch.setattr(nv, "MAX_WIDENINGS", 2)
+        # 20,002 points do not quarter, so the search runs once, on this grid
+        return nv.RadialGrid(1e-6, 40.0, 20002)
 
-    def test_bracketing_error_carries_its_scan(self):
+    def test_not_bracketed(self, missed_bracket):
+        problem = z1_problem("coulomb3d")
+        with pytest.raises(nv.BracketingError, match="not bracketed"):
+            nv.solve_state(problem, 0, grid=missed_bracket)
+
+    def test_bracketing_error_carries_its_scan(self, missed_bracket):
         # neither end moves past the ground level at -1 Ry: the top halves twice
         problem = z1_problem("coulomb3d")
-        cfg = nv.SolverConfig(energy_bracket=(-5000.0, -4000.0), max_widenings=2)
         with pytest.raises(nv.BracketingError) as err:
-            nv.solve_state(problem, 0, config=cfg, grid=nv.RadialGrid(1e-6, 40.0, 20001))
+            nv.solve_state(problem, 0, grid=missed_bracket)
         assert err.value.bracket == (-5000.0, -1000.0)
         energies = [e for e, _ in err.value.scan]
         assert energies == pytest.approx(list(-np.geomspace(5000.0, 1000.0, 8)), rel=1e-15)
@@ -324,23 +325,26 @@ class TestSolveState:
         res, _ = nv.solve_state(
             problem, 0, grid=nv.default_grid(problem, 0, rho_max=40.0, n_points=20001)
         )
-        assert res.bracket_width <= nv.SolverConfig().bisection_tol
+        assert res.bracket_width <= nv.BISECTION_TOL
         assert abs(res.match_defect) > nv.DEFECT_TOL
         assert type(res.converged) is bool
         assert json.dumps(res.converged) == "false"
 
-    def test_iteration_budget_flags_nonconverged(self):
+    def test_iteration_budget_flags_nonconverged(self, monkeypatch):
         # the budget caps search steps; without it this search runs 24 steps,
         # until its bracket is one ulp wide
+        monkeypatch.setattr(nv, "MAX_SEARCH_STEPS", 12)
         problem = z1_problem("coulomb3d")
-        cfg = nv.SolverConfig(bisection_tol=1e-300, max_bisections=12)
-        res, _ = nv.solve_state(problem, 0, config=cfg, grid=nv.RadialGrid(1e-6, 40.0, 20001))
+        grid = nv.RadialGrid(1e-6, 40.0, 20001)
+        res, _ = nv.solve_state(problem, 0, grid=grid, bisection_tol=1e-300)
         assert not res.converged
         assert res.iterations == 12
 
     def test_node_target_validation(self):
         with pytest.raises(ValueError):
             nv.solve_state(z1_problem("coulomb3d"), -1)
+        with pytest.raises(ValueError, match="node_target must be non-negative"):
+            nv.default_grid(z1_problem("coulomb3d"), -1)
 
 
 class TestKZeroSearch:
@@ -351,7 +355,7 @@ class TestKZeroSearch:
         problem, _, _ = solve_cached(atom, kind, lam)
         shots.clear()
         res, _ = nv.solve_state(problem, 0)
-        lo, _ = nv.default_bracket(problem, 0, nv.SolverConfig().bisection_tol)
+        lo, _ = nv.default_bracket(problem, 0, nv.BISECTION_TOL)
         assert res.converged
         assert lo < res.energy
         # the (-50, -1e-4) Ry bracket took 33 bisections for every state
@@ -447,7 +451,7 @@ class TestInterpolatedSearch:
         assert res.converged and ref.converged
         assert abs(res.energy - ref.energy) <= 1e-8
         assert wf.energy == res.energy
-        assert res.bracket_width <= nv.SolverConfig().bisection_tol
+        assert res.bracket_width <= nv.BISECTION_TOL
 
     @pytest.mark.parametrize("kind,lam", [("coulomb2d", None), ("chern_simons", 2e-5)])
     def test_wavefunction_is_the_returned_shot(self, solve_cached, kind, lam):
@@ -461,9 +465,10 @@ class TestInterpolatedSearch:
 
 
 def cold(problem, nodes, grid=None):
-    """``solve_state`` started from the default bracket, without the quarter-grid stage."""
-    config = nv.SolverConfig(energy_bracket=nv.default_bracket(problem, nodes, 1e-8))
-    return nv.solve_state(problem, nodes, config=config, grid=grid)[0]
+    """The search from the default bracket, without the quarter-grid stage."""
+    ws = nv._ShootingWorkspace(problem, grid or nv.default_grid(problem, nodes), nodes)
+    tol = nv.BISECTION_TOL
+    return nv._search(ws, nv.default_bracket(problem, nodes, tol), tol)[0]
 
 
 class TestWarmStart:
@@ -479,7 +484,7 @@ class TestWarmStart:
         cold_res = cold(problem, nodes)
         assert warm.converged and cold_res.converged
         assert warm.energy_error_ry is not None and cold_res.energy_error_ry is None
-        assert abs(warm.energy - cold_res.energy) <= nv.SolverConfig().bisection_tol
+        assert abs(warm.energy - cold_res.energy) <= nv.BISECTION_TOL
         # no widening: the search on the grid is bounded as a cold one is, the
         # quarter-grid stage is in the counts, and still the warm solve sweeps less
         n = warm.grid.n_points
@@ -497,7 +502,7 @@ class TestWarmStart:
         exact = (oracles.coulomb3d_energy if kind == "coulomb3d" else oracles.coulomb2d_energy)(
             zeta, nodes, ell
         )
-        tol = nv.SolverConfig().bisection_tol
+        tol = nv.BISECTION_TOL
         assert abs(exact - res.energy) <= 1.25 * abs(res.energy_error_ry) + tol
 
     def test_error_estimate_sign_and_size_where_step_error_dominates(self, solve_cached):
@@ -533,14 +538,6 @@ class TestWarmStart:
             assert res.converged
             assert (res.energy_error_ry is not None) is warm
 
-    def test_caller_bracket_starts_cold(self):
-        problem = z1_problem("coulomb3d")
-        grid = nv.RadialGrid(1e-6, 40.0, 20001)
-        config = nv.SolverConfig(energy_bracket=(-1.5, -0.1))
-        res, _ = nv.solve_state(problem, 0, config=config, grid=grid)
-        assert res.converged and res.energy_error_ry is None
-        assert res.sweeps <= 2 * res.iterations + 6
-
     def test_bracket_miss_recovers_by_widening(self, monkeypatch, solve_cached, shots):
         # a bracket tol wide about E_4h misses pmu's 2D ground level, 2.4e-4 Ry above
         # it: the upper end halves toward zero and the search converges from there
@@ -550,7 +547,7 @@ class TestWarmStart:
         res, _ = nv.solve_state(problem, 0)
         assert res.converged
         assert res.energy_error_ry == pytest.approx(warm.energy_error_ry, rel=1e-3)
-        assert abs(res.energy - warm.energy) <= nv.SolverConfig().bisection_tol
+        assert abs(res.energy - warm.energy) <= nv.BISECTION_TOL
         widened = [e for n, e, _ in shots if n == res.grid.n_points and e > 0.6 * warm.energy]
         assert widened == [pytest.approx(0.5 * (warm.energy - 255.0 * warm.energy_error_ry + 1e-8))]
 
@@ -575,11 +572,10 @@ class TestWarmStart:
 class TestSpectrumProperties:
     def test_order_of_accuracy(self):
         problem = z1_problem("coulomb3d")
-        cfg = nv.SolverConfig(bisection_tol=1e-12)
         coarse = nv.RadialGrid(1e-6, 40.0, 1501)
         fine = halved(coarse)
-        e1, _ = nv.solve_state(problem, 0, config=cfg, grid=coarse)
-        e2, _ = nv.solve_state(problem, 0, config=cfg, grid=fine)
+        e1, _ = nv.solve_state(problem, 0, grid=coarse, bisection_tol=1e-12)
+        e2, _ = nv.solve_state(problem, 0, grid=fine, bisection_tol=1e-12)
         ratio = (e1.energy + 1.0) / (e2.energy + 1.0)
         assert 12.0 <= ratio <= 20.0
 
@@ -600,25 +596,24 @@ class TestSpectrumProperties:
         assert energies[0] < energies[1] < energies[2]
 
     def test_scale_invariance(self):
-        cfg = nv.SolverConfig(bisection_tol=1e-12)
         small = md.EffectivePotentialParams(md.PotentialSpec("coulomb3d"), Z1)
         big = md.EffectivePotentialParams(
             md.PotentialSpec("coulomb3d"), md.AtomSpec("z4", 8.0, 8.0)
         )
-        ra, _ = nv.solve_state(small, 0, config=cfg)
-        rb, _ = nv.solve_state(big, 0, config=cfg)
+        ra, _ = nv.solve_state(small, 0, bisection_tol=1e-12)
+        rb, _ = nv.solve_state(big, 0, bisection_tol=1e-12)
         assert rb.energy / ra.energy == pytest.approx(4.0, rel=1e-8)
 
 
 class TestFiniteDifferenceOracle:
     def test_3d_coulomb(self, solve_cached):
         problem, res, _ = solve_cached("pe", "coulomb3d")
-        fd = nv.fd_lowest_energies(problem, res.grid, 1)[0]
+        fd = oracles.fd_lowest_energies(problem, res.grid, 1)[0]
         assert fd == pytest.approx(res.energy, rel=1e-5)
 
     def test_3d_muonic(self, solve_cached):
         problem, res, _ = solve_cached("pmu", "coulomb3d")
-        fd = nv.fd_lowest_energies(problem, res.grid, 1)[0]
+        fd = oracles.fd_lowest_energies(problem, res.grid, 1)[0]
         assert fd == pytest.approx(res.energy, rel=1e-5)
 
     @pytest.mark.parametrize("atom", ["pe", "pmu"])
@@ -631,13 +626,13 @@ class TestFiniteDifferenceOracle:
         h = base.rho_max / (n - 1)
         grid = nv.RadialGrid(160.0 * h, base.rho_max, n)
         res, _ = nv.solve_state(problem, 0, grid=grid)
-        fd = nv.fd_lowest_energies(problem, grid, 1)[0]
+        fd = oracles.fd_lowest_energies(problem, grid, 1)[0]
         assert fd == pytest.approx(res.energy, rel=1e-5)
 
     @pytest.mark.parametrize("lam", [2e-6, 2e-5, 2e-4])
     def test_one_k0_case_per_lambda(self, solve_cached, lam):
         problem, res, _ = solve_cached("pe", "chern_simons", lam)
-        fd = nv.fd_lowest_energies(problem, res.grid, 1)[0]
+        fd = oracles.fd_lowest_energies(problem, res.grid, 1)[0]
         assert fd == pytest.approx(res.energy, rel=1e-5)
 
 

@@ -12,43 +12,43 @@ from planaratom import observables as ob
 
 
 def wf_from(u, grid, energy=-1.0):
-    # normalize ignores the energy; mean_radius builds the origin series at it
+    # norm_squared ignores the energy; mean_radius builds the origin series at it
     return nv.WaveFunction(grid=grid, u=np.asarray(u, dtype=float), energy=energy)
 
 
 class TestNormalize:
-    def grid(self):
-        return nv.RadialGrid(1e-6, 20.0, 20001)
+    # the solver normalizes every wavefunction it returns with nv._normalize_samples
+    grid = nv.RadialGrid(1e-6, 20.0, 20001)
+
+    def normalize(self, u):
+        return nv._normalize_samples(np.asarray(u, dtype=float), self.grid.step)
 
     def test_scaling_removed(self):
-        grid = self.grid()
-        rho = grid.points()
-        base = ob.normalize(wf_from(rho * np.exp(-rho), grid))
-        doubled = ob.normalize(wf_from(2.0 * base.u, grid))
-        assert np.allclose(doubled.u, base.u, rtol=1e-14, atol=0.0)
+        rho = self.grid.points()
+        base = self.normalize(rho * np.exp(-rho))
+        doubled = self.normalize(2.0 * base)
+        assert np.allclose(doubled, base, rtol=1e-14, atol=0.0)
 
     def test_sign_convention(self):
-        grid = self.grid()
-        rho = grid.points()
-        base = ob.normalize(wf_from(rho * np.exp(-rho), grid))
-        flipped = ob.normalize(wf_from(-base.u, grid))
-        assert np.allclose(flipped.u, base.u, rtol=1e-14, atol=0.0)
-        assert flipped.u[np.argmax(np.abs(flipped.u))] > 0.0
+        rho = self.grid.points()
+        base = self.normalize(rho * np.exp(-rho))
+        flipped = self.normalize(-base)
+        assert np.allclose(flipped, base, rtol=1e-14, atol=0.0)
+        assert flipped[np.argmax(np.abs(flipped))] > 0.0
 
     def test_exponential_profile_norm(self):
         # int e^(-2 rho) over the grid span has the closed form
         # (e^(-2 rho_min) - e^(-2 rho_max)) / 2; Simpson must match it
-        grid = self.grid()
+        grid = self.grid
         rho = grid.points()
-        wf = ob.normalize(wf_from(np.exp(-rho), grid))
-        assert abs(ob.norm_squared(wf) - 1.0) < 1e-12
+        u = self.normalize(np.exp(-rho))
+        assert abs(ob.norm_squared(wf_from(u, grid)) - 1.0) < 1e-12
         exact_nsq = 0.5 * (math.exp(-2 * grid.rho_min) - math.exp(-2 * grid.rho_max))
-        assert np.allclose(wf.u, np.exp(-rho) / math.sqrt(exact_nsq), rtol=1e-10)
+        assert np.allclose(u, np.exp(-rho) / math.sqrt(exact_nsq), rtol=1e-10)
 
     def test_zero_norm_rejected(self):
-        grid = self.grid()
-        with pytest.raises(ValueError):
-            ob.normalize(wf_from(np.zeros(grid.n_points), grid))
+        with pytest.raises(nv.NormalizationError):
+            self.normalize(np.zeros(self.grid.n_points))
 
 
 class TestMeanRadius:
