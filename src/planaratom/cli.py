@@ -63,6 +63,7 @@ from .numerov import (
     BISECTION_TOL,
     RadialGrid,
     SolverError,
+    check_arguments,
     check_origin_gap,
     closed_form_energy,
     default_grid,
@@ -234,6 +235,8 @@ def _emit(fmt, path, rows, header=None, comments=(), stem=None, **meta) -> None:
 
 def _solve_request(req: RunRequest):
     problem = req.problem()
+    # before the grid: a bad argument is a usage error, not the failure of a grid it meets
+    check_arguments(req.nodes, req.tol)
     result, wf = solve_state(problem, req.nodes, grid=req.grid(problem), bisection_tol=req.tol)
     return result, wf, mean_radius(wf, problem)
 

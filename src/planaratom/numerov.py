@@ -10,38 +10,55 @@ widened when it misses). Every trial energy is one shooting step
 of the outward one counted up to the match index, and the log-derivative
 mismatch (the defect) of the two at that index. Below the eigenvalue a
 trial has too few nodes or a positive defect, above it too many nodes or a
-negative defect; that sign keeps the bracket.
+negative defect; that sign keeps the bracket. The shot also carries the
+defect's slope: for two sweeps joined at ``m`` with ``u`` continuous, the
+Wronskian gives ``dD/dE = -int u^2 drho / u(m)^2`` (J. W. Cooley, Math.
+Comp. 15 (1961) 363), one sum over the joined sweeps the shot writes.
 
-1. Node stage: midpoints, each matched at its own outermost classical
-   turning point, until both ends have the target node count and a defect.
-2. Interpolation stage: the match index is fixed at the turning point of
-   the upper end, and the lower end is shot again there. Past it every energy in the bracket is classically
-   forbidden, so the inward sweep has no node there, the node count up to
-   it is the target throughout the bracket, and the defect is continuous
-   and strictly decreasing across the bracket with a single root. Each
-   step shoots the inverse quadratic (or secant) estimate of that root,
-   falling back to the midpoint when the estimate leaves the bracket or
-   the bracket has not halved in two steps, and steps at least
-   ``bisection_tol/2`` past the end with the smaller defect so the far end
-   closes in too (R. P. Brent, *Algorithms for Minimization without
-   Derivatives*, 1973).
+The search is ``rtsafe`` (Numerical Recipes, section 9.4), Newton steps
+kept inside the bracket:
 
-The search stops when the bracket is within ``bisection_tol`` and the end
-with the smaller defect is within ``DEFECT_TOL``, goes on past the
-tolerance while that defect is larger and the bracket can still shrink,
-and takes at most ``MAX_SEARCH_STEPS`` steps. The returned energy is that
-end, and its two sweeps, joined at the match index, are the wavefunction.
-It is flagged converged when the bracket is within ``bisection_tol``, its
-defect within ``DEFECT_TOL`` and the node count on target. A bracket that
-misses is widened at most ``MAX_WIDENINGS`` times.
+1. Node stage: until the upper end has the target node count, each trial
+   is matched at its own outermost classical turning point.
+2. Newton stage: the match index is then fixed at the turning point of
+   the upper end. Past it every energy in the bracket is classically
+   forbidden, so the inward sweep has no node there, and the defect is
+   continuous and strictly decreasing across the bracket with a single
+   root. Each trial is the Newton step from the end with the smaller
+   defect, aimed an eighth of the tolerance past the root, so that a step
+   landing across it closes the bracket. A step that leaves the bracket,
+   or is longer than half the step before last (rtsafe's test that the
+   steps shrink fast enough), becomes a midpoint, cut to twice the Newton
+   step when that is shorter: inside the defect's roundoff, where Newton
+   steps creep, that steps across the root.
+
+The ends of the starting bracket are presumed: one is shot only when a
+step would leave through it or none is possible yet. An end shot on the
+wrong side of the level widens the bracket, the bottom doubled or the top
+halved, at most ``MAX_WIDENINGS`` times.
+
+The search stops when two shots of opposite sign lie within
+``bisection_tol`` and the one with the smaller defect is within
+``DEFECT_TOL``; it goes on past the tolerance while that defect is larger
+and the bracket can still shrink, and takes at most ``MAX_SEARCH_STEPS``
+shots. A small step alone never stops it. Nor does it shoot into a bracket
+narrower than ``RESOLUTION_ULPS`` units in the last place of its energy,
+which no sweep resolves: it stops there, unconverged when ``bisection_tol``
+is narrower still. The returned energy is the end with the smaller defect,
+and its two sweeps, joined at the match index, are the wavefunction. It is
+flagged converged when the bracket is within ``bisection_tol``, its defect
+within ``DEFECT_TOL`` and the node count on target.
 
 :func:`solve_state` runs that search twice. The quarter-grid stage runs it
 from the default bracket on every fourth point of the grid (same
 ``rho_min`` and ``rho_max``, the potential subsampled, so it is evaluated
-once per state). Its energy ``E_4h`` starts the search on the full grid in
-``E_4h +- max(WARM_BRACKET_REL |E_4h|, bisection_tol)``, a few shots wide
-and widened like any bracket when it misses; most of the node stage then
-runs on a quarter of the points. The pair gives the Richardson estimate
+once per state). Its energy ``E_4h`` starts the search on the full grid
+with one shot at ``E_4h``, matched at the turning point of ``E_4h + pad``,
+in the presumed bracket ``E_4h +- pad``, ``pad = max(WARM_BRACKET_REL
+|E_4h|, bisection_tol)``. That takes two shots when ``E_4h`` lies within
+about the tolerance of ``E_h`` and three when a first Newton step must
+close the distance; a bracket that misses is widened like any other. The
+pair gives the Richardson estimate
 ``EigenResult.energy_error_ry = (E_h - E_4h)/255`` of ``E_exact - E_h`` for
 an O(h^4) method. It covers the step error only: a 2D grid's start
 (``rho_min = 80 h`` moves with h, so the pair is not pure h^4) and the
@@ -50,7 +67,10 @@ bracket and with no estimate, when ``n_points - 1`` is not a multiple of 4,
 the quarter grid would have fewer than the ``MIN_POINTS`` any grid needs,
 or its search raises a
 :class:`SolverError` (as when a high ``ell`` puts the quarter grid's first
-swept row past the stable range) or does not converge.
+swept row past the stable range) or does not converge. When the quarter
+stage cannot bracket the level, one gated shot on the grid at the top both
+stages widen to decides: if the level lies above it, the quarter stage's
+:class:`BracketingError` is raised.
 
 Near the origin every potential here is singular; sweeps are seeded with a
 short Frobenius expansion of the regular solution (power law ``rho^s`` with
@@ -123,7 +143,7 @@ DEFECT_TOL = 1e-6
 # Default final bracket width of the search, in rydberg.
 BISECTION_TOL = 1e-8
 
-# Most search steps of one search; a search that runs out is flagged unconverged.
+# Most shots of one search; a search that runs out is flagged unconverged.
 MAX_SEARCH_STEPS = 200
 
 # Most widenings of a starting bracket that misses the state.
@@ -133,6 +153,13 @@ MAX_WIDENINGS = 3
 # |E_4h - E_h|/|E| measured at most 3.6e-7 on default grids (four kinds, ell
 # 0-3, nodes 0-3) and 4.7e-7 on benchmark chern-simons inputs.
 WARM_BRACKET_REL = 3e-6
+
+# Narrowest bracket the search shoots into, in units in the last place of its
+# energy. Closer energies give sweeps that differ at most in the rounding of a
+# few f = 1 + h^2 g / 12: on a 20,001-point z1 coulomb3d grid seven shots about
+# 60 ulps apart gave the same defect to the last bit. 1e-12 Ry stays in reach
+# of levels above -64 Ry.
+RESOLUTION_ULPS = 128
 
 # Points kept past the match index so 5-point derivative stencils fit.
 _STENCIL_PAD = 4
@@ -203,8 +230,8 @@ class RadialGrid:
 class EigenResult:
     """Converged (or flagged) eigenvalue with search diagnostics.
 
-    ``iterations`` counts the steps of the search on ``grid`` (trial
-    energies inside the bracket); ``sweeps`` every Numerov sweep of the
+    ``iterations`` counts the shots of the search on ``grid``, bracket ends
+    and widenings included; ``sweeps`` every Numerov sweep of the
     solve and ``points_swept`` the grid points they cover, both counting the
     quarter-grid stage too. ``match_index`` is the grid index where the
     returned wavefunction's two sweeps are joined and ``match_defect`` is
@@ -374,12 +401,14 @@ def _outer_turning_point(g: np.ndarray) -> int:
 
 class _Shot(NamedTuple):
     """One shooting trial: its energy, match index, node count up to the
-    match index and defect (None when gated off target or pinned on a node,
-    see :meth:`_ShootingWorkspace.shoot`)."""
+    match index, the defect's slope ``dD/dE`` (None unless the trial wrote
+    its joined sweeps) and defect (None when gated off target or pinned on
+    a node), see :meth:`_ShootingWorkspace.shoot`."""
 
     energy: float
     m: int
     nodes: int
+    slope: float | None
     defect: float | None
 
 
@@ -425,7 +454,11 @@ class _ShootingWorkspace:
         :meth:`_defect_at`. Given ``out``, a trial that sweeps inward writes
         both sweeps there, joined at ``m`` and unnormalized; the sweeps
         themselves never outlive the call (held across trials, they
-        fragment the heap and raise the process's resident memory).
+        fragment the heap and raise the process's resident memory). A trial
+        with a defect then also carries its slope, ``dD/dE = -int u^2 drho /
+        u(i)^2`` over the log-derivative scale of :meth:`_defect_at` at the
+        index ``i`` it used: the Wronskian identity for two sweeps joined
+        with ``u`` continuous (J. W. Cooley, Math. Comp. 15 (1961) 363).
         """
         g = energy - self.u_eff
         m = _outer_turning_point(g) if match_index is None else int(match_index)
@@ -437,7 +470,7 @@ class _ShootingWorkspace:
         self.points_swept += f.shape[0]
         nodes = count_nodes(u_left[: m + 1])
         if gated and nodes != self.node_target:
-            return _Shot(energy, m, nodes, None)
+            return _Shot(energy, m, nodes, None, None)
         kappa_sq = self.u_eff[-1] - energy
         kappa = math.sqrt(kappa_sq) if kappa_sq > 0.0 else 1.0
         f = 1.0 + self.h2_12 * g[m - _STENCIL_PAD :]
@@ -445,14 +478,19 @@ class _ShootingWorkspace:
         u_right = _sweep(f[::-1], INWARD_SEED, INWARD_SEED * math.exp(kappa * self.h), rho)[::-1]
         self.sweeps += 1
         self.points_swept += f.shape[0]
-        defect = self._defect_at(u_left, u_right, m)
+        defect, i, scale = self._defect_at(u_left, u_right, m)
+        slope = None
         if out is not None:
             ul, ur = u_left[m], u_right[_STENCIL_PAD]
             if ul == 0.0 and ur == 0.0:
                 raise DegenerateSeedError("both sweeps vanish at the matching point")
             out[: m + 1] = u_left[: m + 1]
             np.multiply(u_right[_STENCIL_PAD + 1 :], ul / ur if ur != 0.0 else 1.0, out=out[m + 1 :])
-        return _Shot(energy, m, nodes, defect)
+            if defect is not None:
+                # einsum, not np.dot: a BLAS dot this long wakes OpenBLAS's thread
+                # pool, which slows the concurrent solves of `table` and `report`
+                slope = -self.h * np.einsum("i,i->", out, out) / (out[i] * out[i] * scale)
+        return _Shot(energy, m, nodes, slope, defect)
 
     def sign(self, shot: _Shot) -> int:
         """+1 if ``shot`` lies below the target eigenvalue, -1 above.
@@ -472,8 +510,10 @@ class _ShootingWorkspace:
         """Log-derivative mismatch at the match index, nudging off nodes.
 
         ``u_left`` covers grid indices [0, m+pad], ``u_right`` covers
-        [m-pad, N-1]. Returns None when the outward sweep has a node pinned
-        at every candidate index (energy sits on a left-problem eigenvalue).
+        [m-pad, N-1]. Returns the defect, the index it was measured at and
+        its log-derivative scale; the defect is None when the outward sweep
+        has a node pinned at every candidate index (energy sits on a
+        left-problem eigenvalue).
         """
         left_scale = np.max(np.abs(u_left[max(0, m - 16) : m + 3]))
         start = m - _STENCIL_PAD
@@ -486,10 +526,11 @@ class _ShootingWorkspace:
                 dr = _derivative_5pt(u_right, i - start, self.h) / ur
                 # normalize by the log-derivative scale so the tolerance is
                 # meaningful for shallow and deep wells alike
-                return (dl - dr) / max(1.0, abs(dl), abs(dr))
+                scale = max(1.0, abs(dl), abs(dr))
+                return (dl - dr) / scale, i, scale
         if u_left[m] == 0.0 and u_right[_STENCIL_PAD] == 0.0:
             raise DegenerateSeedError("both sweeps vanish at the matching point")
-        return None
+        return None, m, 1.0
 
 
 def closed_form_energy(problem: EffectivePotentialParams, nodes: int) -> float | None:
@@ -593,6 +634,14 @@ def _normalize_samples(u: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def check_arguments(node_target: int, bisection_tol: float) -> None:
+    """Raise ValueError unless ``node_target >= 0`` and ``bisection_tol`` is positive and finite."""
+    if node_target < 0:
+        raise ValueError("node_target must be non-negative")
+    if not 0.0 < bisection_tol < math.inf:
+        raise ValueError("bisection_tol must be positive and finite")
+
+
 def solve_state(
     problem: EffectivePotentialParams,
     node_target: int = 0,
@@ -608,10 +657,7 @@ def solve_state(
     ``MAX_WIDENINGS`` widenings; an exhausted step budget returns a result
     flagged ``converged=False`` instead.
     """
-    if node_target < 0:
-        raise ValueError("node_target must be non-negative")
-    if not 0.0 < bisection_tol < math.inf:
-        raise ValueError("bisection_tol must be positive and finite")
+    check_arguments(node_target, bisection_tol)
     if grid is None:
         grid = default_grid(problem, node_target)
     ws = _ShootingWorkspace(problem, grid, node_target)
@@ -620,6 +666,11 @@ def solve_state(
     if quarter is not None:
         try:
             coarse, _ = _search(quarter, bracket, bisection_tol)
+        except BracketingError as err:
+            # both stages widen to the same top: one shot there shows the level above it
+            if ws.sign(ws.shoot(err.bracket[1], gated=True)) > 0:
+                raise
+            coarse = None
         except SolverError:
             coarse = None
         if coarse is not None and coarse.converged:
@@ -639,83 +690,88 @@ def _search(ws, bracket, tol, e_coarse=None) -> tuple[EigenResult, WaveFunction]
     None for a cold start; it sets ``EigenResult.energy_error_ry``.
     """
     problem, grid, node_target = ws.problem, ws.grid, ws.node_target
-    lo, hi = bracket
-    below, above = ws.shoot(lo, gated=True), ws.shoot(hi, gated=True)
-    widenings = 0
-    while (ws.sign(below) < 0 or ws.sign(above) > 0) and widenings < MAX_WIDENINGS:
-        if ws.sign(below) < 0:
-            below = ws.shoot(2.0 * below.energy, gated=True)
-        if ws.sign(above) > 0:
-            above = ws.shoot(0.5 * above.energy, gated=True)
-        widenings += 1
-    if ws.sign(below) < 0 or ws.sign(above) > 0:
-        lo, hi = below.energy, above.energy
-        scan = [(-e, ws.shoot(-e, gated=True).nodes) for e in np.geomspace(-lo, -hi, 8)]
-        message = (
-            f"state with {node_target} nodes not bracketed in [{lo:.6g}, {hi:.6g}] Ry; "
-            "node-count scan: " + "; ".join(f"E={e:.6g} Ry: {k} nodes" for e, k in scan)
-        )
-        if ws.sign(above) > 0:
-            message += (
-                f"; at the top of the bracket the node count is still {scan[-1][1]}, "
-                f"so the level lies above {hi:.6g} Ry and may not be bound"
-            )
-        raise BracketingError(message, (lo, hi), scan)
-
-    m = None  # the fixed match index of the interpolation stage
-    recent = []  # (energy, defect) of the latest shots matched at m, newest last
-    widths = []  # bracket width before each search step
-    iterations = 0
+    lo, hi = bracket  # presumed ends, shot only when a step would leave through them
+    below = above = kept = None  # the nearest shots below and above the level
+    m = None if e_coarse is None else _outer_turning_point(hi - ws.u_eff)
+    energy = lo if e_coarse is None else e_coarse
+    step = step_old = hi - lo  # lengths of the last two steps, as in rtsafe
+    widenings = iterations = 0
     # joined sweeps of `kept`, the end with the smaller defect, and of the latest trial
     u, spare = np.empty(grid.n_points), np.empty(grid.n_points)
-    kept = shot = None
     while True:
-        if m is None and below.defect is not None and above.defect is not None:
-            # both ends on target: from here on every shot matches at the
-            # upper end's turning point, forbidden ground for the whole bracket
-            m = above.m
-            if below.m != m:
-                below = shot = ws.shoot(below.energy, m, gated=True, out=spare)
-            recent = [(s.energy, s.defect) for s in (below, above)]
-        ends = [s for s in (below, above) if s.defect is not None]
-        best = min(ends, key=lambda s: abs(s.defect), default=None)
-        if best is not None and best is shot:
-            u, spare, kept = spare, u, shot
-        width = above.energy - below.energy
-        if best is not None and width <= tol and abs(best.defect) <= DEFECT_TOL:
-            break
-        if iterations >= MAX_SEARCH_STEPS:
-            break
-        energy = 0.5 * (below.energy + above.energy)
-        halved = len(widths) < 2 or width <= 0.5 * widths[-2]
-        if m is not None and len(ends) == 2 and halved:
-            energy = _safeguarded_trial(recent, below, above, best, tol, energy)
-        if not below.energy < energy < above.energy:
-            break
         shot = ws.shoot(energy, m, gated=True, out=spare)
-        if m is not None and shot.defect is not None:
-            recent = [*recent[-2:], (shot.energy, shot.defect)]
-        if ws.sign(shot) > 0:
+        iterations += 1
+        level_above = ws.sign(shot) > 0
+        if (energy == hi and level_above) or (energy == lo and not level_above):
+            if widenings == MAX_WIDENINGS:
+                scan = [(-e, ws.shoot(-e, gated=True).nodes) for e in np.geomspace(-lo, -hi, 8)]
+                message = (
+                    f"state with {node_target} nodes not bracketed in [{lo:.6g}, {hi:.6g}] Ry; "
+                    "node-count scan: " + "; ".join(f"E={e:.6g} Ry: {k} nodes" for e, k in scan)
+                )
+                if level_above:
+                    message += (
+                        f"; at the top of the bracket the node count is still {scan[-1][1]}, "
+                        f"so the level lies above {hi:.6g} Ry and may not be bound"
+                    )
+                raise BracketingError(message, (lo, hi), scan)
+            widenings += 1
+            if level_above:
+                # trials past the old top turn further out: match at the new top's point
+                hi, m = 0.5 * hi, None
+            else:
+                lo *= 2.0
+        if level_above:
             below = shot
         else:
             above = shot
-        widths.append(width)
-        iterations += 1
+        if m is None and above is not None and above.defect is not None:
+            # from here on every trial matches at the upper end's turning point,
+            # forbidden ground for the whole bracket
+            m = above.m
+        ends = [s for s in (below, above) if s is not None and s.defect is not None]
+        best = min(ends, key=lambda s: abs(s.defect), default=None)
+        if best is shot:
+            u, spare, kept = spare, u, shot
+        e_lo = lo if below is None else below.energy
+        e_hi = hi if above is None else above.energy
+        # no sweep resolves a bracket narrower than RESOLUTION_ULPS of its energy
+        target = max(tol, RESOLUTION_ULPS * math.ulp(e_hi))
+        done = below and above and best and e_hi - e_lo <= target and abs(best.defect) <= DEFECT_TOL
+        if done or iterations >= MAX_SEARCH_STEPS:
+            break
+        # a Newton step from the better end, aimed target/8 past the root so that a
+        # step landing across it closes the bracket
+        dx = -best.defect / best.slope if best else math.nan
+        energy = best.energy + dx + math.copysign(0.125 * target, dx) if best else math.nan
+        newton = e_lo < energy < e_hi
+        if newton and abs(dx) <= 0.5 * step_old:
+            step, step_old = abs(dx), step
+        elif below is None or above is None:
+            energy = lo if below is None else hi
+        else:
+            # bisection, cut to twice a Newton step that shrinks too slowly: inside
+            # the defect's roundoff that steps across the root instead of creeping
+            base, toward = (e_hi, -1.0) if best is above else (e_lo, 1.0)
+            step, step_old = min(0.5 * (e_hi - e_lo), 2.0 * abs(dx) if newton else math.inf), step
+            energy = base + toward * step
+            if not e_lo < energy < e_hi:
+                break
 
     # the returned energy is the end with the smaller defect, and its joined
-    # sweeps are the wavefunction. An end from before the search (a start or
-    # widening shot) was not joined and is shot again; a search that stopped
-    # before both ends reached the target node count may have no end with a
-    # defect, and then the midpoint is shot as before.
+    # sweeps are the wavefunction. An end whose sweeps were overwritten is shot
+    # again; a search that stopped before an end reached the target node count
+    # may have no end with a defect, and then the midpoint is shot.
     final = best
     if best is None:
-        final = ws.shoot(0.5 * (below.energy + above.energy), m, out=u)
+        final = ws.shoot(0.5 * (e_lo + e_hi), m, out=u)
     elif best is not kept:
         final = ws.shoot(best.energy, best.m, out=u)
     u = _normalize_samples(u, grid.step)
     nodes = count_nodes(u)
     defect = final.defect if final.defect is not None else math.inf
-    converged = bool(width <= tol and abs(defect) <= DEFECT_TOL and nodes == node_target)
+    width = e_hi - e_lo
+    converged = bool(done and width <= tol and nodes == node_target)
     result = EigenResult(
         energy=final.energy,
         nodes=nodes,
@@ -758,32 +814,3 @@ def check_origin_gap(problem: EffectivePotentialParams, grid: RadialGrid) -> Non
         f"decay lengths from the origin, above {MAX_KAPPA_RHO_MIN:g}; use rho_min <= "
         f"{rho_min:.6g}, which with rho_max={grid.rho_max:.6g} takes at least {points} points"
     )
-
-
-def _safeguarded_trial(pts, below, above, best, tol, midpoint):
-    """Next trial energy of the interpolation stage.
-
-    Inverse quadratic interpolation of the defect's root through the three
-    ``(energy, defect)`` pairs ``pts``, the secant through the last two
-    when there are not three distinct defects; ``midpoint`` when the
-    estimate leaves the bracket. While the bracket is wider than ``tol``
-    the trial sits at least ``tol/2`` past the ``best`` end, so a shot that
-    lands across the root closes the far end to within ``tol``.
-    """
-    if len(pts) == 3 and len({f for _, f in pts}) == 3:
-        trial = sum(
-            x * math.prod(fj / (fj - fi) for j, (_, fj) in enumerate(pts) if j != i)
-            for i, (x, fi) in enumerate(pts)
-        )
-    else:
-        (x0, f0), (x1, f1) = pts[-2:]
-        if f0 == f1:
-            return midpoint
-        trial = x1 - f1 * (x1 - x0) / (f1 - f0)
-    lo, hi = below.energy, above.energy
-    if hi - lo > tol and lo < trial < hi:
-        far = hi if best is below else lo
-        step = max(abs(trial - best.energy), 0.5 * tol)
-        trial = best.energy + math.copysign(step, far - best.energy)
-    return trial if lo < trial < hi else midpoint
-

@@ -102,6 +102,16 @@ class TestSolveCommand:
         assert captured.out == ""
         assert captured.err == "usage error: bisection_tol must be positive and finite\n"
 
+    def test_bad_tolerance_is_checked_before_the_grid(self, capsys):
+        # 4001 points put this grid's first point past the state, which the CLI rejects
+        # as a solver error; the tolerance is checked first
+        argv = ["solve", "--atom", "pe", "--potential", "coulomb2d", "--tol", "nan", "--points", "4001"]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "usage error: bisection_tol must be positive and finite\n"
+
     @pytest.mark.parametrize("potential", [["coulomb3d"], ["chern-simons", "--lambda", "2e-5"]])
     def test_negative_nodes_is_usage_error(self, capsys, potential):
         # the default grid is built before the solver checks the node target: a
@@ -156,14 +166,13 @@ class TestSolveCommand:
 
     def test_record_counts_search_work(self, capsys):
         # a 20,002-point grid does not quarter, so the search starts cold. No widening
-        # here: two bracket ends, one end shot again at the fixed match index and at
-        # most two sweeps per search step
+        # here: at most two sweeps per shot and the returned end shot again
         argv = ["solve", "--atom", "pe", "--potential", "coulomb3d", "--format", "json"]
         code, out = run(capsys, argv + ["--rho-max", "40", "--points", "20002"])
         payload = json.loads(out)
         assert code == 0
         assert payload["energy_error_ry"] is None
-        assert 2 <= payload["sweeps"] <= 2 * payload["iterations"] + 6
+        assert 2 <= payload["sweeps"] <= 2 * payload["iterations"] + 2
 
     def test_record_counts_both_stages(self, capsys, shots):
         argv = ["solve", "--atom", "pe", "--potential", "coulomb3d", "--format", "json"]
@@ -174,10 +183,10 @@ class TestSolveCommand:
         sweeps = sweeps_per_grid(shots)
         assert sweeps.keys() == {20001, 5001}
         # the search on the grid is bounded as a cold one is; `iterations` counts its steps
-        assert 2 <= sweeps[20001] <= 2 * payload["iterations"] + 6
-        # the quarter grid's search starts cold (21 sweeps on this state, as many as
+        assert 2 <= sweeps[20001] <= 2 * payload["iterations"] + 2
+        # the quarter grid's search starts cold (14 sweeps on this state, as many as
         # the cold search on the 20,002-point grid above)
-        assert sweeps[5001] <= 24
+        assert sweeps[5001] <= 16
         assert payload["sweeps"] == sweeps[20001] + sweeps[5001]
         assert payload["points_swept"] <= sweeps[20001] * 20001 + sweeps[5001] * 5001
         # the 20,001-point grid quarters, so the record carries an error estimate

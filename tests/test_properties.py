@@ -62,10 +62,9 @@ def test_cli_solve_ends_in_a_record_or_a_typed_failure(atom, potential, nodes, t
     assert not re.search(r"g/12 = -?(nan|inf)", err), (argv, err)
     if code == 1:
         assert out == ""
-        # a solver failure is never a usage error; a bad argument may meet a
-        # grid the CLI rejects first
-        prefixes = ("error: ",) if usage_ok else ("usage error: ", "error: ")
-        assert err.startswith(prefixes), (argv, err)
+        # a solver failure is never a usage error, and every argument is checked
+        # before the grid the CLI may reject
+        assert err.startswith("error: " if usage_ok else "usage error: "), (argv, err)
         return
     assert usage_ok, argv
     record = json.loads(out)
