@@ -11,10 +11,11 @@ Subcommands and the flags each one reads:
 * ``scan-potential``: ``--atom --potential --lambda|--mgamma-ev --ell``,
   ``--rho-start --rho-stop --scan-points`` and ``--output``; always CSV
   (``rho,u_eff``).
-* ``table energies|radii|ell-states``: the embedded reference tables next
-  to recomputed values, ``--format csv|json --output``.
-* ``report``: side-by-side discrepancy report, ``--format md|csv|json
-  --output``.
+* ``table energies|radii|ell-states``: that table's rows of the embedded
+  ``data/published_tables.csv``, in file order, next to recomputed values,
+  ``--format csv|json --output``.
+* ``report``: side-by-side discrepancy report on the file's energies rows,
+  then its radii rows, in file order, ``--format md|csv|json --output``.
 * ``k0``: Bessel debug, ``--x --format csv|json --output``.
 
 ``table`` and ``report`` solve their distinct states concurrently, one
@@ -44,7 +45,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 from . import __version__
@@ -73,10 +74,6 @@ from .observables import mean_radius
 from .specfun import bessel_k0_eval
 
 SCHEMA = "planar-atom/v1"
-
-TABLE_LAMBDAS = (2e-6, 2e-5, 2e-4)
-RADII_LAMBDA = 2e-5
-ELL_LAMBDA = 2e-6
 
 # Flag thresholds for the discrepancy report: relative deviations at or
 # under MATCH_TOL count as agreement; under NUMERICS_TOL they are
@@ -120,9 +117,10 @@ def load_published_tables() -> dict:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunRequest:
-    """One solver invocation as described by CLI flags."""
+    """One solver invocation as described by CLI flags; frozen, so it keys
+    its state in :func:`_solve_states`."""
 
     atom: str
     potential_token: str
@@ -135,8 +133,7 @@ class RunRequest:
     tol: float = BISECTION_TOL
 
     def problem(self) -> EffectivePotentialParams:
-        kind = POTENTIAL_TOKENS[self.potential_token]
-        spec = PotentialSpec(kind, self.lam) if kind in CHERN_SIMONS_KINDS else PotentialSpec(kind)
+        spec = PotentialSpec(POTENTIAL_TOKENS[self.potential_token], self.lam)
         return EffectivePotentialParams(spec, make_atom(self.atom), self.ell)
 
     def grid(self, problem) -> RadialGrid:
@@ -241,8 +238,8 @@ def _solve_request(req: RunRequest):
     return result, wf, mean_radius(wf, problem)
 
 
-def _solve_key(key):
-    result, _, radius = _solve_request(RunRequest(*key))
+def _solve_dropping_wavefunction(req: RunRequest):
+    result, _, radius = _solve_request(req)
     return result, radius
 
 
@@ -253,19 +250,19 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _solve_states(keys) -> dict:
-    """Solve each distinct state key ``(atom, token, lam, ell, nodes)`` once.
+def _solve_states(reqs) -> dict:
+    """Solve each distinct :class:`RunRequest` once.
 
-    Maps each key to its ``(EigenResult, RadiusResult)`` pair. The states
-    are solved concurrently, one worker per available CPU (the sweeps run
-    outside the GIL); a failure raises the first failing key's error in
-    ``keys`` order and cancels the states not yet started. Wavefunctions
+    Maps each request to its ``(EigenResult, RadiusResult)`` pair. The
+    states are solved concurrently, one worker per available CPU (the sweeps
+    run outside the GIL); a failure raises the first failing request's error
+    in ``reqs`` order and cancels the states not yet started. Wavefunctions
     are not kept, so memory does not grow with the number of states.
     """
-    keys = list(dict.fromkeys(keys))
-    pool = ThreadPoolExecutor(max_workers=min(len(keys), _cpu_count()))
+    reqs = list(dict.fromkeys(reqs))
+    pool = ThreadPoolExecutor(max_workers=min(len(reqs), _cpu_count()))
     try:
-        return dict(zip(keys, pool.map(_solve_key, keys)))
+        return dict(zip(reqs, pool.map(_solve_dropping_wavefunction, reqs)))
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -320,8 +317,8 @@ def cmd_wavefunction(args) -> int:
 
 def cmd_scan_potential(args) -> int:
     req = _request_from_args(args)
-    if not (0 < args.rho_start < args.rho_stop):
-        raise _UsageError("--rho-start/--rho-stop must satisfy 0 < start < stop")
+    if not (0 < args.rho_start < args.rho_stop < float("inf")):
+        raise _UsageError("--rho-start/--rho-stop must satisfy 0 < start < stop < inf")
     import numpy as np
 
     rho = np.linspace(args.rho_start, args.rho_stop, args.scan_points)
@@ -331,65 +328,32 @@ def cmd_scan_potential(args) -> int:
     return 0
 
 
-def _table_rows(which: str):
-    """Row definitions in the fixed order of the reference tables."""
-    rows = []
-    if which == "energies":
-        for atom in ATOM_NAMES:
-            cases = [("coulomb3d", None), ("coulomb2d", None)] + [
-                ("chern-simons", lam) for lam in TABLE_LAMBDAS
-            ]
-            for token, lam in cases:
-                rows.append((atom, token, lam, 0, 0, "energy_ry"))
-    elif which == "radii":
-        for atom in ("pe", "pmu", "tmu"):
-            for token, lam in (
-                ("coulomb3d", None),
-                ("coulomb2d", None),
-                ("chern-simons", RADII_LAMBDA),
-            ):
-                rows.append((atom, token, lam, 0, 0, "mean_r_bohr"))
-    elif which == "ell_states":
-        for atom in ("pe", "pmu"):
-            for ell in (1, 2):
-                rows.append((atom, "chern-simons", ELL_LAMBDA, ell, 0, "energy_ry"))
-    else:
-        raise _UsageError(f"unknown table {which!r}")
-    return rows
+def _reference_rows(table: str) -> list:
+    """``(RunRequest, published value)`` for each row of a reference table,
+    in the order of ``data/published_tables.csv``."""
+    return [
+        (RunRequest(atom, token, lam, ell), value)
+        for (name, atom, token, lam, ell), value in load_published_tables().items()
+        if name == table
+    ]
 
 
-def _state_keys(which: str) -> list:
-    """The state keys of a table's rows, in row order."""
-    return [row[:5] for row in _table_rows(which)]
-
-
-def _build_table(which: str, states: dict):
-    """Table records; ``states`` is :func:`_solve_states` of its rows' keys."""
-    published = load_published_tables()
+def _build_table(which: str, states: dict) -> list:
+    """Table records; ``states`` is :func:`_solve_states` of its rows' requests."""
     records = []
-    for atom, token, lam, ell, nodes, quantity in _table_rows(which):
-        result, radius = states[(atom, token, lam, ell, nodes)]
-        value = result.energy if quantity == "energy_ry" else radius.mean_r_bohr
-        pub = published.get((which, atom, token, lam, ell))
-        records.append(
-            {
-                "atom": atom,
-                "potential": token,
-                "lambda": lam,
-                "ell": ell,
-                "nodes": nodes,
-                "energy_ry": result.energy,
-                "mean_r_bohr": radius.mean_r_bohr,
-                "published_value": pub,
-                "deviation": (value - pub) if pub is not None else None,
-            }
-        )
+    for req, pub in _reference_rows(which):
+        result, radius = states[req]
+        value = radius.mean_r_bohr if which == "radii" else result.energy
+        records.append(_state_fields(
+            req, nodes=req.nodes, energy_ry=result.energy, mean_r_bohr=radius.mean_r_bohr,
+            published_value=pub, deviation=value - pub,
+        ))
     return records
 
 
 def cmd_table(args) -> int:
     which = args.which.replace("-", "_")
-    records = _build_table(which, _solve_states(_state_keys(which)))
+    records = _build_table(which, _solve_states(req for req, _ in _reference_rows(which)))
     _emit(args.format, args.output, records, stem=f"table_{which}", table=which, version=__version__)
     return 0
 
@@ -403,7 +367,7 @@ def _flag_for(published, computed, closed_form) -> str:
     closed form the computed value is the only comparator.
     """
     anchor = closed_form if closed_form is not None else computed
-    if published is None or anchor == 0:
+    if anchor == 0:
         return ""
     dev = abs(published - anchor) / abs(anchor)
     if dev <= MATCH_TOL:
@@ -418,32 +382,32 @@ _CLOSED_RADIUS_FACTOR = {"coulomb3d": 1.5, "coulomb2d": 0.5}
 
 
 def _build_report():
-    energies = _state_keys("energies")
-    variants = [(atom, "chern-simons-jordan", *rest) for atom, token, *rest in energies
-                if token == "chern-simons"]
-    states = _solve_states(energies + variants + _state_keys("radii"))
+    energies, radii = _reference_rows("energies"), _reference_rows("radii")
+    variants = {req: replace(req, potential_token="chern-simons-jordan")
+                for req, _ in energies if req.potential_token == "chern-simons"}
+    states = _solve_states([req for req, _ in energies] + list(variants.values())
+                           + [req for req, _ in radii])
     rows = []
-    for section, quantity in (("energies", "energy_ry"), ("radii", "mean_r_bohr")):
-        for rec in _build_table(section, states):
-            atom, token, lam = rec["atom"], rec["potential"], rec["lambda"]
-            problem = RunRequest(atom, token, lam).problem()
+    for section, quantity, refs in (("energies", "energy_ry", energies),
+                                    ("radii", "mean_r_bohr", radii)):
+        for (req, pub), rec in zip(refs, _build_table(section, states)):
+            problem = req.problem()
             jordan = None
             jordan_ratio = None
             if section == "energies":
-                closed = closed_form_energy(problem, 0)
-                if token == "chern-simons":
-                    jordan = states[(atom, "chern-simons-jordan", lam, 0, 0)][0].energy
+                closed = closed_form_energy(problem, req.nodes)
+                if req in variants:
+                    jordan = states[variants[req]][0].energy
                     jordan_ratio = jordan_variant_gap(problem)
             else:
-                factor = _CLOSED_RADIUS_FACTOR.get(token)
+                factor = _CLOSED_RADIUS_FACTOR.get(req.potential_token)
                 closed = factor / problem.atom.zeta if factor is not None else None
-            pub = rec["published_value"]
             rows.append(
                 {
                     "section": section,
-                    "atom": atom,
-                    "potential": token,
-                    "lambda": lam,
+                    "atom": req.atom,
+                    "potential": req.potential_token,
+                    "lambda": req.lam,
                     "quantity": quantity,
                     "published_value": pub,
                     "computed": rec[quantity],

@@ -132,8 +132,8 @@ class PotentialSpec:
         if self.kind not in POTENTIAL_KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
         if self.kind in CHERN_SIMONS_KINDS:
-            if self.lam is None or not (self.lam > 0):
-                raise ValueError(f"{self.kind} requires a positive lambda")
+            if self.lam is None or not (0 < self.lam < math.inf):
+                raise ValueError(f"{self.kind} requires a positive finite lambda")
         elif self.lam is not None:
             raise ValueError(f"{self.kind} takes no lambda")
 
@@ -224,6 +224,6 @@ def jordan_variant_gap(params: EffectivePotentialParams) -> float:
 
 def lambda_from_ev(mgamma_ev: float) -> float:
     """Photon topological mass in eV -> mass ratio lambda."""
-    if not (mgamma_ev > 0):
-        raise ValueError("photon mass must be positive")
+    if not (0 < mgamma_ev < math.inf):
+        raise ValueError("photon mass must be positive and finite")
     return mgamma_ev / ELECTRON_MASS_EV

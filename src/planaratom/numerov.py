@@ -213,8 +213,8 @@ class RadialGrid:
     n_points: int
 
     def __post_init__(self):
-        if not (0.0 < self.rho_min < self.rho_max):
-            raise ValueError("need 0 < rho_min < rho_max")
+        if not (0.0 < self.rho_min < self.rho_max < math.inf):
+            raise ValueError("need 0 < rho_min < rho_max < inf")
         if self.n_points < MIN_POINTS:
             raise ValueError(f"n_points must be at least {MIN_POINTS}")
 

@@ -125,10 +125,7 @@ def bessel_k0_array(x: np.ndarray) -> np.ndarray:
 def bessel_k0_eval(x: float) -> BesselEval:
     """Evaluate K0(x) and report the regime used."""
     x = _check_positive(x, "bessel_k0")
-    if x > X_MAX:
-        return BesselEval(x=x, value=0.0, regime="asymptotic", underflow=True)
-    if x <= _K0_SWITCH:
-        value = float(_k0_series_array(np.array([x]))[0])
-        return BesselEval(x=x, value=value, regime="series")
-    return BesselEval(x=x, value=float(special.k0(x)), regime="asymptotic")
+    value = float(bessel_k0_array(np.array([x]))[0])
+    regime = "series" if x <= _K0_SWITCH else "asymptotic"
+    return BesselEval(x=x, value=value, regime=regime, underflow=x > X_MAX)
 

@@ -156,6 +156,10 @@ def test_criterion_2_closed_form_2d_spectrum(coulomb2d_states, report_rows):
 def test_report_row_examples(report_rows):
     """Spot checks of the discrepancy-report classification."""
     rows, _ = report_rows
+    # the rows are the reference file's energies rows, then its radii rows, in file order
+    assert [(r["section"], r["atom"], r["potential"], r["lambda"]) for r in rows] == [
+        key[:4] for section in ("energies", "radii") for key in PUBLISHED if key[0] == section
+    ]
     by_key = {(r["section"], r["atom"], r["potential"], r["lambda"]): r for r in rows}
     r3d = by_key[("energies", "pe", "coulomb3d", None)]
     assert r3d["flag"] == "paper-numerical-error"

@@ -102,6 +102,34 @@ class TestSolveCommand:
         assert captured.out == ""
         assert captured.err == "usage error: bisection_tol must be positive and finite\n"
 
+    @pytest.mark.parametrize("potential", [["coulomb3d"], ["chern-simons", "--lambda", "2e-5"]])
+    def test_infinite_rho_max_is_usage_error(self, capsys, potential):
+        # an infinite box used to reach linspace, which warned before the potential failed
+        argv = ["solve", "--atom", "pe", "--potential", *potential, "--rho-max", "inf"]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "usage error: need 0 < rho_min < rho_max < inf\n"
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--lambda", "inf"], "lambda"),
+            (["--lambda", "nan"], "lambda"),
+            (["--mgamma-ev", "inf"], "photon mass"),
+            (["--mgamma-ev", "nan"], "photon mass"),
+        ],
+    )
+    def test_nonfinite_photon_mass_is_usage_error(self, capsys, flags, named):
+        # an infinite mass used to be reported by K0, naming neither flag
+        code = cli.main(["solve", "--atom", "pe", "--potential", "chern-simons", *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ")
+        assert named in captured.err
+
     def test_bad_tolerance_is_checked_before_the_grid(self, capsys):
         # 4001 points put this grid's first point past the state, which the CLI rejects
         # as a solver error; the tolerance is checked first
@@ -344,14 +372,19 @@ class TestScanPotential:
         assert captured.out == ""
         assert captured.err.startswith("usage error: unrecognized arguments: " + flag[0])
 
-    def test_bad_range(self, capsys):
+    @pytest.mark.parametrize("start, stop", [("2", "1"), ("1", "inf")])
+    def test_bad_range(self, capsys, start, stop):
+        # an infinite stop used to reach linspace, which warned before the potential failed
         code = cli.main(
             [
                 "scan-potential", "--atom", "pe", "--potential", "coulomb3d",
-                "--rho-start", "2", "--rho-stop", "1",
+                "--rho-start", start, "--rho-stop", stop,
             ]
         )
         assert code == 1
+        assert capsys.readouterr().err == (
+            "usage error: --rho-start/--rho-stop must satisfy 0 < start < stop < inf\n"
+        )
 
 
 class TestWavefunctionCommand:
@@ -433,7 +466,6 @@ class TestFixturesAndFlags:
         # reference 2D Coulomb column disagrees structurally with the closed form
         assert cli._flag_for(-2.1, -3.9978, -3.9978) == "unresolved"
         assert cli._flag_for(-185.8, -185.84, -185.84083) == "match"
-        assert cli._flag_for(None, -1.0, None) == ""
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "rec.csv"
@@ -472,18 +504,21 @@ class TestJsonMirrorsCsv:
         assert len(payload["rows"]) == len(csv_out.splitlines()) - 2
         for rec in payload["rows"]:
             assert list(rec) == header
+        # the rows are the reference file's ell-states rows, in file order
+        assert [(r["atom"], r["potential"], r["lambda"], r["ell"]) for r in payload["rows"]] == [
+            key[1:] for key in cli.load_published_tables() if key[0] == "ell_states"
+        ]
 
 
 class TestConcurrentTables:
     def test_ell_states_match_sequential_solves(self):
-        keys = cli._state_keys("ell_states")
+        reqs = [req for req, _ in cli._reference_rows("ell_states")]
         sequential = {}
-        for key in keys:
-            req = cli.RunRequest(*key)
+        for req in reqs:
             problem = req.problem()
             result, wf = nv.solve_state(problem, req.nodes, grid=req.grid(problem))
-            sequential[key] = result, mean_radius(wf, problem)
-        concurrent = cli._solve_states(keys)
+            sequential[req] = result, mean_radius(wf, problem)
+        concurrent = cli._solve_states(reqs)
         assert cli._build_table("ell_states", concurrent) == cli._build_table(
             "ell_states", sequential
         )

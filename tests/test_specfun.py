@@ -55,6 +55,12 @@ class TestK0:
     def test_regime_reported(self):
         assert sf.bessel_k0_eval(1.5).regime == "series"
         assert sf.bessel_k0_eval(2.5).regime == "asymptotic"
+        # the switch point belongs to the series; the eval is the array's value
+        edge = math.nextafter(2.0, 3.0)
+        assert sf.bessel_k0_eval(2.0).regime == "series"
+        assert sf.bessel_k0_eval(edge).regime == "asymptotic"
+        for x in (1.5, 2.0, edge, 2.5):
+            assert sf.bessel_k0_eval(x).value == sf.bessel_k0_array(np.array([x]))[0]
 
     def test_leading_asymptotic_band(self):
         for x in np.linspace(10.0, 650.0, 60):
@@ -70,6 +76,12 @@ class TestK0:
         below = sf.bessel_k0_eval(sf.X_MAX - 1.0)
         assert below.value > 0.0
         assert not below.underflow
+        # X_MAX itself is still evaluated; only arguments past it underflow
+        for x, underflow in ((sf.X_MAX, False), (800.0, True)):
+            ev = sf.bessel_k0_eval(x)
+            assert ev.underflow is underflow
+            assert ev.regime == "asymptotic"
+            assert ev.value == sf.bessel_k0_array(np.array([x]))[0]
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_domain_errors(self, bad):
