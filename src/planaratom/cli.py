@@ -319,6 +319,8 @@ def cmd_scan_potential(args) -> int:
     req = _request_from_args(args)
     if not (0 < args.rho_start < args.rho_stop < float("inf")):
         raise _UsageError("--rho-start/--rho-stop must satisfy 0 < start < stop < inf")
+    if args.scan_points < 1:
+        raise _UsageError(f"--scan-points must be at least 1, got {args.scan_points}")
     import numpy as np
 
     rho = np.linspace(args.rho_start, args.rho_stop, args.scan_points)

@@ -195,18 +195,31 @@ def effective_potential(params: EffectivePotentialParams, rho) -> np.ndarray | f
 
     Accepts a scalar or array of strictly positive radii; returns the same
     shape. Arguments of K0 past the underflow threshold contribute exactly 0.
+    The terms are summed in place: the K0 kinds allocate the output, which
+    first holds K0's argument, and K0's own result, and nothing else the
+    size of ``rho``.
     """
     arr = np.asarray(rho, dtype=float)
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0)):
+    # min and max propagate NaN, so one comparison each catches every bad entry
+    if arr.size and not (arr.min() > 0.0 and arr.max() < math.inf):
         raise ValueError("rho must be positive and finite")
-    cent = params.centrifugal_coefficient
-    u = cent / (arr * arr) if cent != 0.0 else np.zeros_like(arr)
-    c = params.coulomb_coefficient
-    if c:
-        u = u - c / arr
+    u = np.empty_like(arr)
     pref = params.k0_prefactor
     if pref:
-        u = u - pref * bessel_k0_array(params.k0_argument_scale * arr)
+        np.multiply(arr, params.k0_argument_scale, out=u)
+        k0 = bessel_k0_array(u)
+        k0 *= pref
+    cent = params.centrifugal_coefficient
+    if cent != 0.0:
+        np.multiply(arr, arr, out=u)
+        np.divide(cent, u, out=u)
+    else:
+        u.fill(0.0)
+    c = params.coulomb_coefficient
+    if c:
+        u -= c / arr
+    if pref:
+        u -= k0
     if np.isscalar(rho):
         return float(u)
     return u

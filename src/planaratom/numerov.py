@@ -83,11 +83,17 @@ cannot represent it. :func:`check_origin_gap` rejects a 2D grid whose
 first point sits more than ``MAX_KAPPA_RHO_MIN`` ground-level decay lengths
 out, where the seed no longer describes the state.
 
-Each sweep solves the three-term recurrence as one lower-triangular band
-system with LAPACK (``dtbtrs``), the two seeds on its right-hand side. Each
-row is divided by its diagonal ``f_k`` beforehand, so the system has a unit
-diagonal and the forward substitution multiplies and adds only, which
-takes the division off its critical path. The rounding of the stored
+Each sweep solves the three-term recurrence as a lower-triangular band
+system with LAPACK (``dtbtrs``), the two seeds on its right-hand side. It
+is solved in blocks of ``_BLOCK`` rows, one call each, whose two band rows
+are built from ``f`` into a small buffer just before the call, so that they
+and the block's stretch of the solution are still in cache. Every block
+after the first of a segment starts with two identity rows carrying the
+last two values solved, so each row is computed with the same operations
+as in one solve of the whole segment, bit for bit. Each row is divided by
+its diagonal ``f_k`` beforehand, so the system has a unit diagonal and the
+forward substitution multiplies and adds only, which takes the division
+off its critical path. The rounding of the stored
 ratios costs accuracy: against a long-double loop an outward sweep is off
 by 4.6e-10 of max|u| for pe ``chern_simons`` ground and 1.6e-9 for tmu
 ``chern_simons_jordan`` at lambda 1e-4 (unscaled rows: 1.2e-10, 1.6e-10).
@@ -97,11 +103,22 @@ classically forbidden regions are safe; default grids need one segment. A
 grid past Numerov's stability limit (``f = 1 + h^2 g / 12`` outside ``(0,
 1.5)`` on a swept row) raises :class:`GridTooCoarseError`; inside that
 range ``f_k`` is a safe divisor.
+
+A solve allocates nothing the size of its grid per shot or per sweep. The
+two sweeps of a shot, its ``f``, and the two joined sweeps the search
+keeps live in one block of scratch memory (``_ShootingWorkspace``), which
+the quarter-grid stage shares because it ends before the full grid's
+search starts. :func:`solve_state` takes the block from the calling
+thread's slot (``_Scratch``) and puts it back when it returns, so the
+solves of one thread reuse the same memory. The node count reads the
+grid a block at a time.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -311,7 +328,16 @@ def small_rho_solution(
 _SEGMENT_GROWTH = 300.0 / math.sqrt(12.0)
 
 
-def _sweep(f: np.ndarray, u0: float, u1: float, rho: np.ndarray) -> np.ndarray:
+# Points per block of a shot's passes over the grid: the rows of one LAPACK call of
+# _sweep, whose band rows (two of 8,192 doubles) and stretch of the solution stay in a
+# core's L2 cache between their writing and the solve, and the stretch of samples
+# count_nodes reads at a time.
+_BLOCK = 8192
+
+
+def _sweep(
+    f: np.ndarray, u0: float, u1: float, rho: np.ndarray, out=None, band=None
+) -> np.ndarray:
     """Numerov recurrence as a lower-triangular banded solve.
 
     ``f = 1 + h^2 g / 12`` and ``rho`` in sweep order; seeds sit at the
@@ -327,13 +353,25 @@ def _sweep(f: np.ndarray, u0: float, u1: float, rho: np.ndarray) -> np.ndarray:
     step grows the solution by about ``arccosh((6 - 5f)/f) <= sqrt(12 (1/f -
     1))`` nats (the rate of the growing mode for constant ``f``, none for
     ``f >= 1``); the sweep is cut where that bound adds up to 300 nats
-    (``_SEGMENT_GROWTH``), one solve per segment, and a segment whose peak
-    passes ``RESCALE_THRESHOLD`` rescales all values before it, so deep
+    (``_SEGMENT_GROWTH``), and a segment whose peak passes
+    ``RESCALE_THRESHOLD`` rescales all values before it, so deep
     classically forbidden regions never overflow. Default grids need one
     segment.
+
+    Each segment is solved in blocks of ``_BLOCK`` rows, one
+    ``dtbtrs`` call each, whose band rows are built from ``f`` into
+    ``band`` (an F-ordered ``(3, _BLOCK + 2)`` array). The first
+    block of a segment carries the seed terms on its right-hand side. Every
+    later block starts with two identity rows holding the last two values
+    solved (band entry ``(1, 0)`` zero), so the substitution computes each
+    row with the same operations, in the same order, as one solve of the
+    whole segment. The values go to ``out[:len(f)]``, a view of which is
+    returned; both buffers are allocated when not given.
     """
     n = f.shape[0]
-    u = np.zeros(n)
+    u = np.empty(n) if out is None else out[:n]
+    if band is None:
+        band = np.empty((3, _BLOCK + 2), order="F")
     u[0], u[1] = u0, u1
     diag = f[2:]
     worst = diag.min()
@@ -347,30 +385,52 @@ def _sweep(f: np.ndarray, u0: float, u1: float, rho: np.ndarray) -> np.ndarray:
     # fast path: the worst row's bound on every row stays under one segment; it spares
     # the growth sum on over 90% of the rows swept in the benchmark workloads
     if (n - 2) * math.sqrt(max(1.0 / worst - 1.0, 0.0)) > _SEGMENT_GROWTH:
-        growth = np.cumsum(np.sqrt(np.maximum(1.0 / diag - 1.0, 0.0)))
+        # the running growth bound, summed in the rows the solve overwrites later
+        growth = u[2:]
+        np.divide(1.0, diag, out=growth)
+        growth -= 1.0
+        np.maximum(growth, 0.0, out=growth)
+        np.sqrt(growth, out=growth)
+        np.cumsum(growth, out=growth)
         cuts = np.arange(_SEGMENT_GROWTH, growth[-1], _SEGMENT_GROWTH)
         stops = np.searchsorted(growth, cuts).tolist() + stops
-    # column j holds unknown u_{j+2}; row k is scaled by 1/f_k, so the diagonal is one
-    # (never stored, diag="U") and the off-diagonals read (10 f_{k-1} - 12)/f_k and
-    # f_{k-2}/f_k. The last column's off-diagonals fall outside the matrix.
-    ab = np.empty((3, n - 2), order="F")
-    np.multiply(diag[:-1], 10.0, out=ab[1, :-1])
-    ab[1, :-1] -= 12.0
-    ab[1, :-1] /= diag[1:]
-    np.divide(diag[:-2], diag[2:], out=ab[2, :-2])
+    # column j of the whole system holds unknown u_{j+2}; row k is scaled by 1/f_k, so
+    # the diagonal is one (never stored, diag="U") and the off-diagonals read
+    # (10 f_{k-1} - 12)/f_k and f_{k-2}/f_k. A block's last column's off-diagonals fall
+    # outside its matrix.
     start = 0
     for stop in stops:
         if stop <= start:
             continue
-        rhs = u[start + 2 : stop + 2]
+        # the first block's right-hand side holds the seed terms
+        rhs = u[start + 2 : min(start + _BLOCK, stop) + 2]
         rhs[0] = ((12.0 - 10.0 * f[start + 1]) * u[start + 1] - f[start] * u[start]) / f[start + 2]
         # empty for a one-row segment, where f[start + 3] lies past the end
         rhs[1:2] = -f[start + 1] * u[start + 1] / f[start + 3 : start + 4]
-        # f2py solves in place; the slice assignment copies back only if it did not
-        rhs[:], info = dtbtrs(ab[:, start:stop], rhs, uplo="L", diag="U", overwrite_b=1)
-        if info != 0:
-            raise SolverError(f"LAPACK dtbtrs failed with info={info}")
-        peak = max(rhs.max(), -rhs.min())
+        rhs[2:] = 0.0
+        first = start
+        while True:
+            cols = rhs.shape[0]
+            ab = band[:, :cols]
+            d = f[first + 2 : first + 2 + cols]
+            np.multiply(d[:-1], 10.0, out=ab[1, :-1])
+            ab[1, :-1] -= 12.0
+            ab[1, :-1] /= d[1:]
+            np.divide(d[:-2], d[2:], out=ab[2, :-2])
+            if first > start:
+                ab[1, 0] = 0.0  # the two carried rows are identity rows
+            # f2py solves in place; the slice assignment copies back only if it did not
+            rhs[:], info = dtbtrs(ab, rhs, uplo="L", diag="U", overwrite_b=1)
+            if info != 0:
+                raise SolverError(f"LAPACK dtbtrs failed with info={info}")
+            done = first + cols
+            if done >= stop:
+                break
+            # the next block: the last two values solved, then the rows after them
+            first = done - 2
+            rhs = u[first + 2 : min(first + 2 + _BLOCK, stop) + 2]
+            rhs[2:] = 0.0
+        peak = max(u[start + 2 : stop + 2].max(), -u[start + 2 : stop + 2].min())
         if peak > RESCALE_THRESHOLD:
             u[: stop + 2] /= peak
         start = stop
@@ -380,23 +440,29 @@ def _sweep(f: np.ndarray, u0: float, u1: float, rho: np.ndarray) -> np.ndarray:
 def count_nodes(u: np.ndarray) -> int:
     """Strict sign changes over interior points; grid-exact zeros count once."""
     u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
+    # min and max propagate NaN, so the two catch every non-finite sample
+    if u.size and not (np.isfinite(u.min()) and np.isfinite(u.max())):
         raise ValueError("wavefunction samples must be finite")
-    s = np.sign(u[1:-1])
-    s = s[s != 0.0]
-    if s.size < 2:
-        return 0
-    return int(np.count_nonzero(s[1:] != s[:-1]))
+    interior = u[1:-1]
+    nodes, last = 0, 0.0  # last: the sign of the last nonzero sample read
+    for start in range(0, interior.shape[0], _BLOCK):
+        s = np.sign(interior[start : start + _BLOCK])
+        s = s[s != 0.0]
+        if s.size:
+            nodes += int(np.count_nonzero(s[1:] != s[:-1])) + int(last * s[0] < 0.0)
+            last = s[-1]
+    return nodes
 
 
 def _derivative_5pt(u: np.ndarray, i: int, h: float) -> float:
     return (-u[i + 2] + 8.0 * u[i + 1] - 8.0 * u[i - 1] + u[i - 2]) / (12.0 * h)
 
 
-def _outer_turning_point(g: np.ndarray) -> int:
-    """Index of the outermost classical turning point; the midpoint if there is none."""
-    crossings = np.nonzero((g[:-1] > 0.0) & (g[1:] <= 0.0))[0]
-    return int(crossings[-1]) if crossings.size else (g.shape[0] - 1) // 2
+def _outer_turning_point(u_eff: np.ndarray, energy: float) -> int:
+    """Index of the outermost classical turning point at ``energy``, the last
+    ``i`` with ``u_eff[i] < energy <= u_eff[i + 1]``; the midpoint if there is none."""
+    crossings = np.flatnonzero((u_eff[:-1] < energy) & (u_eff[1:] >= energy))
+    return int(crossings[-1]) if crossings.size else (u_eff.shape[0] - 1) // 2
 
 
 class _Shot(NamedTuple):
@@ -412,10 +478,59 @@ class _Shot(NamedTuple):
     defect: float | None
 
 
-class _ShootingWorkspace:
-    """Per-problem state shared across energy trials of one solve."""
+def _scratch_size(n_points: int) -> int:
+    """Doubles of a :class:`_ShootingWorkspace`'s scratch memory on ``n_points``."""
+    return 5 * n_points + 3 * (_BLOCK + 2)
 
-    def __init__(self, problem, grid, node_target=0, u_eff=None):
+
+def _new_block(size: int) -> np.ndarray:
+    """``size`` doubles in an anonymous mapping of their own, unmapped when
+    the array is freed. Through malloc, freeing a block this large would
+    raise glibc's trim threshold to twice its size, and its arenas would
+    then keep that much freed memory resident."""
+    return np.frombuffer(mmap.mmap(-1, 8 * size), dtype=float)
+
+
+class _Scratch(threading.local):
+    """Scratch memory that :func:`solve_state` keeps between the solves of
+    one thread.
+
+    A thread holds at most one block, free while no solve of its own uses
+    it. :meth:`take` hands that block out, or a new one when it is too
+    small, which drops the smaller; :meth:`give` takes it back. A solve
+    never receives a block another solve is using, the blocks never
+    outnumber the threads that solve, and a thread's block is freed when
+    the thread ends, as the pool threads of the CLI's ``table`` and
+    ``report`` do after each command.
+    """
+
+    block: np.ndarray | None = None
+
+    def take(self, size: int) -> np.ndarray:
+        block, self.block = self.block, None
+        if block is None or block.shape[0] < size:
+            block = _new_block(size)
+        return block
+
+    def give(self, block: np.ndarray) -> None:
+        if self.block is None or self.block.shape[0] < block.shape[0]:
+            self.block = block
+
+
+_SCRATCH = _Scratch()
+
+
+class _ShootingWorkspace:
+    """Per-problem state shared across energy trials of one solve.
+
+    ``memory``, at least :func:`_scratch_size` doubles, holds every
+    grid-sized buffer of a shot and of the search (allocated when not
+    given): the outward and inward sweeps, ``f``, the band rows of a sweep
+    block, and ``joined`` and ``spare``, the joined sweeps that
+    :func:`_search` keeps. A shot allocates nothing the size of the grid.
+    """
+
+    def __init__(self, problem, grid, node_target=0, u_eff=None, memory=None):
         self.problem = problem
         self.grid = grid
         self.node_target = node_target
@@ -429,18 +544,38 @@ class _ShootingWorkspace:
         self.h2_12 = self.h * self.h / 12.0
         self.sweeps = 0
         self.points_swept = 0
+        n = grid.n_points
+        if memory is None:
+            memory = np.empty(_scratch_size(n))
+        self.memory = memory
+        self._left, self._right, self._f, self.joined, self.spare = (
+            memory[k * n : (k + 1) * n] for k in range(5)
+        )
+        self._band = memory[5 * n : 5 * n + 3 * (_BLOCK + 2)].reshape(_BLOCK + 2, 3).T
 
     def quartered(self) -> _ShootingWorkspace | None:
         """Workspace on every fourth point of this grid, reusing its potential.
 
-        None when ``n_points - 1`` is not a multiple of 4 or the quarter grid
-        would have fewer than ``MIN_POINTS``, which :class:`RadialGrid` rejects.
+        It works in this workspace's memory, so its search must end before
+        this workspace shoots. None when ``n_points - 1`` is not a multiple
+        of 4 or the quarter grid would have fewer than ``MIN_POINTS``, which
+        :class:`RadialGrid` rejects.
         """
         n = self.grid.n_points
         if (n - 1) % 4 or (n - 1) // 4 + 1 < MIN_POINTS:
             return None
         grid = RadialGrid(self.grid.rho_min, self.grid.rho_max, (n - 1) // 4 + 1)
-        return _ShootingWorkspace(self.problem, grid, self.node_target, self.u_eff[::4])
+        return _ShootingWorkspace(
+            self.problem, grid, self.node_target, self.u_eff[::4], self.memory
+        )
+
+    def _f_of(self, energy, u_eff) -> np.ndarray:
+        """``f = 1 + h^2 (energy - u_eff) / 12`` in the workspace's buffer."""
+        f = self._f[: u_eff.shape[0]]
+        np.subtract(energy, u_eff, out=f)
+        f *= self.h2_12
+        f += 1.0
+        return f
 
     def shoot(self, energy, match_index=None, gated=False, out=None) -> _Shot:
         """One shooting trial: sweep outward and inward, match in between.
@@ -453,19 +588,19 @@ class _ShootingWorkspace:
         when the outward sweep has a node pinned at the match point, see
         :meth:`_defect_at`. Given ``out``, a trial that sweeps inward writes
         both sweeps there, joined at ``m`` and unnormalized; the sweeps
-        themselves never outlive the call (held across trials, they
-        fragment the heap and raise the process's resident memory). A trial
-        with a defect then also carries its slope, ``dD/dE = -int u^2 drho /
-        u(i)^2`` over the log-derivative scale of :meth:`_defect_at` at the
-        index ``i`` it used: the Wronskian identity for two sweeps joined
-        with ``u`` continuous (J. W. Cooley, Math. Comp. 15 (1961) 363).
+        themselves live in the workspace's buffers, which the next trial
+        overwrites. A trial with a defect then also carries its slope,
+        ``dD/dE = -int u^2 drho / u(i)^2`` over the log-derivative scale of
+        :meth:`_defect_at` at the index ``i`` it used: the Wronskian
+        identity for two sweeps joined with ``u`` continuous (J. W. Cooley,
+        Math. Comp. 15 (1961) 363).
         """
-        g = energy - self.u_eff
-        m = _outer_turning_point(g) if match_index is None else int(match_index)
-        m = min(max(m, _STENCIL_PAD + 2), g.shape[0] - _STENCIL_PAD - 3)
-        f = 1.0 + self.h2_12 * g[: m + _STENCIL_PAD + 1]
+        n = self.grid.n_points
+        m = _outer_turning_point(self.u_eff, energy) if match_index is None else int(match_index)
+        m = min(max(m, _STENCIL_PAD + 2), n - _STENCIL_PAD - 3)
+        f = self._f_of(energy, self.u_eff[: m + _STENCIL_PAD + 1])
         seeds = small_rho_solution(self.problem, energy, self.rho[:2])
-        u_left = _sweep(f, float(seeds[0]), float(seeds[1]), self.rho)
+        u_left = _sweep(f, float(seeds[0]), float(seeds[1]), self.rho, self._left, self._band)
         self.sweeps += 1
         self.points_swept += f.shape[0]
         nodes = count_nodes(u_left[: m + 1])
@@ -473,9 +608,11 @@ class _ShootingWorkspace:
             return _Shot(energy, m, nodes, None, None)
         kappa_sq = self.u_eff[-1] - energy
         kappa = math.sqrt(kappa_sq) if kappa_sq > 0.0 else 1.0
-        f = 1.0 + self.h2_12 * g[m - _STENCIL_PAD :]
+        # the inward sweep's f and rho in sweep order, from the outer edge in
+        f = self._f_of(energy, self.u_eff[m - _STENCIL_PAD :][::-1])
         rho = self.rho[m - _STENCIL_PAD :][::-1]
-        u_right = _sweep(f[::-1], INWARD_SEED, INWARD_SEED * math.exp(kappa * self.h), rho)[::-1]
+        seed = INWARD_SEED * math.exp(kappa * self.h)
+        u_right = _sweep(f, INWARD_SEED, seed, rho, self._right, self._band)[::-1]
         self.sweeps += 1
         self.points_swept += f.shape[0]
         defect, i, scale = self._defect_at(u_left, u_right, m)
@@ -660,27 +797,32 @@ def solve_state(
     check_arguments(node_target, bisection_tol)
     if grid is None:
         grid = default_grid(problem, node_target)
-    ws = _ShootingWorkspace(problem, grid, node_target)
-    bracket, e_coarse = default_bracket(problem, node_target, bisection_tol), None
-    quarter = ws.quartered()
-    if quarter is not None:
-        try:
-            coarse, _ = _search(quarter, bracket, bisection_tol)
-        except BracketingError as err:
-            # both stages widen to the same top: one shot there shows the level above it
-            if ws.sign(ws.shoot(err.bracket[1], gated=True)) > 0:
-                raise
-            coarse = None
-        except SolverError:
-            coarse = None
-        if coarse is not None and coarse.converged:
-            e_coarse = coarse.energy
-        ws.sweeps += quarter.sweeps
-        ws.points_swept += quarter.points_swept
-    if e_coarse is not None:
-        pad = max(WARM_BRACKET_REL * abs(e_coarse), bisection_tol)
-        bracket = (e_coarse - pad, e_coarse + pad)
-    return _search(ws, bracket, bisection_tol, e_coarse)
+    memory = _SCRATCH.take(_scratch_size(grid.n_points))
+    try:
+        ws = _ShootingWorkspace(problem, grid, node_target, memory=memory)
+        bracket, e_coarse = default_bracket(problem, node_target, bisection_tol), None
+        quarter = ws.quartered()
+        if quarter is not None:
+            try:
+                coarse, _ = _search(quarter, bracket, bisection_tol)
+            except BracketingError as err:
+                # both stages widen to the same top: one shot there shows the level above it
+                if ws.sign(ws.shoot(err.bracket[1], gated=True)) > 0:
+                    raise
+                coarse = None
+            except SolverError:
+                coarse = None
+            if coarse is not None and coarse.converged:
+                e_coarse = coarse.energy
+            ws.sweeps += quarter.sweeps
+            ws.points_swept += quarter.points_swept
+        if e_coarse is not None:
+            pad = max(WARM_BRACKET_REL * abs(e_coarse), bisection_tol)
+            bracket = (e_coarse - pad, e_coarse + pad)
+        return _search(ws, bracket, bisection_tol, e_coarse)
+    finally:
+        # the returned wavefunction is a new array, so the memory is free again
+        _SCRATCH.give(memory)
 
 
 def _search(ws, bracket, tol, e_coarse=None) -> tuple[EigenResult, WaveFunction]:
@@ -692,12 +834,12 @@ def _search(ws, bracket, tol, e_coarse=None) -> tuple[EigenResult, WaveFunction]
     problem, grid, node_target = ws.problem, ws.grid, ws.node_target
     lo, hi = bracket  # presumed ends, shot only when a step would leave through them
     below = above = kept = None  # the nearest shots below and above the level
-    m = None if e_coarse is None else _outer_turning_point(hi - ws.u_eff)
+    m = None if e_coarse is None else _outer_turning_point(ws.u_eff, hi)
     energy = lo if e_coarse is None else e_coarse
     step = step_old = hi - lo  # lengths of the last two steps, as in rtsafe
     widenings = iterations = 0
     # joined sweeps of `kept`, the end with the smaller defect, and of the latest trial
-    u, spare = np.empty(grid.n_points), np.empty(grid.n_points)
+    u, spare = ws.joined, ws.spare
     while True:
         shot = ws.shoot(energy, m, gated=True, out=spare)
         iterations += 1

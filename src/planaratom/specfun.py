@@ -13,6 +13,13 @@ is evaluated in two regimes:
   :func:`_k0_series_array`).
 * ``x > 2``: ``scipy.special.k0``.
 
+:func:`bessel_k0_array` works through its input in blocks of
+``_K0_BLOCK`` points, each with its own regime masks, series and scipy
+calls, written into the output. Its temporaries then stay the size of a
+block, not of the grid. The blocking does not change a bit: scipy's K0 is
+evaluated point by point, and the series' early stop at a block's own
+largest argument leaves each sum equal to the full one.
+
 Arguments above ``X_MAX`` underflow: ``exp(-x)`` is below the smallest
 normal double long before the tail matters physically, so K0 returns an
 exact 0 tagged with ``underflow=True`` instead of raising.
@@ -41,6 +48,10 @@ _K0_SWITCH = 2.0
 # Number of ascending-series terms; at the switch point the next term is
 # below 1e-19 relative.
 _K0_SERIES_TERMS = 20
+
+# Points per block of bessel_k0_array: a block's masked argument and the series'
+# five sums (768 KB) stay in a core's L2 cache.
+_K0_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -110,15 +121,21 @@ def bessel_k0_array(x: np.ndarray) -> np.ndarray:
     non-positive or non-finite entry raises.
     """
     x = np.asarray(x, dtype=float)
-    if x.size and (not np.all(np.isfinite(x)) or np.any(x <= 0.0)):
+    # min and max propagate NaN, so one comparison each catches every bad entry
+    if x.size and not (x.min() > 0.0 and x.max() < math.inf):
         raise ValueError("bessel_k0 requires positive finite arguments")
-    out = np.zeros_like(x)
-    small = x <= _K0_SWITCH
-    large = ~small & (x <= X_MAX)
-    if np.any(small):
-        out[small] = _k0_series_array(x[small])
-    if np.any(large):
-        out[large] = special.k0(x[large])
+    out = np.empty(x.shape)
+    flat, flat_out = x.reshape(-1), out.reshape(-1)
+    for start in range(0, flat.shape[0], _K0_BLOCK):
+        xb = flat[start : start + _K0_BLOCK]
+        ob = flat_out[start : start + _K0_BLOCK]
+        ob.fill(0.0)
+        small = xb <= _K0_SWITCH
+        large = ~small & (xb <= X_MAX)
+        if np.any(small):
+            ob[small] = _k0_series_array(xb[small])
+        if np.any(large):
+            ob[large] = special.k0(xb[large])
     return out
 
 

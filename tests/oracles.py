@@ -2,7 +2,11 @@
 
 K0 comes from its integral representation by adaptive quadrature, the
 Coulomb spectra from their closed forms, and the Numerov recurrence from a
-plain loop. :func:`fd_lowest_energies` diagonalizes a finite-difference
+plain loop. :func:`sweep_one_solve_per_segment`,
+:func:`count_nodes_one_pass` and :func:`bessel_k0_unblocked` are the
+program's sweep, node count and K0 before they were split into blocks,
+each over the whole array at once; the blocked forms must equal them bit
+for bit. :func:`fd_lowest_energies` diagonalizes a finite-difference
 Hamiltonian, a route apart from the shooting search; it takes the
 program's ``effective_potential`` and its seed ratio at the origin, so it
 checks the search and the sweeps, not the potential.
@@ -12,11 +16,14 @@ import math
 import warnings
 
 import numpy as np
+from scipy import special
 from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dtbtrs
 
+from planaratom import specfun
 from planaratom.model import effective_potential
-from planaratom.numerov import RESCALE_THRESHOLD, small_rho_solution
+from planaratom.numerov import _SEGMENT_GROWTH, RESCALE_THRESHOLD, small_rho_solution
 
 
 def _quad_scaled(x: float) -> float:
@@ -117,6 +124,63 @@ def sweep_loop(f: np.ndarray, u0: float, u1: float) -> np.ndarray:
         if abs(u[k + 1]) > RESCALE_THRESHOLD:
             u[: k + 2] /= RESCALE_THRESHOLD
     return u
+
+
+def sweep_one_solve_per_segment(f: np.ndarray, u0: float, u1: float) -> np.ndarray:
+    """The banded Numerov sweep with one ``dtbtrs`` call per growth segment.
+
+    Same band rows, segments, seed terms and rescaling as
+    ``numerov._sweep``, each built over the whole sweep at once; ``f`` must
+    lie in ``(0, 1.5)`` past its first two entries.
+    """
+    n = f.shape[0]
+    u = np.zeros(n)
+    u[0], u[1] = u0, u1
+    diag = f[2:]
+    stops = [n - 2]
+    if (n - 2) * math.sqrt(max(1.0 / diag.min() - 1.0, 0.0)) > _SEGMENT_GROWTH:
+        growth = np.cumsum(np.sqrt(np.maximum(1.0 / diag - 1.0, 0.0)))
+        cuts = np.arange(_SEGMENT_GROWTH, growth[-1], _SEGMENT_GROWTH)
+        stops = np.searchsorted(growth, cuts).tolist() + stops
+    ab = np.empty((3, n - 2), order="F")
+    np.multiply(diag[:-1], 10.0, out=ab[1, :-1])
+    ab[1, :-1] -= 12.0
+    ab[1, :-1] /= diag[1:]
+    np.divide(diag[:-2], diag[2:], out=ab[2, :-2])
+    start = 0
+    for stop in stops:
+        if stop <= start:
+            continue
+        rhs = u[start + 2 : stop + 2]
+        rhs[0] = ((12.0 - 10.0 * f[start + 1]) * u[start + 1] - f[start] * u[start]) / f[start + 2]
+        rhs[1:2] = -f[start + 1] * u[start + 1] / f[start + 3 : start + 4]
+        rhs[:], info = dtbtrs(ab[:, start:stop], rhs, uplo="L", diag="U", overwrite_b=1)
+        assert info == 0
+        peak = max(rhs.max(), -rhs.min())
+        if peak > RESCALE_THRESHOLD:
+            u[: stop + 2] /= peak
+        start = stop
+    return u
+
+
+def count_nodes_one_pass(u: np.ndarray) -> int:
+    """Strict sign changes over the interior samples, zeros skipped, in one pass."""
+    s = np.sign(u[1:-1])
+    s = s[s != 0.0]
+    return int(np.count_nonzero(s[1:] != s[:-1]))
+
+
+def bessel_k0_unblocked(x: np.ndarray) -> np.ndarray:
+    """K0 by the program's two regimes, each evaluated over the whole array."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    small = x <= specfun._K0_SWITCH
+    large = ~small & (x <= specfun.X_MAX)
+    if np.any(small):
+        out[small] = specfun._k0_series_array(x[small])
+    if np.any(large):
+        out[large] = special.k0(x[large])
+    return out
 
 
 def fd_lowest_energies(problem, grid, n_states: int = 1) -> np.ndarray:

@@ -372,6 +372,20 @@ class TestScanPotential:
         assert captured.out == ""
         assert captured.err.startswith("usage error: unrecognized arguments: " + flag[0])
 
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_scan_points_below_one_is_usage_error(self, capsys, points):
+        # 0 printed a header-only table and exited 0; -1 printed numpy's message
+        code = cli.main(
+            [
+                "scan-potential", "--atom", "pe", "--potential", "coulomb3d",
+                "--rho-start", "1", "--rho-stop", "2", "--scan-points", points,
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"usage error: --scan-points must be at least 1, got {points}\n"
+
     @pytest.mark.parametrize("start, stop", [("2", "1"), ("1", "inf")])
     def test_bad_range(self, capsys, start, stop):
         # an infinite stop used to reach linspace, which warned before the potential failed

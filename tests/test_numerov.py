@@ -1,5 +1,10 @@
+import gc
 import json
 import math
+import sys
+import threading
+import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,6 +14,7 @@ import oracles
 from conftest import halved, make_problem, sweeps_per_grid
 from planaratom import model as md
 from planaratom import numerov as nv
+from planaratom import specfun as sf
 
 Z1 = md.AtomSpec("z1", 1.0, 1e30)  # zeta exactly 1 in double precision
 
@@ -94,10 +100,10 @@ class TestSweep:
     def test_cs_sweep_matches_reference_loop(self, solve_cached):
         problem, res, _ = solve_cached("pe", "chern_simons", 2e-5)
         rho = res.grid.points()
-        g = res.energy - md.effective_potential(problem, rho)
-        f = 1.0 + (res.grid.step**2 / 12.0) * g
+        u_eff = md.effective_potential(problem, rho)
+        f = 1.0 + (res.grid.step**2 / 12.0) * (res.energy - u_eff)
         seeds = nv.small_rho_solution(problem, res.energy, rho[:2])
-        m = nv._outer_turning_point(g)
+        m = nv._outer_turning_point(u_eff, res.energy)
         fast = nv._sweep(f, seeds[0], seeds[1], rho)[: m + 1]
         slow = oracles.sweep_loop(f, seeds[0], seeds[1])[: m + 1]
         assert f.shape[0] == 200001
@@ -113,10 +119,10 @@ class TestSweep:
         # the division-free w = f u form of the recurrence 9.4e-9
         problem, res, _ = solve_cached("pe", "chern_simons", 2e-5)
         rho = res.grid.points()
-        g = res.energy - md.effective_potential(problem, rho)
-        f = 1.0 + (res.grid.step**2 / 12.0) * g
+        u_eff = md.effective_potential(problem, rho)
+        f = 1.0 + (res.grid.step**2 / 12.0) * (res.energy - u_eff)
         seeds = nv.small_rho_solution(problem, res.energy, rho[:2])
-        m = nv._outer_turning_point(g)
+        m = nv._outer_turning_point(u_eff, res.energy)
         fast = nv._sweep(f, seeds[0], seeds[1], rho)[: m + 1]
         exact = oracles.numerov_loop_longdouble(f[: m + 1], seeds[0], seeds[1])
         assert np.max(np.abs(fast - exact)) <= 5e-10 * np.max(np.abs(exact))
@@ -167,6 +173,66 @@ class TestSweep:
         assert np.max(np.abs(fast - slow)) <= 1e-9
 
 
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBlockedSweep:
+    """``_sweep`` in blocks of ``_BLOCK`` rows against one solve per segment."""
+
+    B = nv._BLOCK
+
+    @staticmethod
+    def cs_f(n_points):
+        # pe chern-simons just below its ground level: allowed, then forbidden
+        problem = make_problem("pe", "chern_simons", 2e-5)
+        grid = nv.RadialGrid(80.0 * 60.0 / (n_points - 1), 60.0, n_points)
+        rho = grid.points()
+        return rho, 1.0 + (grid.step**2 / 12.0) * (-0.17 - md.effective_potential(problem, rho))
+
+    # points, so rows = points - 2: one block short or full, one row past a block
+    # (a last block of one row after its two carried rows), and two blocks and one row
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2, 3])
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_outward_equals_one_solve(self, blocks, extra):
+        rho, f = self.cs_f(blocks * self.B + extra)
+        seeds = (0.011, 0.012)
+        assert _same_bits(nv._sweep(f, *seeds, rho), oracles.sweep_one_solve_per_segment(f, *seeds))
+
+    @pytest.mark.parametrize("n_points", [B - 1, B + 3, 2 * B + 3])
+    def test_inward_on_reversed_view_equals_one_solve(self, n_points):
+        rho, f = self.cs_f(n_points)
+        seeds = (1e-150, 1e-150 * math.exp(0.4 * (rho[1] - rho[0])))
+        fast = nv._sweep(f[::-1], *seeds, rho[::-1])
+        assert _same_bits(fast, oracles.sweep_one_solve_per_segment(f[::-1], *seeds))
+
+    @pytest.mark.parametrize(
+        "n, g, spread",
+        [
+            (3 * B + 7, -9.0, 0.0),  # segments of ~2000 rows, several to a block
+            (200001, -0.01, 0.5),  # segments of ~60,000 rows spanning blocks
+        ],
+    )
+    def test_forbidden_region_segments_and_rescaling(self, n, g, spread):
+        rng = np.random.default_rng(n)
+        f = 1.0 + (0.05**2 / 12.0) * g * (1.0 + spread * rng.random(n))
+        rho = 0.05 * np.arange(n)
+        fast = nv._sweep(f, 1e-3, 1.01e-3, rho)
+        slow = oracles.sweep_one_solve_per_segment(f, 1e-3, 1.01e-3)
+        assert np.max(np.abs(slow)) <= nv.RESCALE_THRESHOLD * 10  # it did rescale
+        assert abs(slow[-1]) > 1e-100
+        assert _same_bits(fast, slow)
+
+    def test_writes_only_into_given_buffers(self):
+        rho, f = self.cs_f(2 * self.B + 3)
+        out = np.full(f.shape[0] + 5, 7.0)
+        band = np.empty((3, self.B + 2), order="F")
+        u = nv._sweep(f, 0.011, 0.012, rho, out, band)
+        assert np.shares_memory(u, out) and u.shape == f.shape
+        assert np.all(out[f.shape[0] :] == 7.0)
+        assert _same_bits(u, oracles.sweep_one_solve_per_segment(f, 0.011, 0.012))
+
+
 class TestCountNodes:
     def test_nodeless_ground_state(self):
         rho = np.linspace(1e-3, 20.0, 5000)
@@ -186,6 +252,23 @@ class TestCountNodes:
 
     def test_endpoints_excluded(self):
         assert nv.count_nodes(np.array([-1.0, 1.0, 1.0, 1.0, -1.0])) == 0
+
+    @pytest.mark.parametrize(
+        "signs, nodes",
+        [
+            ((1.0, -1.0, -1.0), 1),  # a change from one block's last sample to the next's first
+            ((1.0, 0.0, -1.0), 1),  # zeros filling a block, sign changed across them
+            ((1.0, 0.0, 1.0), 0),  # zeros filling a block, same sign on both sides
+            ((0.0, -1.0, 1.0), 1),  # a first block with no sign at all
+            ((-1.0, 1.0, -1.0), 2),  # a change at every boundary
+        ],
+    )
+    def test_changes_at_block_boundaries(self, signs, nodes):
+        # the interior is read a block at a time; sample i + 1 is interior sample i
+        block = nv._BLOCK
+        rng = np.random.default_rng(nodes)
+        u = np.concatenate([[5.0], np.repeat(signs, block) * (1.0 + rng.random(3 * block)), [5.0]])
+        assert nv.count_nodes(u) == oracles.count_nodes_one_pass(u) == nodes
 
 
 def match_defect(energy, problem, grid, match_index):
@@ -442,7 +525,7 @@ class TestKZeroSearch:
         # crossing lets the search stop up to 4e-8 Ry away from it
         problem, res, _ = solve_cached("pe", "chern_simons", 2e-4)
         ws = nv._ShootingWorkspace(problem, res.grid)
-        m = nv._outer_turning_point(res.energy - ws.u_eff)
+        m = nv._outer_turning_point(ws.u_eff, res.energy)
         defects = [ws.shoot(res.energy + k * 1e-8, m)[-1] for k in range(-8, 9)]
         signs = np.sign(defects)
         assert np.count_nonzero(signs[1:] != signs[:-1]) == 1
@@ -724,3 +807,135 @@ class TestConcurrency:
         with ThreadPoolExecutor(max_workers=2) as pool:
             parallel = list(pool.map(run, problems))
         assert sequential == parallel
+
+    def test_solves_in_more_threads_than_cores_keep_their_scratch(self):
+        # each thread solves in its own scratch block; one lent to two solves at once
+        # would mix their sweeps. Six threads, switching every 10 us, must reproduce
+        # the sequential solves bit for bit.
+        states = [
+            (make_problem(atom, kind, lam, ell), nodes)
+            for atom, kind, lam, ell, nodes in [
+                ("pe", "chern_simons", 2e-5, 0, 0),
+                ("pmu", "chern_simons", 2e-4, 1, 0),
+                ("tmu", "chern_simons_jordan", 1e-4, 0, 0),
+                ("pe", "coulomb2d", None, 0, 1),
+                ("dmu", "chern_simons", 7e-6, 2, 1),
+                ("te", "coulomb3d", None, 1, 0),
+            ]
+        ]
+
+        def run(state):
+            problem, nodes = state
+            grid = nv.default_grid(problem, nodes, n_points=20001)
+            res, wf = nv.solve_state(problem, nodes, grid=grid)
+            return res.energy, res.iterations, res.points_swept, wf.u.tobytes()
+
+        sequential = [run(s) for s in states] * 3
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                parallel = list(pool.map(run, states * 3, timeout=300))
+        finally:
+            sys.setswitchinterval(previous)
+        assert parallel == sequential
+
+
+class TestScratchMemory:
+    """A solve keeps its grid-sized buffers in scratch memory that outlives its shots."""
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_full_grid_shot_allocates_less_than_one_grid_array(self, solve_cached):
+        problem, res, _ = solve_cached("pe", "chern_simons", 2e-5)
+        ws = nv._ShootingWorkspace(problem, res.grid)
+        ws.shoot(res.energy, out=ws.joined)
+        for match_index in (None, res.match_index):
+            peak = self.traced_peak(lambda: ws.shoot(res.energy, match_index, out=ws.joined))
+            # 9.26 MB, 5.8 arrays, when every shot allocated its own
+            assert peak < 8 * res.grid.n_points
+
+    def test_potential_allocates_its_output_and_k0s(self, solve_cached):
+        problem, res, _ = solve_cached("pe", "chern_simons", 2e-5)
+        rho = res.grid.points()
+        peak = self.traced_peak(lambda: md.effective_potential(problem, rho))
+        # the output, which first holds K0's argument, K0's result, and one K0
+        # block's masks, masked argument and five series sums: 2.5 arrays, against
+        # 9.3 out of place
+        assert peak <= 2 * rho.nbytes + 7 * 8 * sf._K0_BLOCK
+
+    def test_two_workspaces_in_one_thread_shot_alternately(self):
+        problems = [make_problem("pe", "chern_simons", 2e-5), make_problem("pmu", "coulomb2d")]
+        grids = [nv.default_grid(p, 0, n_points=n) for p, n in zip(problems, (20001, 40001))]
+        energies = [nv.solve_state(p, 0, grid=g)[0].energy for p, g in zip(problems, grids)]
+        trials = [(1.0 + k * 1e-3, gated) for k in range(-2, 3) for gated in (False, True)]
+
+        def shoot(ws, energy, scale, gated):
+            ws.joined.fill(np.nan)
+            return ws.shoot(energy * scale, gated=gated, out=ws.joined)
+
+        scratch = nv._Scratch()
+        blocks = [scratch.take(nv._scratch_size(g.n_points)) for g in grids]
+        assert not np.shares_memory(*blocks)  # the first is in use when the second is taken
+        pair = [nv._ShootingWorkspace(p, g, memory=b) for p, g, b in zip(problems, grids, blocks)]
+        alternate = []
+        for trial in trials:
+            # both shoot before either's joined sweeps are read: memory the two
+            # shared would hold the second's
+            shots = [shoot(ws, e, *trial) for ws, e in zip(pair, energies)]
+            alternate.append([(shot, ws.joined.tobytes()) for shot, ws in zip(shots, pair)])
+        for k, (p, g, e) in enumerate(zip(problems, grids, energies)):
+            ws = nv._ShootingWorkspace(p, g)
+            alone = [(shoot(ws, e, *trial), ws.joined.tobytes()) for trial in trials]
+            assert alone == [row[k] for row in alternate]
+        for block in blocks:
+            scratch.give(block)
+        assert scratch.block is blocks[1]  # the larger one stays
+
+    def test_a_thread_keeps_one_block_the_largest_it_needed(self):
+        scratch = nv._Scratch()
+        small = scratch.take(1000)
+        scratch.give(small)
+        assert scratch.take(500) is small
+        other = scratch.take(500)
+        assert not np.shares_memory(small, other)
+        scratch.give(small)
+        scratch.give(other)
+        assert scratch.block is small
+        big = scratch.take(2000)
+        assert big.shape == (2000,) and scratch.block is None
+        scratch.give(big)
+        assert scratch.block is big
+
+    def test_wavefunction_is_not_scratch_memory(self):
+        problem = make_problem("pe", "chern_simons", 2e-5)
+        grid = nv.default_grid(problem, 0, n_points=20001)
+        _, first = nv.solve_state(problem, 0, grid=grid)
+        block = nv._SCRATCH.block
+        assert not np.shares_memory(first.u, block)
+        _, second = nv.solve_state(problem, 0, grid=grid)
+        assert nv._SCRATCH.block is block
+        assert first.u.tobytes() == second.u.tobytes()
+
+    def test_a_threads_block_is_freed_when_it_ends(self):
+        problem = make_problem("pe", "chern_simons", 2e-5)
+        grid = nv.default_grid(problem, 0, n_points=20001)
+        refs = []
+
+        def solve():
+            nv.solve_state(problem, 0, grid=grid)
+            refs.append(weakref.ref(nv._SCRATCH.block))
+
+        thread = threading.Thread(target=solve)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        gc.collect()
+        assert len(refs) == 1 and refs[0]() is None

@@ -91,3 +91,56 @@ class TestK0:
     def test_array_domain_errors(self):
         with pytest.raises(ValueError):
             sf.bessel_k0_array(np.array([1.0, -2.0]))
+
+
+class TestK0Blocks:
+    """``bessel_k0_array`` in blocks of ``_K0_BLOCK`` against the whole-array form."""
+
+    @staticmethod
+    def same_bits(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, sf._K0_BLOCK + 5])
+    def test_sorted_grid_across_block_boundaries(self, extra):
+        # a grid's arguments: the series, the switch point and scipy's regime meet
+        # in the middle of a block, and the last block is short or full
+        x = np.linspace(1e-3, 5.0, 2 * sf._K0_BLOCK + extra)
+        assert self.same_bits(sf.bessel_k0_array(x), oracles.bessel_k0_unblocked(x))
+
+    def test_regimes_mixed_inside_blocks(self):
+        # small, large and underflowing arguments interleaved, unsorted, so each
+        # block runs its masks; the early stop of each block's series is set by that
+        # block's own largest argument
+        rng = np.random.default_rng(7)
+        n = 3 * sf._K0_BLOCK + 11
+        x = np.concatenate([
+            2.0 * np.exp(-40.0 * rng.random(n // 3)),
+            rng.uniform(2.0, sf.X_MAX, n // 3),
+            rng.uniform(sf.X_MAX, 2e3, n - 2 * (n // 3)),
+        ])
+        x[:4] = (2.0, np.nextafter(2.0, 3.0), sf.X_MAX, np.nextafter(sf.X_MAX, 1e3))
+        rng.shuffle(x)
+        assert self.same_bits(sf.bessel_k0_array(x), oracles.bessel_k0_unblocked(x))
+
+    def test_blocks_with_only_small_arguments_near_zero(self):
+        # the series stops after a few terms on these blocks, earlier than on the whole
+        x = np.concatenate([np.geomspace(1e-12, 1e-3, sf._K0_BLOCK), np.linspace(1e-3, 2.0, 9)])
+        assert self.same_bits(sf.bessel_k0_array(x), oracles.bessel_k0_unblocked(x))
+
+    def test_two_dimensional_and_strided_input(self):
+        rng = np.random.default_rng(11)
+        x = rng.uniform(1e-6, 10.0, (5, sf._K0_BLOCK // 2 + 3))
+        for view in (x, x.T, x[:, ::-3]):
+            assert self.same_bits(sf.bessel_k0_array(view), oracles.bessel_k0_unblocked(view))
+
+    def test_scalar_shaped_input(self):
+        out = sf.bessel_k0_array(np.float64(1.0))
+        assert out.shape == () and out == sf.bessel_k0_eval(1.0).value
+        assert sf.bessel_k0_array(np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_entry_in_last_block_raises(self, bad):
+        x = np.linspace(0.1, 5.0, 2 * sf._K0_BLOCK + 3)
+        x[-1] = bad
+        with pytest.raises(ValueError, match="positive finite"):
+            sf.bessel_k0_array(x)
