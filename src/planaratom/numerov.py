@@ -110,8 +110,8 @@ keeps live in one block of scratch memory (``_ShootingWorkspace``), which
 the quarter-grid stage shares because it ends before the full grid's
 search starts. :func:`solve_state` takes the block from the calling
 thread's slot (``_Scratch``) and puts it back when it returns, so the
-solves of one thread reuse the same memory. The node count reads the
-grid a block at a time.
+solves of one thread reuse the same memory. The node count works on the
+samples' sign bits, an eighth of their size.
 """
 
 from __future__ import annotations
@@ -328,15 +328,13 @@ def small_rho_solution(
 _SEGMENT_GROWTH = 300.0 / math.sqrt(12.0)
 
 
-# Points per block of a shot's passes over the grid: the rows of one LAPACK call of
-# _sweep, whose band rows (two of 8,192 doubles) and stretch of the solution stay in a
-# core's L2 cache between their writing and the solve, and the stretch of samples
-# count_nodes reads at a time.
+# Rows of one LAPACK call of _sweep: its band rows (two of 8,192 doubles) and stretch of
+# the solution stay in a core's L2 cache between their writing and the solve.
 _BLOCK = 8192
 
 
 def _sweep(
-    f: np.ndarray, u0: float, u1: float, rho: np.ndarray, out=None, band=None
+    f: np.ndarray, u0: float, u1: float, rho: np.ndarray, out: np.ndarray, band: np.ndarray
 ) -> np.ndarray:
     """Numerov recurrence as a lower-triangular banded solve.
 
@@ -366,12 +364,10 @@ def _sweep(
     solved (band entry ``(1, 0)`` zero), so the substitution computes each
     row with the same operations, in the same order, as one solve of the
     whole segment. The values go to ``out[:len(f)]``, a view of which is
-    returned; both buffers are allocated when not given.
+    returned.
     """
     n = f.shape[0]
-    u = np.empty(n) if out is None else out[:n]
-    if band is None:
-        band = np.empty((3, _BLOCK + 2), order="F")
+    u = out[:n]
     u[0], u[1] = u0, u1
     diag = f[2:]
     worst = diag.min()
@@ -444,14 +440,12 @@ def count_nodes(u: np.ndarray) -> int:
     if u.size and not (np.isfinite(u.min()) and np.isfinite(u.max())):
         raise ValueError("wavefunction samples must be finite")
     interior = u[1:-1]
-    nodes, last = 0, 0.0  # last: the sign of the last nonzero sample read
-    for start in range(0, interior.shape[0], _BLOCK):
-        s = np.sign(interior[start : start + _BLOCK])
-        s = s[s != 0.0]
-        if s.size:
-            nodes += int(np.count_nonzero(s[1:] != s[:-1])) + int(last * s[0] < 0.0)
-            last = s[-1]
-    return nodes
+    negative = np.signbit(interior)
+    # zeros, -0.0 among them, carry no sign: drop them before comparing neighbours
+    nonzero = interior != 0.0
+    if not nonzero.all():
+        negative = negative[nonzero]
+    return int(np.count_nonzero(negative[1:] != negative[:-1]))
 
 
 def _derivative_5pt(u: np.ndarray, i: int, h: float) -> float:
@@ -484,11 +478,12 @@ def _scratch_size(n_points: int) -> int:
 
 
 def _new_block(size: int) -> np.ndarray:
-    """``size`` doubles in an anonymous mapping of their own, unmapped when
-    the array is freed. Through malloc, freeing a block this large would
-    raise glibc's trim threshold to twice its size, and its arenas would
-    then keep that much freed memory resident."""
-    return np.frombuffer(mmap.mmap(-1, 8 * size), dtype=float)
+    """``size`` doubles in a private anonymous mapping of their own, unmapped
+    when the array is freed. Through malloc, freeing a block this large
+    raises glibc's mmap and trim thresholds past the size of a grid array,
+    and its arenas then keep that much freed memory resident. Private, so a
+    forked process writes to copies of the pages, not to its parent's."""
+    return np.frombuffer(mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE), dtype=float)
 
 
 class _Scratch(threading.local):
@@ -524,13 +519,13 @@ class _ShootingWorkspace:
     """Per-problem state shared across energy trials of one solve.
 
     ``memory``, at least :func:`_scratch_size` doubles, holds every
-    grid-sized buffer of a shot and of the search (allocated when not
-    given): the outward and inward sweeps, ``f``, the band rows of a sweep
-    block, and ``joined`` and ``spare``, the joined sweeps that
-    :func:`_search` keeps. A shot allocates nothing the size of the grid.
+    grid-sized buffer of a shot and of the search: the outward and inward
+    sweeps, ``f``, the band rows of a sweep block, and ``joined`` and
+    ``spare``, the joined sweeps that :func:`_search` keeps. A shot
+    allocates nothing the size of the grid.
     """
 
-    def __init__(self, problem, grid, node_target=0, u_eff=None, memory=None):
+    def __init__(self, problem, grid, memory, node_target=0, u_eff=None):
         self.problem = problem
         self.grid = grid
         self.node_target = node_target
@@ -545,8 +540,6 @@ class _ShootingWorkspace:
         self.sweeps = 0
         self.points_swept = 0
         n = grid.n_points
-        if memory is None:
-            memory = np.empty(_scratch_size(n))
         self.memory = memory
         self._left, self._right, self._f, self.joined, self.spare = (
             memory[k * n : (k + 1) * n] for k in range(5)
@@ -566,7 +559,7 @@ class _ShootingWorkspace:
             return None
         grid = RadialGrid(self.grid.rho_min, self.grid.rho_max, (n - 1) // 4 + 1)
         return _ShootingWorkspace(
-            self.problem, grid, self.node_target, self.u_eff[::4], self.memory
+            self.problem, grid, self.memory, self.node_target, self.u_eff[::4]
         )
 
     def _f_of(self, energy, u_eff) -> np.ndarray:
@@ -799,7 +792,7 @@ def solve_state(
         grid = default_grid(problem, node_target)
     memory = _SCRATCH.take(_scratch_size(grid.n_points))
     try:
-        ws = _ShootingWorkspace(problem, grid, node_target, memory=memory)
+        ws = _ShootingWorkspace(problem, grid, memory, node_target)
         bracket, e_coarse = default_bracket(problem, node_target, bisection_tol), None
         quarter = ws.quartered()
         if quarter is not None:

@@ -2,11 +2,11 @@
 
 K0 comes from its integral representation by adaptive quadrature, the
 Coulomb spectra from their closed forms, and the Numerov recurrence from a
-plain loop. :func:`sweep_one_solve_per_segment`,
-:func:`count_nodes_one_pass` and :func:`bessel_k0_unblocked` are the
-program's sweep, node count and K0 before they were split into blocks,
-each over the whole array at once; the blocked forms must equal them bit
-for bit. :func:`fd_lowest_energies` diagonalizes a finite-difference
+plain loop. :func:`sweep_one_solve_per_segment` and
+:func:`bessel_k0_unblocked` are the program's sweep and K0 before they were
+split into blocks, each over the whole array at once; the blocked forms
+must equal them bit for bit. :func:`count_nodes_one_pass` is the node count
+on the samples' signs as floats, which the count on sign bits must equal. :func:`fd_lowest_energies` diagonalizes a finite-difference
 Hamiltonian, a route apart from the shooting search; it takes the
 program's ``effective_potential`` and its seed ratio at the origin, so it
 checks the search and the sweeps, not the potential.

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import multiprocessing
 import sys
 import threading
 import tracemalloc
@@ -45,6 +46,17 @@ class TestRadialGrid:
         assert np.allclose(g2.points()[::2], g.points(), rtol=0, atol=1e-14)
 
 
+def sweep(f, u0, u1, rho):
+    """``nv._sweep`` into buffers of its own."""
+    return nv._sweep(f, u0, u1, rho, np.empty(f.shape[0]), np.empty((3, nv._BLOCK + 2), order="F"))
+
+
+def workspace(problem, grid, node_target=0):
+    """A shooting workspace in scratch memory of its own."""
+    memory = np.empty(nv._scratch_size(grid.n_points))
+    return nv._ShootingWorkspace(problem, grid, memory, node_target)
+
+
 def numerov_f(g, grid):
     """``f = 1 + h^2 g / 12`` on the grid for ``g`` given as a callable of rho."""
     return 1.0 + (grid.step**2 / 12.0) * np.asarray(g(grid.points()), dtype=float)
@@ -56,21 +68,21 @@ class TestSweep:
         grid = nv.RadialGrid(0.1, 5.0, 2001)
         rho = grid.points()
         f = numerov_f(lambda r: -np.ones_like(r), grid)
-        u = nv._sweep(f, math.exp(rho[0]), math.exp(rho[1]), rho)
+        u = sweep(f, math.exp(rho[0]), math.exp(rho[1]), rho)
         assert np.max(np.abs(u / np.exp(rho) - 1.0)) < 1e-9
 
     def test_harmonic(self):
         grid = nv.RadialGrid(0.1, 10.0, 1001)
         rho = grid.points()
         f = numerov_f(lambda r: np.ones_like(r), grid)
-        u = nv._sweep(f, math.sin(rho[0]), math.sin(rho[1]), rho)
+        u = sweep(f, math.sin(rho[0]), math.sin(rho[1]), rho)
         assert np.max(np.abs(u - np.sin(rho))) < 1e-9
 
     def test_inward_exponential(self):
         grid = nv.RadialGrid(0.1, 5.0, 2001)
         rho = grid.points()
         f = numerov_f(lambda r: -np.ones_like(r), grid)
-        u = nv._sweep(f[::-1], math.exp(-rho[-1]), math.exp(-rho[-2]), rho[::-1])[::-1]
+        u = sweep(f[::-1], math.exp(-rho[-1]), math.exp(-rho[-2]), rho[::-1])[::-1]
         assert np.max(np.abs(u / np.exp(-rho) - 1.0)) < 1e-9
 
     def test_hydrogen_ground_state_profile(self):
@@ -81,7 +93,7 @@ class TestSweep:
         rho = grid.points()
         seeds = oracles.hydrogen_ground_u(rho[:2], 1.0)
         f = numerov_f(lambda r: -1.0 - md.effective_potential(problem, r), grid)
-        u = nv._sweep(f, seeds[0], seeds[1], rho)
+        u = sweep(f, seeds[0], seeds[1], rho)
         inner = (rho > 0.05) & (rho < 4.0)
         exact = oracles.hydrogen_ground_u(rho, 1.0)
         assert np.max(np.abs(u[inner] / exact[inner] - 1.0)) < 1e-7
@@ -91,7 +103,7 @@ class TestSweep:
         n = 3000
         g = 1.0 - 0.5 * np.linspace(0, 1, n) + 0.05 * rng.standard_normal(n)
         f = 1.0 + (0.01**2 / 12.0) * g
-        fast = nv._sweep(f, 0.37, 0.38, 0.01 * np.arange(n))
+        fast = sweep(f, 0.37, 0.38, 0.01 * np.arange(n))
         slow = oracles.sweep_loop(f, 0.37, 0.38)
         # forward substitution runs the loop's recurrence; only fused
         # multiply-adds in LAPACK set the two apart
@@ -104,7 +116,7 @@ class TestSweep:
         f = 1.0 + (res.grid.step**2 / 12.0) * (res.energy - u_eff)
         seeds = nv.small_rho_solution(problem, res.energy, rho[:2])
         m = nv._outer_turning_point(u_eff, res.energy)
-        fast = nv._sweep(f, seeds[0], seeds[1], rho)[: m + 1]
+        fast = sweep(f, seeds[0], seeds[1], rho)[: m + 1]
         slow = oracles.sweep_loop(f, seeds[0], seeds[1])[: m + 1]
         assert f.shape[0] == 200001
         assert np.max(np.abs(fast - slow)) <= 1e-9 * np.max(np.abs(slow))
@@ -123,7 +135,7 @@ class TestSweep:
         f = 1.0 + (res.grid.step**2 / 12.0) * (res.energy - u_eff)
         seeds = nv.small_rho_solution(problem, res.energy, rho[:2])
         m = nv._outer_turning_point(u_eff, res.energy)
-        fast = nv._sweep(f, seeds[0], seeds[1], rho)[: m + 1]
+        fast = sweep(f, seeds[0], seeds[1], rho)[: m + 1]
         exact = oracles.numerov_loop_longdouble(f[: m + 1], seeds[0], seeds[1])
         assert np.max(np.abs(fast - exact)) <= 5e-10 * np.max(np.abs(exact))
 
@@ -133,7 +145,7 @@ class TestSweep:
         f = np.ones(1000)
         f[-1] = 1e-4
         rho = 0.1 * np.arange(1000)
-        fast = nv._sweep(f, 0.5, 0.6, rho)
+        fast = sweep(f, 0.5, 0.6, rho)
         slow = oracles.sweep_loop(f, 0.5, 0.6)
         assert np.allclose(fast, slow, rtol=1e-12, atol=0.0)
 
@@ -141,7 +153,7 @@ class TestSweep:
         # growth by thousands of e-folds must neither overflow nor crash
         n = 200001
         f = 1.0 + (0.05**2 / 12.0) * np.full(n, -9.0)  # g = -9, e^(3 rho) growth
-        u = nv._sweep(f, 1e-3, 1e-3 * math.exp(0.15), 0.05 * np.arange(n))
+        u = sweep(f, 1e-3, 1e-3 * math.exp(0.15), 0.05 * np.arange(n))
         assert np.all(np.isfinite(u))
         assert np.max(np.abs(u)) <= nv.RESCALE_THRESHOLD * 10
 
@@ -149,25 +161,25 @@ class TestSweep:
         grid = nv.RadialGrid(0.1, 5.0, 1000)
         f = numerov_f(lambda r: np.full_like(r, np.nan), grid)
         with pytest.raises(nv.GridTooCoarseError, match="finite"):
-            nv._sweep(f, 1.0, 1.0, grid.points())
+            sweep(f, 1.0, 1.0, grid.points())
 
     def test_nonpositive_f_named_by_rho(self):
         grid = nv.RadialGrid(0.1, 5.0, 1000)
         f = numerov_f(lambda r: np.where(r > 4.0, -1e7, -1.0), grid)
         with pytest.raises(nv.GridTooCoarseError, match=r"rho=4\.00"):
-            nv._sweep(f, 1.0, 1.0, grid.points())
+            sweep(f, 1.0, 1.0, grid.points())
 
     def test_oscillation_past_stability_limit_rejected(self):
         # f = 2: 12/f - 10 = -4, so a mode grows by 1.32 nats per step with
         # alternating sign and a 1000-row sweep would overflow
         rho = 0.1 * np.arange(1000)
         with pytest.raises(nv.GridTooCoarseError, match=r"rho=0\.2: f = 1 \+ h\^2 g/12 = 2 "):
-            nv._sweep(np.full(1000, 2.0), 1.0, 1.0, rho)
+            sweep(np.full(1000, 2.0), 1.0, 1.0, rho)
 
     def test_oscillation_inside_stability_limit_matches_reference_loop(self):
         # f = 1.45: under 2.7 points per wavelength, yet the recurrence stays bounded
         f = np.full(1000, 1.45)
-        fast = nv._sweep(f, 0.0, 1.0, 0.1 * np.arange(1000))
+        fast = sweep(f, 0.0, 1.0, 0.1 * np.arange(1000))
         slow = oracles.sweep_loop(f, 0.0, 1.0)
         assert np.all(np.abs(slow) < 10.0)
         assert np.max(np.abs(fast - slow)) <= 1e-9
@@ -197,13 +209,13 @@ class TestBlockedSweep:
     def test_outward_equals_one_solve(self, blocks, extra):
         rho, f = self.cs_f(blocks * self.B + extra)
         seeds = (0.011, 0.012)
-        assert _same_bits(nv._sweep(f, *seeds, rho), oracles.sweep_one_solve_per_segment(f, *seeds))
+        assert _same_bits(sweep(f, *seeds, rho), oracles.sweep_one_solve_per_segment(f, *seeds))
 
     @pytest.mark.parametrize("n_points", [B - 1, B + 3, 2 * B + 3])
     def test_inward_on_reversed_view_equals_one_solve(self, n_points):
         rho, f = self.cs_f(n_points)
         seeds = (1e-150, 1e-150 * math.exp(0.4 * (rho[1] - rho[0])))
-        fast = nv._sweep(f[::-1], *seeds, rho[::-1])
+        fast = sweep(f[::-1], *seeds, rho[::-1])
         assert _same_bits(fast, oracles.sweep_one_solve_per_segment(f[::-1], *seeds))
 
     @pytest.mark.parametrize(
@@ -217,7 +229,7 @@ class TestBlockedSweep:
         rng = np.random.default_rng(n)
         f = 1.0 + (0.05**2 / 12.0) * g * (1.0 + spread * rng.random(n))
         rho = 0.05 * np.arange(n)
-        fast = nv._sweep(f, 1e-3, 1.01e-3, rho)
+        fast = sweep(f, 1e-3, 1.01e-3, rho)
         slow = oracles.sweep_one_solve_per_segment(f, 1e-3, 1.01e-3)
         assert np.max(np.abs(slow)) <= nv.RESCALE_THRESHOLD * 10  # it did rescale
         assert abs(slow[-1]) > 1e-100
@@ -256,24 +268,25 @@ class TestCountNodes:
     @pytest.mark.parametrize(
         "signs, nodes",
         [
-            ((1.0, -1.0, -1.0), 1),  # a change from one block's last sample to the next's first
-            ((1.0, 0.0, -1.0), 1),  # zeros filling a block, sign changed across them
-            ((1.0, 0.0, 1.0), 0),  # zeros filling a block, same sign on both sides
-            ((0.0, -1.0, 1.0), 1),  # a first block with no sign at all
-            ((-1.0, 1.0, -1.0), 2),  # a change at every boundary
+            ((1.0, -1.0, -1.0), 1),
+            ((1.0, 0.0, -1.0), 1),  # a run of zeros, sign changed across it
+            ((1.0, 0.0, 1.0), 0),  # a run of zeros, same sign on both sides
+            ((1.0, -0.0, 1.0), 0),  # negative zeros, whose sign bit is set, are zeros
+            ((0.0, -1.0, 1.0), 1),  # zeros before the first sign
+            ((-1.0, 1.0, -1.0), 2),
         ],
     )
-    def test_changes_at_block_boundaries(self, signs, nodes):
-        # the interior is read a block at a time; sample i + 1 is interior sample i
-        block = nv._BLOCK
+    def test_long_runs_of_signs_and_zeros(self, signs, nodes):
+        # three runs of 8,192 samples each between two positive end samples
+        run = 8192
         rng = np.random.default_rng(nodes)
-        u = np.concatenate([[5.0], np.repeat(signs, block) * (1.0 + rng.random(3 * block)), [5.0]])
+        u = np.concatenate([[5.0], np.repeat(signs, run) * (1.0 + rng.random(3 * run)), [5.0]])
         assert nv.count_nodes(u) == oracles.count_nodes_one_pass(u) == nodes
 
 
 def match_defect(energy, problem, grid, match_index):
     """Defect of one shot at ``energy`` matched at ``match_index``."""
-    return nv._ShootingWorkspace(problem, grid).shoot(energy, match_index).defect
+    return workspace(problem, grid).shoot(energy, match_index).defect
 
 
 class TestMatchDefect:
@@ -524,7 +537,7 @@ class TestKZeroSearch:
         # sweep roundoff must not add roots near a deep level: a spurious
         # crossing lets the search stop up to 4e-8 Ry away from it
         problem, res, _ = solve_cached("pe", "chern_simons", 2e-4)
-        ws = nv._ShootingWorkspace(problem, res.grid)
+        ws = workspace(problem, res.grid)
         m = nv._outer_turning_point(ws.u_eff, res.energy)
         defects = [ws.shoot(res.energy + k * 1e-8, m)[-1] for k in range(-8, 9)]
         signs = np.sign(defects)
@@ -564,7 +577,7 @@ class TestInterpolatedSearch:
         # shooting the returned energy again
         problem, res, wf = solve_cached("pe", kind, lam)
         u = np.empty(res.grid.n_points)
-        shot = nv._ShootingWorkspace(problem, res.grid).shoot(res.energy, res.match_index, out=u)
+        shot = workspace(problem, res.grid).shoot(res.energy, res.match_index, out=u)
         assert shot.defect == res.match_defect
         assert np.array_equal(nv._normalize_samples(u, res.grid.step), wf.u)
 
@@ -613,7 +626,7 @@ class TestNewtonSearch:
     def test_slope_is_the_defects_derivative(self, solve_cached):
         # -int u^2 / u(m)^2 over the defect's scale, against a central difference
         problem, res, _ = solve_cached("pe", "chern_simons", 2e-5)
-        ws = nv._ShootingWorkspace(problem, res.grid)
+        ws = workspace(problem, res.grid)
         out = np.empty(res.grid.n_points)
         slope = ws.shoot(res.energy, res.match_index, out=out).slope
         de = 1e-6
@@ -624,7 +637,7 @@ class TestNewtonSearch:
 
 def cold(problem, nodes, grid=None):
     """The search from the default bracket, without the quarter-grid stage."""
-    ws = nv._ShootingWorkspace(problem, grid or nv.default_grid(problem, nodes), nodes)
+    ws = workspace(problem, grid or nv.default_grid(problem, nodes), nodes)
     tol = nv.BISECTION_TOL
     return nv._search(ws, nv.default_bracket(problem, nodes, tol), tol)[0]
 
@@ -794,6 +807,28 @@ class TestFiniteDifferenceOracle:
         assert fd == pytest.approx(res.energy, rel=1e-5)
 
 
+def mixed_states():
+    """Six states of four kinds, each with its node count, for solves on 20,001 points."""
+    return [
+        (make_problem(atom, kind, lam, ell), nodes)
+        for atom, kind, lam, ell, nodes in [
+            ("pe", "chern_simons", 2e-5, 0, 0),
+            ("pmu", "chern_simons", 2e-4, 1, 0),
+            ("tmu", "chern_simons_jordan", 1e-4, 0, 0),
+            ("pe", "coulomb2d", None, 0, 1),
+            ("dmu", "chern_simons", 7e-6, 2, 1),
+            ("te", "coulomb3d", None, 1, 0),
+        ]
+    ]
+
+
+def solve_mixed(state):
+    problem, nodes = state
+    grid = nv.default_grid(problem, nodes, n_points=20001)
+    res, wf = nv.solve_state(problem, nodes, grid=grid)
+    return res.energy, res.iterations, res.points_swept, wf.u.tobytes()
+
+
 class TestConcurrency:
     def test_parallel_solves_match_sequential(self):
         problems = [z1_problem("coulomb3d", ell=l) for l in (0, 1)]
@@ -812,30 +847,13 @@ class TestConcurrency:
         # each thread solves in its own scratch block; one lent to two solves at once
         # would mix their sweeps. Six threads, switching every 10 us, must reproduce
         # the sequential solves bit for bit.
-        states = [
-            (make_problem(atom, kind, lam, ell), nodes)
-            for atom, kind, lam, ell, nodes in [
-                ("pe", "chern_simons", 2e-5, 0, 0),
-                ("pmu", "chern_simons", 2e-4, 1, 0),
-                ("tmu", "chern_simons_jordan", 1e-4, 0, 0),
-                ("pe", "coulomb2d", None, 0, 1),
-                ("dmu", "chern_simons", 7e-6, 2, 1),
-                ("te", "coulomb3d", None, 1, 0),
-            ]
-        ]
-
-        def run(state):
-            problem, nodes = state
-            grid = nv.default_grid(problem, nodes, n_points=20001)
-            res, wf = nv.solve_state(problem, nodes, grid=grid)
-            return res.energy, res.iterations, res.points_swept, wf.u.tobytes()
-
-        sequential = [run(s) for s in states] * 3
+        states = mixed_states()
+        sequential = [solve_mixed(s) for s in states] * 3
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(max_workers=6) as pool:
-                parallel = list(pool.map(run, states * 3, timeout=300))
+                parallel = list(pool.map(solve_mixed, states * 3, timeout=300))
         finally:
             sys.setswitchinterval(previous)
         assert parallel == sequential
@@ -855,7 +873,7 @@ class TestScratchMemory:
 
     def test_full_grid_shot_allocates_less_than_one_grid_array(self, solve_cached):
         problem, res, _ = solve_cached("pe", "chern_simons", 2e-5)
-        ws = nv._ShootingWorkspace(problem, res.grid)
+        ws = workspace(problem, res.grid)
         ws.shoot(res.energy, out=ws.joined)
         for match_index in (None, res.match_index):
             peak = self.traced_peak(lambda: ws.shoot(res.energy, match_index, out=ws.joined))
@@ -884,7 +902,7 @@ class TestScratchMemory:
         scratch = nv._Scratch()
         blocks = [scratch.take(nv._scratch_size(g.n_points)) for g in grids]
         assert not np.shares_memory(*blocks)  # the first is in use when the second is taken
-        pair = [nv._ShootingWorkspace(p, g, memory=b) for p, g, b in zip(problems, grids, blocks)]
+        pair = [nv._ShootingWorkspace(p, g, b) for p, g, b in zip(problems, grids, blocks)]
         alternate = []
         for trial in trials:
             # both shoot before either's joined sweeps are read: memory the two
@@ -892,7 +910,7 @@ class TestScratchMemory:
             shots = [shoot(ws, e, *trial) for ws, e in zip(pair, energies)]
             alternate.append([(shot, ws.joined.tobytes()) for shot, ws in zip(shots, pair)])
         for k, (p, g, e) in enumerate(zip(problems, grids, energies)):
-            ws = nv._ShootingWorkspace(p, g)
+            ws = workspace(p, g)
             alone = [(shoot(ws, e, *trial), ws.joined.tobytes()) for trial in trials]
             assert alone == [row[k] for row in alternate]
         for block in blocks:
@@ -913,6 +931,48 @@ class TestScratchMemory:
         assert big.shape == (2000,) and scratch.block is None
         scratch.give(big)
         assert scratch.block is big
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform"
+    )
+    def test_forked_process_solves_apart_from_its_parent(self):
+        # the child inherits this thread's scratch block; were its pages shared rather
+        # than copied on write, the two processes' solves would overwrite each other's
+        # sweeps. Both solve at once, in opposite orders, and must reproduce the
+        # sequential solves bit for bit.
+        states = mixed_states() * 2
+        sequential = [solve_mixed(s) for s in states]
+        assert nv._SCRATCH.block is not None
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+        go = ctx.Event()
+
+        def solve_all(order):
+            try:
+                return [solve_mixed(states[k]) for k in order]
+            except Exception as err:  # sweeps overwritten mid-solve can end in any error
+                return repr(err)
+
+        def child():
+            go.wait(60)
+            writer.send(solve_all(reversed(range(len(states)))))
+
+        process = ctx.Process(target=child)
+        process.start()
+        try:
+            go.set()
+            in_parent = solve_all(range(len(states)))
+            assert reader.poll(300), "the forked process sent no result"
+            in_child = reader.recv()
+        finally:
+            process.join(60)
+            if process.is_alive():
+                process.kill()
+        assert process.exitcode == 0
+        if isinstance(in_child, list):
+            in_child.reverse()
+        assert in_parent == sequential
+        assert in_child == sequential
 
     def test_wavefunction_is_not_scratch_memory(self):
         problem = make_problem("pe", "chern_simons", 2e-5)
