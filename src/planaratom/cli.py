@@ -254,8 +254,9 @@ def _solve_states(reqs) -> dict:
     """Solve each distinct :class:`RunRequest` once.
 
     Maps each request to its ``(EigenResult, RadiusResult)`` pair. The
-    states are solved concurrently, one worker per available CPU (the sweeps
-    run outside the GIL); a failure raises the first failing request's error
+    states are solved by one worker thread per available CPU; the numpy passes
+    over the grid release the GIL, the banded solve of a sweep does not. A
+    failure raises the first failing request's error
     in ``reqs`` order and cancels the states not yet started. Wavefunctions
     are not kept, so memory does not grow with the number of states.
     """

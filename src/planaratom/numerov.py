@@ -49,28 +49,34 @@ and its two sweeps, joined at the match index, are the wavefunction. It is
 flagged converged when the bracket is within ``bisection_tol``, its defect
 within ``DEFECT_TOL`` and the node count on target.
 
-:func:`solve_state` runs that search twice. The quarter-grid stage runs it
-from the default bracket on every fourth point of the grid (same
-``rho_min`` and ``rho_max``, the potential subsampled, so it is evaluated
-once per state). Its energy ``E_4h`` starts the search on the full grid
-with one shot at ``E_4h``, matched at the turning point of ``E_4h + pad``,
-in the presumed bracket ``E_4h +- pad``, ``pad = max(WARM_BRACKET_REL
-|E_4h|, bisection_tol)``. That takes two shots when ``E_4h`` lies within
-about the tolerance of ``E_h`` and three when a first Newton step must
-close the distance; a bracket that misses is widened like any other. The
-pair gives the Richardson estimate
+:func:`solve_state` runs that search as a cascade of grids. The grid is
+quartered (every fourth point, same ``rho_min`` and ``rho_max``, the
+potential subsampled, so it is evaluated once per state) for as long as
+``n_points - 1`` is a multiple of 4 and the quarter keeps ``MIN_POINTS``: a
+200,001-point grid solves on 3,126, 12,501, 50,001 and 200,001 points. The
+coarsest grid runs the search from the default bracket; that cold search
+takes about as many shots on any grid, so it runs where shots are cheapest.
+Each finer grid starts from the energy ``E_4h`` of the grid below it, with
+one shot at ``E_4h``, matched at the turning point of ``E_4h + pad``, in the
+presumed bracket ``E_4h +- pad``, ``pad = max(WARM_BRACKET_REL
+WARM_BRACKET_GROWTH^d |E_4h|, bisection_tol)`` for the grid ``d``
+quarterings below the requested one. That takes two shots when ``E_4h`` lies
+within about the tolerance of ``E_h`` and three when a first Newton step
+must close the distance; a bracket that misses is widened like any other. A
+grid passes its energy up when its search stopped with the bracket at
+``bisection_tol`` or at the resolution floor, its defect within
+``DEFECT_TOL`` and the node count of its joined sweeps on target; the sweeps
+are not normalized, which changes no sign. Otherwise, or when its search
+raises a :class:`SolverError` (as when a high ``ell`` puts a coarse grid's
+first swept row past the stable range), the grid above it starts cold, from
+the default bracket and with no estimate. When a grid cannot bracket the
+level, one gated shot on the grid above it, at the top every grid widens to,
+decides: if the level lies above it, the :class:`BracketingError` is raised.
+The requested grid and the one below it give the Richardson estimate
 ``EigenResult.energy_error_ry = (E_h - E_4h)/255`` of ``E_exact - E_h`` for
 an O(h^4) method. It covers the step error only: a 2D grid's start
 (``rho_min = 80 h`` moves with h, so the pair is not pure h^4) and the
-search tolerance are not in it. The search starts cold, from the default
-bracket and with no estimate, when ``n_points - 1`` is not a multiple of 4,
-the quarter grid would have fewer than the ``MIN_POINTS`` any grid needs,
-or its search raises a
-:class:`SolverError` (as when a high ``ell`` puts the quarter grid's first
-swept row past the stable range) or does not converge. When the quarter
-stage cannot bracket the level, one gated shot on the grid at the top both
-stages widen to decides: if the level lies above it, the quarter stage's
-:class:`BracketingError` is raised.
+search tolerance are not in it.
 
 Near the origin every potential here is singular; sweeps are seeded with a
 short Frobenius expansion of the regular solution (power law ``rho^s`` with
@@ -107,10 +113,11 @@ range ``f_k`` is a safe divisor.
 A solve allocates nothing the size of its grid per shot or per sweep. The
 two sweeps of a shot, its ``f``, and the two joined sweeps the search
 keeps live in one block of scratch memory (``_ShootingWorkspace``), which
-the quarter-grid stage shares because it ends before the full grid's
-search starts. :func:`solve_state` takes the block from the calling
-thread's slot (``_Scratch``) and puts it back when it returns, so the
-solves of one thread reuse the same memory. The node count works on the
+every grid of the cascade shares because each one's search ends before the
+next finer one's starts. Only the requested grid's joined sweeps are
+normalized, into the one new array a solve returns. :func:`solve_state`
+takes the block from the calling thread's slot (``_Scratch``) and puts it
+back when it returns, so the solves of one thread reuse the same memory. The node count works on the
 samples' sign bits, an eighth of their size.
 """
 
@@ -123,13 +130,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.linalg.lapack import dtbtrs
 
 from .model import CHERN_SIMONS_KINDS, EffectivePotentialParams, effective_potential
 from .specfun import EULER_GAMMA
 
-# Fewest points of a RadialGrid, the quarter grid of the warm start included.
+# Fewest points of a RadialGrid, the coarse grids of the cascade included.
 MIN_POINTS = 1000
 
 # Magnitude past which a sweep rescales the values it has computed.
@@ -166,10 +172,14 @@ MAX_SEARCH_STEPS = 200
 # Most widenings of a starting bracket that misses the state.
 MAX_WIDENINGS = 3
 
-# Half-width of the warm-start bracket relative to the quarter-grid energy.
-# |E_4h - E_h|/|E| measured at most 3.6e-7 on default grids (four kinds, ell
-# 0-3, nodes 0-3) and 4.7e-7 on benchmark chern-simons inputs.
+# Half-width of the warm-start bracket on the requested grid, relative to the
+# energy of the grid below it, and its factor for each quartering further down.
+# Where |E_4h - E_h| exceeds 1e-8 Ry, |E_4h - E_h|/|E| measured at most 3.3e-7
+# on the requested grid, 6.3e-5 one quartering down and 3.0e-3 two down
+# (default grids of four kinds, ell 0-3, nodes 0-3, and 256 benchmark
+# chern-simons states): no level widened. A factor of 16 misses the last.
 WARM_BRACKET_REL = 3e-6
+WARM_BRACKET_GROWTH = 64.0
 
 # Narrowest bracket the search shoots into, in units in the last place of its
 # energy. Closer energies give sweeps that differ at most in the rounding of a
@@ -248,13 +258,13 @@ class EigenResult:
     """Converged (or flagged) eigenvalue with search diagnostics.
 
     ``iterations`` counts the shots of the search on ``grid``, bracket ends
-    and widenings included; ``sweeps`` every Numerov sweep of the
-    solve and ``points_swept`` the grid points they cover, both counting the
-    quarter-grid stage too. ``match_index`` is the grid index where the
-    returned wavefunction's two sweeps are joined and ``match_defect`` is
-    measured. ``energy_error_ry`` estimates ``E_exact - energy`` from the
-    quarter-grid energy, ``(E_h - E_4h)/255``; None when the search started
-    cold (see the module docstring).
+    and widenings included; ``sweeps`` every Numerov sweep of the solve and
+    ``points_swept`` the grid points they cover, both counting every grid
+    of the cascade. ``match_index`` is the grid index where the returned
+    wavefunction's two sweeps are joined and ``match_defect`` is measured.
+    ``energy_error_ry`` estimates ``E_exact - energy`` from the energy of
+    the grid below, ``(E_h - E_4h)/255``; None when the search on ``grid``
+    started cold (see the module docstring).
     """
 
     energy: float
@@ -343,7 +353,8 @@ def _sweep(
     f_{k-1})/f_k u_{k-1} + f_{k-2}/f_k u_{k-2} = 0`` (the recurrence divided
     by ``f_k``, so no division is left in the substitution), the seed terms
     move to the right-hand side, and LAPACK's ``dtbtrs`` solves it by
-    forward substitution with a unit diagonal outside the GIL. The
+    forward substitution with a unit diagonal. scipy's wrapper holds the
+    GIL through the call, so the sweeps of concurrent solves take turns. The
     recurrence is stable only for ``0 < f < 1.5``: past 1.5 (``h^2 g > 6``,
     under 2.6 points per wavelength) a spurious mode grows with alternating
     sign, and a row outside that range raises :class:`GridTooCoarseError`,
@@ -547,12 +558,14 @@ class _ShootingWorkspace:
         self._band = memory[5 * n : 5 * n + 3 * (_BLOCK + 2)].reshape(_BLOCK + 2, 3).T
 
     def quartered(self) -> _ShootingWorkspace | None:
-        """Workspace on every fourth point of this grid, reusing its potential.
+        """Workspace on every fourth point of this grid, reusing its potential:
+        the next coarser grid of the cascade.
 
-        It works in this workspace's memory, so its search must end before
-        this workspace shoots. None when ``n_points - 1`` is not a multiple
-        of 4 or the quarter grid would have fewer than ``MIN_POINTS``, which
-        :class:`RadialGrid` rejects.
+        It works in this workspace's memory, so its search, and the searches
+        on the grids it quarters in turn, must end before this workspace
+        shoots. None when ``n_points - 1`` is not a multiple of 4 or the
+        quarter grid would have fewer than ``MIN_POINTS``, which
+        :class:`RadialGrid` rejects: there the cascade ends.
         """
         n = self.grid.n_points
         if (n - 1) % 4 or (n - 1) // 4 + 1 < MIN_POINTS:
@@ -752,15 +765,45 @@ def default_bracket(
     return (estimate_cs_ground_energy(problem), -1e-4)
 
 
+def simpson_u2(u: np.ndarray, h: float, rho: np.ndarray | None = None) -> float:
+    """Composite-Simpson ``int u^2 drho``, or ``int rho u^2 drho`` given
+    ``rho``, over samples ``h`` apart; at least three of them.
+
+    An even number of samples takes scipy's end correction for the last
+    interval (``scipy.integrate.simpson``, Cartwright's formula). The sums
+    run over strided views with ``einsum``, so nothing the size of ``u`` is
+    allocated.
+    """
+    factors = (u, u) if rho is None else (rho, u, u)
+    spec = ",".join("i" * len(factors)) + "->"
+
+    def total(part):
+        return np.einsum(spec, *(a[part] for a in factors))
+
+    def y(k):
+        return math.prod(float(a[k]) for a in factors)
+
+    n = u.shape[0]
+    last = n - 1 if n % 2 else n - 2  # the end of the odd-length Simpson part
+    odd, even = total(slice(1, last, 2)), total(slice(2, last, 2))
+    out = h / 3.0 * (y(0) + 4.0 * odd + 2.0 * even + y(last))
+    if n % 2 == 0:
+        out += h * (5.0 / 12.0 * y(-1) + 2.0 / 3.0 * y(-2) - 1.0 / 12.0 * y(-3))
+    return float(out)
+
+
 def _normalize_samples(u: np.ndarray, h: float) -> np.ndarray:
-    norm_sq = simpson(u * u, dx=h)
+    """``u`` scaled to ``int u^2 drho = 1``, its first lobe (the first sample
+    past 1% of the peak) positive, in a new array."""
+    norm_sq = simpson_u2(u, h)
     if norm_sq <= 0.0 or not np.isfinite(norm_sq):
         raise NormalizationError("cannot normalize a zero or non-finite wavefunction")
     out = u / math.sqrt(norm_sq)
-    peak = np.max(np.abs(out))
-    first_lobe = np.nonzero(np.abs(out) > 0.01 * peak)[0]
-    if first_lobe.size and out[first_lobe[0]] < 0.0:
-        out = -out
+    cut = 0.01 * max(out.max(), -out.min())
+    # argmax finds the first True, or returns 0 when there is none
+    up, down = np.argmax(out > cut), np.argmax(out < -cut)
+    if out[down] < -cut and (down < up or out[up] <= cut):
+        np.negative(out, out=out)
     return out
 
 
@@ -793,38 +836,81 @@ def solve_state(
     memory = _SCRATCH.take(_scratch_size(grid.n_points))
     try:
         ws = _ShootingWorkspace(problem, grid, memory, node_target)
-        bracket, e_coarse = default_bracket(problem, node_target, bisection_tol), None
-        quarter = ws.quartered()
-        if quarter is not None:
-            try:
-                coarse, _ = _search(quarter, bracket, bisection_tol)
-            except BracketingError as err:
-                # both stages widen to the same top: one shot there shows the level above it
-                if ws.sign(ws.shoot(err.bracket[1], gated=True)) > 0:
-                    raise
-                coarse = None
-            except SolverError:
-                coarse = None
-            if coarse is not None and coarse.converged:
-                e_coarse = coarse.energy
-            ws.sweeps += quarter.sweeps
-            ws.points_swept += quarter.points_swept
-        if e_coarse is not None:
-            pad = max(WARM_BRACKET_REL * abs(e_coarse), bisection_tol)
-            bracket = (e_coarse - pad, e_coarse + pad)
-        return _search(ws, bracket, bisection_tol, e_coarse)
+        bracket = default_bracket(problem, node_target, bisection_tol)
+        found, e_coarse = _cascade(ws, bracket, bisection_tol)
+        u = _normalize_samples(found.u, grid.step)
     finally:
-        # the returned wavefunction is a new array, so the memory is free again
+        # the normalized wavefunction is a new array, so the memory is free again
         _SCRATCH.give(memory)
+    final, nodes = found.shot, count_nodes(u)
+    result = EigenResult(
+        energy=final.energy,
+        nodes=nodes,
+        ell=problem.ell,
+        converged=bool(found.done and found.width <= bisection_tol and nodes == node_target),
+        match_defect=final.defect if final.defect is not None else math.inf,
+        bracket_width=found.width,
+        iterations=found.iterations,
+        sweeps=ws.sweeps,
+        points_swept=ws.points_swept,
+        match_index=final.m,
+        grid=grid,
+        energy_error_ry=None if e_coarse is None else (final.energy - e_coarse) / 255.0,
+    )
+    return result, WaveFunction(grid=grid, u=u, energy=final.energy)
 
 
-def _search(ws, bracket, tol, e_coarse=None) -> tuple[EigenResult, WaveFunction]:
+def _cascade(ws, bracket, tol, depth=0):
+    """The search on ``ws``, warm-started from the cascade on ``ws.quartered()``.
+
+    Returns the search's :class:`_Found` and the energy of the level below
+    that started it, None for a cold start. ``bracket`` is the default one,
+    where every cold start begins, and ``depth`` the number of quarterings
+    from the grid of the request to ``ws``'s.
+    """
+    coarse, e_coarse = ws.quartered(), None
+    if coarse is not None:
+        try:
+            found, _ = _cascade(coarse, bracket, tol, depth + 1)
+        except BracketingError as err:
+            # every level widens to the same top: one shot there shows the level above it
+            if ws.sign(ws.shoot(err.bracket[1], gated=True)) > 0:
+                raise
+        except SolverError:
+            pass
+        else:
+            # counted on the unnormalized sweeps: scaling them changes no sign
+            if found.done and count_nodes(found.u) == ws.node_target:
+                e_coarse = found.shot.energy
+        ws.sweeps += coarse.sweeps
+        ws.points_swept += coarse.points_swept
+    if e_coarse is not None:
+        pad = max(WARM_BRACKET_REL * WARM_BRACKET_GROWTH**depth * abs(e_coarse), tol)
+        bracket = (e_coarse - pad, e_coarse + pad)
+    return _search(ws, bracket, tol, e_coarse), e_coarse
+
+
+class _Found(NamedTuple):
+    """Where a search stopped: the end it returns, that end's joined
+    unnormalized sweeps (a view of the workspace's memory), the final
+    bracket's width, the shots made, and whether it stopped with its bracket
+    at the target width or the resolution floor and the end's defect
+    within ``DEFECT_TOL``."""
+
+    shot: _Shot
+    u: np.ndarray
+    width: float
+    iterations: int
+    done: bool
+
+
+def _search(ws, bracket, tol, e_coarse=None) -> _Found:
     """The search of the module docstring on ``ws`` from ``bracket`` down to ``tol``.
 
-    ``e_coarse`` is the quarter-grid energy the bracket was built around,
-    None for a cold start; it sets ``EigenResult.energy_error_ry``.
+    ``e_coarse`` is the energy of the level below that the bracket was built
+    around, None for a cold start; the first trial shoots it.
     """
-    problem, grid, node_target = ws.problem, ws.grid, ws.node_target
+    node_target = ws.node_target
     lo, hi = bracket  # presumed ends, shot only when a step would leave through them
     below = above = kept = None  # the nearest shots below and above the level
     m = None if e_coarse is None else _outer_turning_point(ws.u_eff, hi)
@@ -902,26 +988,7 @@ def _search(ws, bracket, tol, e_coarse=None) -> tuple[EigenResult, WaveFunction]
         final = ws.shoot(0.5 * (e_lo + e_hi), m, out=u)
     elif best is not kept:
         final = ws.shoot(best.energy, best.m, out=u)
-    u = _normalize_samples(u, grid.step)
-    nodes = count_nodes(u)
-    defect = final.defect if final.defect is not None else math.inf
-    width = e_hi - e_lo
-    converged = bool(done and width <= tol and nodes == node_target)
-    result = EigenResult(
-        energy=final.energy,
-        nodes=nodes,
-        ell=problem.ell,
-        converged=converged,
-        match_defect=defect,
-        bracket_width=width,
-        iterations=iterations,
-        sweeps=ws.sweeps,
-        points_swept=ws.points_swept,
-        match_index=final.m,
-        grid=grid,
-        energy_error_ry=None if e_coarse is None else (final.energy - e_coarse) / 255.0,
-    )
-    return result, WaveFunction(grid=grid, u=u, energy=final.energy)
+    return _Found(final, u, e_hi - e_lo, iterations, bool(done))
 
 
 def check_origin_gap(problem: EffectivePotentialParams, grid: RadialGrid) -> None:

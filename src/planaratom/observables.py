@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 # effective_potential is unused here; perfbench/tracing.py wraps this binding by name
 from .model import EffectivePotentialParams, effective_potential  # noqa: F401
-from .numerov import WaveFunction, indicial_exponent, small_rho_solution
+from .numerov import WaveFunction, indicial_exponent, simpson_u2, small_rho_solution
 
 # How far int u^2 drho may sit from 1 before mean_radius refuses the input.
 NORM_TOLERANCE = 1e-6
@@ -32,7 +31,7 @@ class RadiusResult:
 
 def norm_squared(wf: WaveFunction) -> float:
     """Composite-Simpson value of ``int u^2 drho`` on the grid."""
-    return float(simpson(wf.u * wf.u, dx=wf.grid.step))
+    return simpson_u2(wf.u, wf.grid.step)
 
 
 def _origin_moments(wf: WaveFunction, problem: EffectivePotentialParams):
@@ -52,12 +51,9 @@ def _origin_moments(wf: WaveFunction, problem: EffectivePotentialParams):
     s = indicial_exponent(problem)
     # below `head` the solution is the bare power law to excellent accuracy
     c0 = uf[0] / head**s
-    norm_below = float(simpson(uf * uf, x=sub)) + c0 * c0 * head ** (2 * s + 1) / (
-        2 * s + 1
-    )
-    rho_below = float(simpson(sub * uf * uf, x=sub)) + c0 * c0 * head ** (2 * s + 2) / (
-        2 * s + 2
-    )
+    step = (rho0 - head) / 512.0
+    norm_below = simpson_u2(uf, step) + c0 * c0 * head ** (2 * s + 1) / (2 * s + 1)
+    rho_below = simpson_u2(uf, step, sub) + c0 * c0 * head ** (2 * s + 2) / (2 * s + 2)
     return norm_below, rho_below
 
 
@@ -86,7 +82,7 @@ def mean_radius(wf: WaveFunction, problem: EffectivePotentialParams) -> RadiusRe
             f"mean_radius requires a normalized wavefunction (int u^2 = {nsq:.8g})"
         )
     rho = wf.grid.points()
-    first_moment = float(simpson(rho * wf.u * wf.u, dx=wf.grid.step))
+    first_moment = simpson_u2(wf.u, wf.grid.step, rho)
     norm_below, rho_below = _origin_moments(wf, problem)
     mean_rho = (first_moment + rho_below) / (nsq + norm_below)
     if mean_rho <= 0.0:

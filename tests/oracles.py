@@ -6,7 +6,11 @@ plain loop. :func:`sweep_one_solve_per_segment` and
 :func:`bessel_k0_unblocked` are the program's sweep and K0 before they were
 split into blocks, each over the whole array at once; the blocked forms
 must equal them bit for bit. :func:`count_nodes_one_pass` is the node count
-on the samples' signs as floats, which the count on sign bits must equal. :func:`fd_lowest_energies` diagonalizes a finite-difference
+on the samples' signs as floats, which the count on sign bits must equal.
+:func:`normalize_samples_scipy` is the program's normalization before it
+summed Simpson's rule in place: ``scipy.integrate.simpson`` and the sign
+of the first sample past 1% of the peak, found through an index array.
+:func:`fd_lowest_energies` diagonalizes a finite-difference
 Hamiltonian, a route apart from the shooting search; it takes the
 program's ``effective_potential`` and its seed ratio at the origin, so it
 checks the search and the sweeps, not the potential.
@@ -17,7 +21,7 @@ import warnings
 
 import numpy as np
 from scipy import special
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import IntegrationWarning, quad, simpson
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dtbtrs
 
@@ -168,6 +172,16 @@ def count_nodes_one_pass(u: np.ndarray) -> int:
     s = np.sign(u[1:-1])
     s = s[s != 0.0]
     return int(np.count_nonzero(s[1:] != s[:-1]))
+
+
+def normalize_samples_scipy(u: np.ndarray, h: float) -> np.ndarray:
+    """``u`` scaled to ``int u^2 drho = 1`` by scipy's Simpson rule, its
+    first lobe positive."""
+    out = u / math.sqrt(simpson(u * u, dx=h))
+    first_lobe = np.nonzero(np.abs(out) > 0.01 * np.max(np.abs(out)))[0]
+    if first_lobe.size and out[first_lobe[0]] < 0.0:
+        out = -out
+    return out
 
 
 def bessel_k0_unblocked(x: np.ndarray) -> np.ndarray:

@@ -180,7 +180,7 @@ class TestSolveCommand:
         assert capsys.readouterr().err == "error: effective potential is not finite on the grid\n"
 
     def test_normalization_failure_is_solver_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(nv, "simpson", lambda y, dx: math.nan)
+        monkeypatch.setattr(nv, "simpson_u2", lambda u, h, rho=None: math.nan)
         code = cli.main(["solve", "--atom", "pe", "--potential", "coulomb3d"] + FAST)
         assert code == 1
         err = capsys.readouterr().err
@@ -202,21 +202,24 @@ class TestSolveCommand:
         assert payload["energy_error_ry"] is None
         assert 2 <= payload["sweeps"] <= 2 * payload["iterations"] + 2
 
-    def test_record_counts_both_stages(self, capsys, shots):
+    def test_record_counts_every_level(self, capsys, shots):
         argv = ["solve", "--atom", "pe", "--potential", "coulomb3d", "--format", "json"]
         code, out = run(capsys, argv + FAST)
         payload = json.loads(out)
         assert code == 0
         assert list(payload)[-3:] == ["sweeps", "points_swept", "energy_error_ry"]
         sweeps = sweeps_per_grid(shots)
-        assert sweeps.keys() == {20001, 5001}
+        # 20,001 points quarter twice: the cascade solves on 1,251, 5,001 and 20,001
+        assert sweeps.keys() == {20001, 5001, 1251}
         # the search on the grid is bounded as a cold one is; `iterations` counts its steps
         assert 2 <= sweeps[20001] <= 2 * payload["iterations"] + 2
-        # the quarter grid's search starts cold (14 sweeps on this state, as many as
-        # the cold search on the 20,002-point grid above)
-        assert sweeps[5001] <= 16
-        assert payload["sweeps"] == sweeps[20001] + sweeps[5001]
-        assert payload["points_swept"] <= sweeps[20001] * 20001 + sweeps[5001] * 5001
+        # the coarsest level's search starts cold (14 sweeps on this state, as many as
+        # the cold search on the 20,002-point grid above); the level above it is warm
+        # (6 sweeps)
+        assert sweeps[1251] <= 16
+        assert sweeps[5001] <= 8
+        assert payload["sweeps"] == sum(sweeps.values())
+        assert payload["points_swept"] <= sum(n * k for n, k in sweeps.items())
         # the 20,001-point grid quarters, so the record carries an error estimate
         assert abs(payload["energy_error_ry"]) < 1e-8
 

@@ -437,15 +437,18 @@ class TestSolveState:
 
     def test_tolerance_below_resolution_stops(self, shots):
         # no sweep tells apart energies a few ulps apart: the search stops once its
-        # bracket is RESOLUTION_ULPS wide instead of halving it down to one ulp
-        # (measured: 21 steps on this grid, 68 sweeps in all)
+        # bracket is RESOLUTION_ULPS wide instead of halving it down to one ulp.
+        # Each coarse level that stops there with its node target and defect passes
+        # its energy up; were it to start the next level cold, this took 86 sweeps
+        # (measured: 19 shots on this grid, 68 sweeps in all)
         problem = z1_problem("coulomb3d")
         grid = nv.RadialGrid(1e-6, 40.0, 20001)
         res, _ = nv.solve_state(problem, 0, grid=grid, bisection_tol=1e-300)
         assert not res.converged
         assert res.bracket_width <= nv.RESOLUTION_ULPS * math.ulp(res.energy)
         assert abs(res.energy + 1.0) <= 1e-11
-        assert res.iterations <= 22
+        assert res.energy_error_ry is not None
+        assert res.iterations == len([n for n, _, _ in shots if n == 20001]) <= 19
         assert res.sweeps == sum(sweeps_per_grid(shots).values()) <= 72
 
     def test_node_target_validation(self):
@@ -468,7 +471,7 @@ class TestKZeroSearch:
         assert lo < res.energy
         # the (-50, -1e-4) Ry bracket took 33 bisections for every state
         assert res.iterations <= 29
-        # bisection took 44-79 sweeps per state; each stage's search stays well inside
+        # bisection took 44-79 sweeps per state; each grid's search stays well inside
         # that, and together they sweep fewer points than the cold search's 8.9-12.1
         # grids' worth
         assert all(sweeps <= 28 for sweeps in sweeps_per_grid(shots).values())
@@ -485,7 +488,7 @@ class TestKZeroSearch:
         assert res.converged
         assert abs(res.match_defect) <= nv.DEFECT_TOL
         assert res.nodes == nodes
-        # each stage's search within 28 sweeps; together fewer points than the cold
+        # each grid's search within 28 sweeps; together fewer points than the cold
         # interpolating search's 8.5-14.7 grids' worth
         assert all(sweeps <= 28 for sweeps in sweeps_per_grid(shots).values())
         assert res.points_swept <= 10 * res.grid.n_points
@@ -500,13 +503,14 @@ class TestKZeroSearch:
         err.match(r"node count is still 0, so the level lies above -1\.25e-05 Ry")
 
     def test_unbound_level_confirmed_with_one_full_grid_shot(self, shots):
-        # the quarter grid's search shows the level above its top; one shot on the
-        # grid at that top confirms it, instead of a second failed search
+        # the coarsest grid's search shows the level above its top; one shot at that
+        # top on each finer grid confirms it, instead of another failed search
         problem = make_problem("pe", "chern_simons_jordan", 2e-4, ell=2)
         with pytest.raises(nv.BracketingError) as err:
             nv.solve_state(problem, 0)
-        n = nv.default_grid(problem, 0).n_points
-        assert [e for m, e, _ in shots if m == n] == [err.value.bracket[1]]
+        *finer, coarsest = CASCADE[nv.default_grid(problem, 0).n_points]
+        for n in finer:
+            assert [e for m, e, _ in shots if m == n] == [err.value.bracket[1]]
         assert err.value.bracket[1] == pytest.approx(-1.25e-5)
 
     def test_default_2d_grids_start_inside_the_state(self):
@@ -616,7 +620,7 @@ class TestNewtonSearch:
         assert res.converged
         assert res.bracket_width <= nv.BISECTION_TOL
         assert abs(res.energy - ref.energy) <= nv.BISECTION_TOL
-        # from the quarter-grid energy: two shots when it lies within about the
+        # from the energy of the grid below: two shots when it lies within about the
         # tolerance, three when a first Newton step is needed, never an energy twice
         n = res.grid.n_points
         full = [e for m, e, _ in shots if m == n]
@@ -636,10 +640,18 @@ class TestNewtonSearch:
 
 
 def cold(problem, nodes, grid=None):
-    """The search from the default bracket, without the quarter-grid stage."""
-    ws = workspace(problem, grid or nv.default_grid(problem, nodes), nodes)
-    tol = nv.BISECTION_TOL
-    return nv._search(ws, nv.default_bracket(problem, nodes, tol), tol)[0]
+    """The solve from the default bracket on the grid alone, without the cascade."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nv._ShootingWorkspace, "quartered", lambda ws: None)
+        return nv.solve_state(problem, nodes, grid=grid)[0]
+
+
+# the grids a solve on each default size cascades through, finest first
+CASCADE = {
+    200001: [200001, 50001, 12501, 3126],
+    100001: [100001, 25001, 6251],
+    50001: [50001, 12501, 3126],
+}
 
 
 class TestWarmStart:
@@ -656,13 +668,69 @@ class TestWarmStart:
         assert warm.converged and cold_res.converged
         assert warm.energy_error_ry is not None and cold_res.energy_error_ry is None
         assert abs(warm.energy - cold_res.energy) <= nv.BISECTION_TOL
-        # no widening: the search on the grid is bounded as a cold one is, the
-        # quarter-grid stage is in the counts, and still the warm solve sweeps less
-        n = warm.grid.n_points
-        assert sweeps.keys() == {n, (n - 1) // 4 + 1}
-        assert 2 <= sweeps[n] <= 2 * warm.iterations + 2
+        # every level of the cascade in the counts, and still the warm solve sweeps less
+        n, *warm_below, coarsest = CASCADE[warm.grid.n_points]
+        assert sweeps.keys() == {n, *warm_below, coarsest}
         assert warm.sweeps == sum(sweeps.values())
         assert warm.points_swept < cold_res.points_swept
+        # no widening: the search on the grid is bounded as a cold one is, each warm
+        # level below it takes at most five shots (measured: 2-5), and the coarsest
+        # level's cold search as many sweeps as the quarter grid's did (11-21)
+        assert 2 <= sweeps[n] <= 2 * warm.iterations + 2
+        assert all(sweeps[k] <= 10 for k in warm_below)
+        assert sweeps[coarsest] <= 22
+
+    def test_default_sizes_quarter_down_to_the_coarsest_grid(self):
+        # each level quarters until the next would not have MIN_POINTS or whole steps
+        for n, expected in CASCADE.items():
+            ws = workspace(z1_problem("coulomb3d"), nv.RadialGrid(1e-3, 40.0, n))
+            chain = []
+            while ws is not None:
+                chain.append(ws.grid.n_points)
+                assert (ws.grid.rho_min, ws.grid.rho_max) == (1e-3, 40.0)
+                ws = ws.quartered()
+            assert chain == expected
+
+    def test_level_that_raises_starts_its_parent_cold(self, shots):
+        # ell 7 on the default 50,001-point grid: f < 0 on the first swept row of
+        # 3,126 points (h_c^2 l(l+1) / (12 rho^2) = 1.09), so that level raises before
+        # its first sweep, and 12,501 points (f = 0.09) start cold
+        problem = make_problem("pe", "coulomb3d", ell=7)
+        res, _ = nv.solve_state(problem, 0)
+        assert res.converged and res.energy_error_ry is not None
+        assert abs(res.energy + md.make_atom("pe").zeta / 8**2) <= 1e-8
+        sweeps = sweeps_per_grid(shots)
+        assert sweeps == {3126: 0, 12501: sweeps[12501], 50001: sweeps[50001]}
+        first = next(e for n, e, _ in shots if n == 12501)
+        assert first == nv.default_bracket(problem, 0, nv.BISECTION_TOL)[0]
+        assert sweeps[50001] <= 6
+
+    def test_level_off_its_node_target_starts_its_parent_cold(self, monkeypatch, shots):
+        # the joined sweeps of the two coarse grids count one node too many: neither
+        # passes its energy up, so the grid of the request starts cold. Only a joined
+        # array spans a whole grid; a shot counts the outward sweep up to its match.
+        count = nv.count_nodes
+        monkeypatch.setattr(nv, "count_nodes", lambda u: count(u) + (u.shape[0] in (1251, 5001)))
+        problem = z1_problem("coulomb3d")
+        grid = nv.RadialGrid(1e-6, 40.0, 20001)
+        res, _ = nv.solve_state(problem, 0, grid=grid)
+        assert res.converged and res.energy_error_ry is None
+        first = next(e for n, e, _ in shots if n == 20001)
+        assert first == nv.default_bracket(problem, 0, nv.BISECTION_TOL)[0]
+
+    @pytest.mark.parametrize("atom,kind,lam,nodes", [
+        ("pe", "chern_simons_jordan", 2e-4, 1),  # the widest gap measured two quarterings down
+        ("tmu", "coulomb2d", None, 0),  # and one quartering down
+    ])
+    def test_widest_measured_gaps_stay_inside_the_pad(self, shots, atom, kind, lam, nodes):
+        # each warm level's first shot is the energy below it; no shot leaves its pad
+        res, _ = nv.solve_state(make_problem(atom, kind, lam), nodes)
+        assert res.converged
+        for depth, n in enumerate(CASCADE[res.grid.n_points][:-1]):
+            energies = [e for m, e, _ in shots if m == n]
+            pad = max(nv.WARM_BRACKET_REL * nv.WARM_BRACKET_GROWTH**depth * abs(energies[0]),
+                      nv.BISECTION_TOL)
+            assert all(abs(e - energies[0]) <= pad for e in energies)
 
     @pytest.mark.parametrize("ell,nodes", [(0, 0), (1, 0), (0, 2), (3, 1)])
     @pytest.mark.parametrize("kind", ["coulomb3d", "coulomb2d"])
@@ -684,7 +752,7 @@ class TestWarmStart:
         assert res.energy_error_ry == pytest.approx(error, rel=0.25)
 
     def test_quarter_grid_too_coarse_falls_back(self):
-        # f < 0 on the quarter grid's first swept row: ell 15 needs h <= 0.4 rho_min
+        # f < 0 on the first swept row of every coarser grid: ell 15 needs h <= 0.4 rho_min
         problem = make_problem("pe", "coulomb3d", ell=15)
         res, _ = nv.solve_state(problem, 0)
         assert res.converged and res.energy_error_ry is None
@@ -879,6 +947,16 @@ class TestScratchMemory:
             peak = self.traced_peak(lambda: ws.shoot(res.energy, match_index, out=ws.joined))
             # 9.26 MB, 5.8 arrays, when every shot allocated its own
             assert peak < 8 * res.grid.n_points
+
+    def test_solve_allocates_under_four_grid_arrays(self):
+        problem = make_problem("pe", "chern_simons", 2e-5)
+        nv.solve_state(problem, 0)  # this thread's scratch block, taken before the count
+        n = nv.default_grid(problem, 0).n_points
+        peak = self.traced_peak(lambda: nv.solve_state(problem, 0))
+        # the points, the potential and its K0 temporaries, the coarse levels' points
+        # and the normalized wavefunction: 3.51 arrays, against 4.63 when the
+        # normalization took u^2 and |u| as arrays of their own
+        assert peak <= 3.7 * 8 * n
 
     def test_potential_allocates_its_output_and_k0s(self, solve_cached):
         problem, res, _ = solve_cached("pe", "chern_simons", 2e-5)
