@@ -29,12 +29,10 @@ from .numerov import (
     solve_state,
 )
 from .observables import RadiusResult, mean_radius
-from .specfun import BesselEval, bessel_k0_eval
 
 __all__ = [
     "ATOM_NAMES",
     "AtomSpec",
-    "BesselEval",
     "EffectivePotentialParams",
     "EigenResult",
     "PotentialSpec",
@@ -42,7 +40,6 @@ __all__ = [
     "RadiusResult",
     "WaveFunction",
     "__version__",
-    "bessel_k0_eval",
     "count_nodes",
     "default_grid",
     "effective_potential",

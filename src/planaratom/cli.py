@@ -6,26 +6,21 @@ Subcommands and the flags each one reads:
   name it, ``--nodes --rho-min --rho-max --points --tol`` override the
   grid and the search tolerance, ``--format csv|json --output`` and
   ``--wavefunction-output`` say where the record and the samples go.
-* ``wavefunction``: the same state flags as ``solve`` and ``--output``;
-  always CSV (``rho,u``).
-* ``scan-potential``: ``--atom --potential --lambda|--mgamma-ev --ell``,
-  ``--rho-start --rho-stop --scan-points`` and ``--output``; always CSV
-  (``rho,u_eff``).
 * ``table energies|radii|ell-states``: that table's rows of the embedded
   ``data/published_tables.csv``, in file order, next to recomputed values,
   ``--format csv|json --output``.
 * ``report``: side-by-side discrepancy report on the file's energies rows,
   then its radii rows, in file order, ``--format md|csv|json --output``.
-* ``k0``: Bessel debug, ``--x --format csv|json --output``.
 
 ``table`` and ``report`` solve their distinct states concurrently, one
 thread per CPU the process may run on (:func:`_solve_states`).
 
 Every command writes through :func:`_emit`: CSV opens with ``# schema=``
-and any ``# key=value`` comment lines, takes its header from the record
-keys, and JSON uses the same field names. ``--output -`` (or no
-``--output``) writes to stdout, except that ``table`` and ``report``
-default to ``table_<which>.<format>`` and ``report.<format>``.
+and any ``# key=value`` comment lines (the wavefunction CSV's name its
+state and outcome), takes its header from the record keys, and JSON uses
+the same field names. ``--output -`` (or no ``--output``) writes to
+stdout, except that ``table`` and ``report`` default to
+``table_<which>.<format>`` and ``report.<format>``.
 
 Exit codes: 0 success, 1 usage error (``usage error:``), solver failure
 (``error:``: a state not bracketed, degenerate matching, a grid too coarse
@@ -55,7 +50,6 @@ from .model import (
     POTENTIAL_TOKENS,
     EffectivePotentialParams,
     PotentialSpec,
-    effective_potential,
     jordan_variant_gap,
     lambda_from_ev,
     make_atom,
@@ -71,7 +65,6 @@ from .numerov import (
     solve_state,
 )
 from .observables import mean_radius
-from .specfun import bessel_k0_eval
 
 SCHEMA = "planar-atom/v1"
 
@@ -148,16 +141,9 @@ class RunRequest:
         return grid
 
 
-# Parsed-flag names that are also RunRequest fields; only the commands that
-# solve a state declare them.
-_SOLVER_FLAGS = ("nodes", "rho_min", "rho_max", "n_points", "tol")
-
-
 def _request_from_args(args) -> RunRequest:
     token = args.potential
-    kind = POTENTIAL_TOKENS.get(token)
-    if kind is None:
-        raise _UsageError(f"unknown --potential token {token!r}")
+    kind = POTENTIAL_TOKENS[token]
     lam = args.lam
     if args.mgamma_ev is not None:
         if lam is not None:
@@ -167,8 +153,8 @@ def _request_from_args(args) -> RunRequest:
         raise _UsageError(f"--potential {token} requires --lambda (or --mgamma-ev)")
     if kind not in CHERN_SIMONS_KINDS and lam is not None:
         raise _UsageError(f"--lambda is not valid with --potential {token}")
-    solver = {k: v for k, v in vars(args).items() if k in _SOLVER_FLAGS}
-    return RunRequest(args.atom, token, lam, args.ell, **solver)
+    return RunRequest(args.atom, token, lam, args.ell, args.nodes, args.rho_min, args.rho_max,
+                      args.n_points, args.tol)
 
 
 def _cell(value) -> str:
@@ -309,28 +295,6 @@ def cmd_solve(args) -> int:
     return 0 if result.converged else 2
 
 
-def cmd_wavefunction(args) -> int:
-    req = _request_from_args(args)
-    result, wf, _ = _solve_request(req)
-    _emit_wavefunction(args.output, req, result, wf)
-    return 0 if result.converged else 2
-
-
-def cmd_scan_potential(args) -> int:
-    req = _request_from_args(args)
-    if not (0 < args.rho_start < args.rho_stop < float("inf")):
-        raise _UsageError("--rho-start/--rho-stop must satisfy 0 < start < stop < inf")
-    if args.scan_points < 1:
-        raise _UsageError(f"--scan-points must be at least 1, got {args.scan_points}")
-    import numpy as np
-
-    rho = np.linspace(args.rho_start, args.rho_stop, args.scan_points)
-    u = effective_potential(req.problem(), rho)
-    rows = zip(rho.tolist(), u.tolist())
-    _emit("csv", args.output, rows, header=("rho", "u_eff"), comments=(_state_fields(req),))
-    return 0
-
-
 def _reference_rows(table: str) -> list:
     """``(RunRequest, published value)`` for each row of a reference table,
     in the order of ``data/published_tables.csv``."""
@@ -464,35 +428,20 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_k0(args) -> int:
-    ev = bessel_k0_eval(args.x)
-    record = {"x": ev.x, "k0": ev.value, "regime": ev.regime, "underflow": ev.underflow}
-    _emit(args.format, args.output, [record])
-    return 0
-
-
 def _add_output_flags(p, *formats):
-    if formats:
-        p.add_argument("--format", choices=formats, default=formats[0])
+    p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--output", default=None, help="output path ('-' for stdout)")
 
 
 def _add_state_flags(p):
-    """Flags naming a state: the commands that build a problem."""
+    """Flags naming a state, and the grid and tolerance overrides the solver reads."""
     p.add_argument("--atom", required=True, choices=ATOM_NAMES)
-    p.add_argument(
-        "--potential", required=True, help="coulomb3d coulomb2d chern-simons chern-simons-jordan"
-    )
+    p.add_argument("--potential", required=True, choices=POTENTIAL_TOKENS)
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="photon mass over electron mass (chern-simons kinds)")
     p.add_argument("--mgamma-ev", type=float, default=None,
                    help="photon topological mass in eV (alternative to --lambda)")
     p.add_argument("--ell", type=int, default=0)
-
-
-def _add_solver_flags(p):
-    """State flags plus the grid and tolerance overrides the solver reads."""
-    _add_state_flags(p)
     p.add_argument("--nodes", type=int, default=0)
     p.add_argument("--rho-min", type=float, default=None)
     p.add_argument("--rho-max", type=float, default=None)
@@ -514,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one bound state")
     _add_output_flags(p, "csv", "json")
-    _add_solver_flags(p)
+    _add_state_flags(p)
     p.add_argument("--wavefunction-output", default=None,
                    help="also write the normalized wavefunction CSV here")
     p.set_defaults(func=cmd_solve)
@@ -524,27 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p, "csv", "json")
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("scan-potential", help="sample the effective potential")
-    _add_output_flags(p)
-    _add_state_flags(p)
-    p.add_argument("--rho-start", type=float, required=True)
-    p.add_argument("--rho-stop", type=float, required=True)
-    p.add_argument("--scan-points", type=int, default=501)
-    p.set_defaults(func=cmd_scan_potential)
-
-    p = sub.add_parser("wavefunction", help="solve and emit the wavefunction CSV")
-    _add_output_flags(p)
-    _add_solver_flags(p)
-    p.set_defaults(func=cmd_wavefunction)
-
     p = sub.add_parser("report", help="reference-vs-recomputed discrepancy report")
     _add_output_flags(p, "md", "csv", "json")
     p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("k0", help="evaluate K0 (debug)")
-    p.add_argument("--x", type=float, required=True)
-    _add_output_flags(p, "csv", "json")
-    p.set_defaults(func=cmd_k0)
 
     return parser
 

@@ -22,7 +22,7 @@ largest argument leaves each sum equal to the full one.
 
 Arguments above ``X_MAX`` underflow: ``exp(-x)`` is below the smallest
 normal double long before the tail matters physically, so K0 returns an
-exact 0 tagged with ``underflow=True`` instead of raising.
+exact 0 there instead of raising.
 
 All functions are pure and stateless; they are safe to call concurrently.
 """
@@ -30,7 +30,6 @@ All functions are pure and stateless; they are safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -39,7 +38,7 @@ from scipy import special
 EULER_GAMMA = 0.5772156649015329
 
 # Beyond this argument exp(-x) underflows for any practical purpose and
-# K0 is returned as exact zero with the underflow flag set.
+# K0 is returned as exact zero.
 X_MAX = 700.0
 
 # Series/scipy switch point.
@@ -52,28 +51,6 @@ _K0_SERIES_TERMS = 20
 # Points per block of bessel_k0_array: a block's masked argument and the series'
 # five sums (768 KB) stay in a core's L2 cache.
 _K0_BLOCK = 16384
-
-
-@dataclass(frozen=True)
-class BesselEval:
-    """One K0 evaluation together with the regime that produced it.
-
-    ``regime`` is ``"series"`` for the ascending series (x <= 2) and
-    ``"asymptotic"`` for ``scipy.special.k0`` (x > 2). ``underflow`` marks
-    arguments beyond ``X_MAX`` where the value is an exact 0.
-    """
-
-    x: float
-    value: float
-    regime: str
-    underflow: bool = False
-
-
-def _check_positive(x: float, name: str) -> float:
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"{name} requires a positive finite argument, got {x!r}")
-    return x
 
 
 def _k0_series_array(x: np.ndarray) -> np.ndarray:
@@ -137,12 +114,3 @@ def bessel_k0_array(x: np.ndarray) -> np.ndarray:
         if np.any(large):
             ob[large] = special.k0(xb[large])
     return out
-
-
-def bessel_k0_eval(x: float) -> BesselEval:
-    """Evaluate K0(x) and report the regime used."""
-    x = _check_positive(x, "bessel_k0")
-    value = float(bessel_k0_array(np.array([x]))[0])
-    regime = "series" if x <= _K0_SWITCH else "asymptotic"
-    return BesselEval(x=x, value=value, regime=regime, underflow=x > X_MAX)
-

@@ -18,37 +18,6 @@ def run(capsys, argv):
     return code, capsys.readouterr().out
 
 
-class TestK0Command:
-    def test_csv(self, capsys):
-        code, out = run(capsys, ["k0", "--x", "1.0"])
-        assert code == 0
-        assert out == (
-            "# schema=planar-atom/v1\n"
-            "x,k0,regime,underflow\n"
-            "1,0.421024438241,series,false\n"
-        )
-        cells = out.splitlines()[2].split(",")
-        assert float(cells[1]) == pytest.approx(0.4210244382407083, rel=1e-12)
-
-    def test_json_underflow(self, capsys):
-        code, out = run(capsys, ["k0", "--x", "701", "--format", "json"])
-        payload = json.loads(out)
-        assert code == 0
-        assert payload["schema"] == "planar-atom/v1"
-        assert payload["k0"] == 0.0
-        assert payload["underflow"] is True
-        assert payload["regime"] == "asymptotic"
-        assert out == (
-            "{\n"
-            '  "schema": "planar-atom/v1",\n'
-            '  "x": 701.0,\n'
-            '  "k0": 0.0,\n'
-            '  "regime": "asymptotic",\n'
-            '  "underflow": true\n'
-            "}\n"
-        )
-
-
 class TestSolveCommand:
     def test_converged_exit_zero(self, capsys):
         code, out = run(
@@ -188,7 +157,8 @@ class TestSolveCommand:
 
     def test_unwritable_output_is_error(self, capsys, tmp_path):
         path = tmp_path / "missing" / "x.csv"
-        code = cli.main(["k0", "--x", "1", "--output", str(path)])
+        code = cli.main(["solve", "--atom", "pe", "--potential", "coulomb3d", "--output", str(path)]
+                        + FAST)
         assert code == 1
         assert capsys.readouterr().err == f"error: cannot write {path}: No such file or directory\n"
 
@@ -294,117 +264,16 @@ class TestSolveCommand:
         assert first == second
 
 
-class TestScanPotential:
-    def test_coulomb_values(self, capsys):
-        code, out = run(
-            capsys,
-            [
-                "scan-potential", "--atom", "pe", "--potential", "coulomb3d",
-                "--rho-start", "1", "--rho-stop", "2", "--scan-points", "2",
-            ],
-        )
-        assert code == 0
-        rows = [ln.split(",") for ln in out.splitlines() if not ln.startswith(("#", "rho"))]
-        zeta = md.make_atom("pe").zeta
-        assert float(rows[0][1]) == pytest.approx(-2.0 * math.sqrt(zeta), rel=1e-11)
-        assert float(rows[1][1]) == pytest.approx(-math.sqrt(zeta), rel=1e-11)
+class TestWavefunctionOutput:
+    """The CSV that ``solve --wavefunction-output`` writes."""
 
-    def test_k0_column_below_centrifugal_only(self, capsys):
-        code, out = run(
-            capsys,
-            [
-                "scan-potential", "--atom", "pe", "--potential", "chern-simons",
-                "--lambda", "2e-5", "--ell", "1",
-                "--rho-start", "0.5", "--rho-stop", "20", "--scan-points", "40",
-            ],
-        )
-        rows = [ln.split(",") for ln in out.splitlines() if not ln.startswith(("#", "rho"))]
-        for r, v in ((float(a), float(b)) for a, b in rows):
-            assert v < (1.0 - 0.25) / (r * r)
+    @staticmethod
+    def solve(tmp_path, argv):
+        path = tmp_path / "wf.csv"
+        code = cli.main(["solve", *argv, "--output", str(tmp_path / "rec.csv"),
+                         "--wavefunction-output", str(path)])
+        return code, path.read_text()
 
-    def test_lambda_ordering(self, capsys):
-        vals = []
-        for lam in ("2e-6", "2e-5", "2e-4"):
-            _, out = run(
-                capsys,
-                [
-                    "scan-potential", "--atom", "pe", "--potential", "chern-simons",
-                    "--lambda", lam, "--rho-start", "3", "--rho-stop", "4",
-                    "--scan-points", "2",
-                ],
-            )
-            rows = [ln for ln in out.splitlines() if not ln.startswith(("#", "rho"))]
-            vals.append(float(rows[0].split(",")[1]))
-        assert vals[0] < vals[1] < vals[2]
-
-    def test_exact_text(self, capsys):
-        code, out = run(
-            capsys,
-            [
-                "scan-potential", "--atom", "pe", "--potential", "coulomb3d",
-                "--rho-start", "1", "--rho-stop", "2", "--scan-points", "3",
-            ],
-        )
-        assert code == 0
-        assert out == (
-            "# schema=planar-atom/v1\n"
-            "# atom=pe potential=coulomb3d lambda= ell=0\n"
-            "rho,u_eff\n"
-            "1,-1.99945560533\n"
-            "1.5,-1.33297040356\n"
-            "2,-0.999727802667\n"
-        )
-
-    @pytest.mark.parametrize(
-        "flag",
-        [
-            ["--format", "json"], ["--nodes", "1"], ["--rho-min", "7"],
-            ["--rho-max", "9"], ["--points", "5"], ["--tol", "1"],
-        ],
-    )
-    def test_solver_and_format_flags_rejected(self, capsys, flag):
-        code = cli.main(
-            [
-                "scan-potential", "--atom", "pe", "--potential", "coulomb3d",
-                "--rho-start", "1", "--rho-stop", "2", "--scan-points", "3",
-            ]
-            + flag
-        )
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith("usage error: unrecognized arguments: " + flag[0])
-
-    @pytest.mark.parametrize("points", ["0", "-1"])
-    def test_scan_points_below_one_is_usage_error(self, capsys, points):
-        # 0 printed a header-only table and exited 0; -1 printed numpy's message
-        code = cli.main(
-            [
-                "scan-potential", "--atom", "pe", "--potential", "coulomb3d",
-                "--rho-start", "1", "--rho-stop", "2", "--scan-points", points,
-            ]
-        )
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == f"usage error: --scan-points must be at least 1, got {points}\n"
-
-    @pytest.mark.parametrize("start, stop", [("2", "1"), ("1", "inf")])
-    def test_bad_range(self, capsys, start, stop):
-        # an infinite stop used to reach linspace, which warned before the potential failed
-        code = cli.main(
-            [
-                "scan-potential", "--atom", "pe", "--potential", "coulomb3d",
-                "--rho-start", start, "--rho-stop", stop,
-            ]
-        )
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "usage error: --rho-start/--rho-stop must satisfy 0 < start < stop < inf\n"
-        )
-
-
-class TestWavefunctionCommand:
     def parse(self, out):
         meta = [ln for ln in out.splitlines() if ln.startswith("#")]
         rows = [
@@ -416,10 +285,9 @@ class TestWavefunctionCommand:
         u = np.array([float(r[1]) for r in rows])
         return meta, rho, u
 
-    def test_2d_ground_state_profile(self, capsys):
-        code, out = run(
-            capsys,
-            ["wavefunction", "--atom", "pe", "--potential", "coulomb2d", "--points", "20001"],
+    def test_2d_ground_state_profile(self, tmp_path):
+        code, out = self.solve(
+            tmp_path, ["--atom", "pe", "--potential", "coulomb2d", "--points", "20001"]
         )
         assert code == 0
         meta, rho, u = self.parse(out)
@@ -434,34 +302,22 @@ class TestWavefunctionCommand:
         assert np.all(u > -1e-12)  # nodeless, positive by convention
         assert np.count_nonzero(u > 0) > len(u) // 2
 
-    def test_format_flag_rejected(self, capsys):
-        code = cli.main(
-            ["wavefunction", "--atom", "pe", "--potential", "coulomb2d", "--format", "json"]
-        )
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith("usage error: unrecognized arguments: --format")
-
-    def test_3d_peak_position(self, capsys):
-        code, out = run(
-            capsys,
-            ["wavefunction", "--atom", "pe", "--potential", "coulomb3d", "--points", "20001"],
+    def test_3d_peak_position(self, tmp_path):
+        code, out = self.solve(
+            tmp_path, ["--atom", "pe", "--potential", "coulomb3d", "--points", "20001"]
         )
         meta, rho, u = self.parse(out)
         peak = rho[np.argmax(u)]
         expected = 1.0 / md.make_atom("pe").sqrt_zeta
         assert peak == pytest.approx(expected, abs=4 * (rho[1] - rho[0]))
 
-    def test_muonic_peak_smaller_in_bohr_units(self, capsys):
+    def test_muonic_peak_smaller_in_bohr_units(self, tmp_path):
         peaks = {}
         for atom in ("pe", "pmu"):
-            _, out = run(
-                capsys,
-                [
-                    "wavefunction", "--atom", atom, "--potential", "chern-simons",
-                    "--lambda", "2e-5", "--points", "40001",
-                ],
+            _, out = self.solve(
+                tmp_path,
+                ["--atom", atom, "--potential", "chern-simons", "--lambda", "2e-5",
+                 "--points", "40001"],
             )
             meta, rho, u = self.parse(out)
             zeta = md.make_atom(atom).zeta
@@ -498,14 +354,8 @@ class TestFixturesAndFlags:
 class TestJsonMirrorsCsv:
     """JSON field names are the CSV header, in the same order."""
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["solve", "--atom", "pe", "--potential", "coulomb3d"] + FAST,
-            ["k0", "--x", "2.5"],
-        ],
-    )
-    def test_single_record(self, capsys, argv):
+    def test_single_record(self, capsys):
+        argv = ["solve", "--atom", "pe", "--potential", "coulomb3d"] + FAST
         _, csv_out = run(capsys, argv)
         _, json_out = run(capsys, argv + ["--format", "json"])
         header = csv_out.splitlines()[1].split(",")

@@ -76,6 +76,18 @@ class TestEffectivePotential:
         )
         assert md.effective_potential(p, 1.0) == pytest.approx(CS_EXAMPLE_U, rel=1e-12)
 
+    def test_coulomb3d_scales_with_the_atom(self):
+        p = make_problem("pe", "coulomb3d")
+        sqrt_zeta = math.sqrt(md.make_atom("pe").zeta)
+        u = md.effective_potential(p, np.array([1.0, 2.0]))
+        assert u[0] == pytest.approx(-2.0 * sqrt_zeta, rel=1e-11)
+        assert u[1] == pytest.approx(-sqrt_zeta, rel=1e-11)
+
+    def test_k0_kind_below_centrifugal_only(self):
+        rho = np.linspace(0.5, 20.0, 40)
+        u = md.effective_potential(make_problem("pe", "chern_simons", 2e-5, ell=1), rho)
+        assert np.all(u < (1.0 - 0.25) / (rho * rho))
+
     def test_origin_signs(self):
         # repulsive centrifugal barrier dominates when its coefficient is
         # positive; otherwise the potential dives negative

@@ -12,22 +12,26 @@ K0_AT_1 = 0.4210244382407083  # integral representation, adaptive quadrature
 K0_AT_5 = 0.0036910983340425934
 
 
+def k0(x: float) -> float:
+    return float(sf.bessel_k0_array(np.array([x]))[0])
+
+
 class TestK0:
     def test_spot_values_against_quadrature(self):
-        assert sf.bessel_k0_eval(1.0).value == pytest.approx(K0_AT_1, rel=1e-13)
-        assert sf.bessel_k0_eval(5.0).value == pytest.approx(K0_AT_5, rel=1e-13)
+        assert k0(1.0) == pytest.approx(K0_AT_1, rel=1e-13)
+        assert k0(5.0) == pytest.approx(K0_AT_5, rel=1e-13)
 
     def test_small_argument_log_behavior(self):
         # K0(x) -> -ln(x/2) - gamma as x -> 0+
         for x in (1e-8, 1e-10, 1e-12):
-            combo = sf.bessel_k0_eval(x).value + math.log(x / 2.0) + sf.EULER_GAMMA
+            combo = k0(x) + math.log(x / 2.0) + sf.EULER_GAMMA
             assert abs(combo) < 1e-14
 
     def test_quadrature_oracle_over_range(self):
         xs = np.logspace(-6, math.log10(50.0), 160)
-        for x in xs:
+        for x, value in zip(xs, sf.bessel_k0_array(xs)):
             ref = oracles.k0_quadrature(float(x))
-            assert sf.bessel_k0_eval(float(x)).value == pytest.approx(ref, rel=1e-12)
+            assert value == pytest.approx(ref, rel=1e-12)
 
     def test_positive_and_strictly_decreasing(self):
         xs = np.logspace(-5, 2.5, 400)
@@ -52,16 +56,6 @@ class TestK0:
         x[0] = x_max
         assert np.array_equal(sf._k0_series_array(x), oracles.k0_series_full(x))
 
-    def test_regime_reported(self):
-        assert sf.bessel_k0_eval(1.5).regime == "series"
-        assert sf.bessel_k0_eval(2.5).regime == "asymptotic"
-        # the switch point belongs to the series; the eval is the array's value
-        edge = math.nextafter(2.0, 3.0)
-        assert sf.bessel_k0_eval(2.0).regime == "series"
-        assert sf.bessel_k0_eval(edge).regime == "asymptotic"
-        for x in (1.5, 2.0, edge, 2.5):
-            assert sf.bessel_k0_eval(x).value == sf.bessel_k0_array(np.array([x]))[0]
-
     def test_leading_asymptotic_band(self):
         for x in np.linspace(10.0, 650.0, 60):
             scaled = sf.bessel_k0_array(np.array([x]))[0] * math.sqrt(
@@ -69,24 +63,17 @@ class TestK0:
             ) * math.exp(x)
             assert 1.0 - 1.0 / (8.0 * x) - 0.01 <= scaled <= 1.0
 
-    def test_underflow_flag(self):
-        ev = sf.bessel_k0_eval(sf.X_MAX + 1.0)
-        assert ev.value == 0.0
-        assert ev.underflow
-        below = sf.bessel_k0_eval(sf.X_MAX - 1.0)
-        assert below.value > 0.0
-        assert not below.underflow
+    def test_underflow_past_x_max(self):
         # X_MAX itself is still evaluated; only arguments past it underflow
-        for x, underflow in ((sf.X_MAX, False), (800.0, True)):
-            ev = sf.bessel_k0_eval(x)
-            assert ev.underflow is underflow
-            assert ev.regime == "asymptotic"
-            assert ev.value == sf.bessel_k0_array(np.array([x]))[0]
+        assert k0(sf.X_MAX + 1.0) == 0.0
+        assert k0(800.0) == 0.0
+        assert k0(sf.X_MAX) > 0.0
+        assert k0(sf.X_MAX - 1.0) > 0.0
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):
-            sf.bessel_k0_eval(bad)
+            sf.bessel_k0_array(np.array([bad]))
 
     def test_array_domain_errors(self):
         with pytest.raises(ValueError):
@@ -135,7 +122,7 @@ class TestK0Blocks:
 
     def test_scalar_shaped_input(self):
         out = sf.bessel_k0_array(np.float64(1.0))
-        assert out.shape == () and out == sf.bessel_k0_eval(1.0).value
+        assert out.shape == () and out == sf.bessel_k0_array(np.array([1.0]))[0]
         assert sf.bessel_k0_array(np.array([])).shape == (0,)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
