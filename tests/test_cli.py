@@ -324,6 +324,54 @@ class TestWavefunctionOutput:
             peaks[atom] = rho[np.argmax(u)] / math.sqrt(zeta)
         assert peaks["pmu"] < peaks["pe"]
 
+    def test_csv_whatever_the_record_format(self, tmp_path):
+        # --format names the record's format; the samples are always CSV
+        path = tmp_path / "wf.csv"
+        argv = ["solve", "--atom", "pe", "--potential", "coulomb3d", "--format", "json",
+                "--output", str(tmp_path / "rec.json"), "--wavefunction-output", str(path)]
+        assert cli.main(argv + FAST) == 0
+        record = json.loads((tmp_path / "rec.json").read_text())
+        lines = path.read_text().splitlines()
+        assert lines[:2] == [
+            "# schema=planar-atom/v1",
+            "# atom=pe potential=coulomb3d lambda= ell=0 nodes=0",
+        ]
+        assert lines[2] == f"# energy_ry={record['energy_ry']:.12g} converged=true"
+        assert lines[3] == "rho,u"
+        assert len(lines) - 4 == record["n_points"]
+
+
+class TestCommandSet:
+    """solve, table and report are the commands; each reads only its own flags."""
+
+    @pytest.mark.parametrize("command", ["wavefunction", "scan-potential", "k0"])
+    def test_unknown_command_is_usage_error(self, capsys, command):
+        code = cli.main([command, "--atom", "pe", "--potential", "coulomb3d"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: argument command: invalid choice: ")
+        assert command in captured.err
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--x", "1"], ["--rho-start", "1"], ["--rho-stop", "2"], ["--scan-points", "3"]],
+    )
+    def test_solve_rejects_foreign_flags(self, capsys, flag):
+        code = cli.main(["solve", "--atom", "pe", "--potential", "coulomb3d"] + flag)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"usage error: unrecognized arguments: {' '.join(flag)}\n"
+
+    @pytest.mark.parametrize("command", [["table", "energies"], ["report"]])
+    def test_tables_reject_state_flags(self, capsys, command):
+        code = cli.main(command + ["--atom", "pe", "--output", "-"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "usage error: unrecognized arguments: --atom pe\n"
+
 
 class TestFixturesAndFlags:
     def test_published_table_values(self):
@@ -354,8 +402,14 @@ class TestFixturesAndFlags:
 class TestJsonMirrorsCsv:
     """JSON field names are the CSV header, in the same order."""
 
-    def test_single_record(self, capsys):
-        argv = ["solve", "--atom", "pe", "--potential", "coulomb3d"] + FAST
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--atom", "pe", "--potential", "coulomb3d"] + FAST,
+            ["solve", "--atom", "pe", "--potential", "chern-simons", "--lambda", "2e-5"] + FAST,
+        ],
+    )
+    def test_single_record(self, capsys, argv):
         _, csv_out = run(capsys, argv)
         _, json_out = run(capsys, argv + ["--format", "json"])
         header = csv_out.splitlines()[1].split(",")

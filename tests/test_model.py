@@ -83,6 +83,10 @@ class TestEffectivePotential:
         assert u[0] == pytest.approx(-2.0 * sqrt_zeta, rel=1e-11)
         assert u[1] == pytest.approx(-sqrt_zeta, rel=1e-11)
 
+    def test_coulomb3d_pe_printed_values(self):
+        u = md.effective_potential(make_problem("pe", "coulomb3d"), np.array([1.0, 1.5, 2.0]))
+        assert [f"{v:.12g}" for v in u] == ["-1.99945560533", "-1.33297040356", "-0.999727802667"]
+
     def test_k0_kind_below_centrifugal_only(self):
         rho = np.linspace(0.5, 20.0, 40)
         u = md.effective_potential(make_problem("pe", "chern_simons", 2e-5, ell=1), rho)
@@ -137,6 +141,13 @@ class TestEffectivePotential:
             md.effective_potential(make_problem("pe", "coulomb3d"), 0.0)
         with pytest.raises(ValueError):
             md.effective_potential(make_problem("pe", "coulomb3d"), -1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rho_rejected(self, bad):
+        # one bad entry fails the whole array, before any K0 is evaluated
+        with pytest.raises(ValueError, match="rho must be positive and finite"):
+            md.effective_potential(make_problem("pe", "chern_simons", 2e-5),
+                                   np.array([1.0, bad, 2.0]))
 
 
 class TestJordanGap:

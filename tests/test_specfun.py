@@ -46,6 +46,15 @@ class TestK0:
         assert abs(left - right) / left <= 1e-12
 
     @pytest.mark.parametrize(
+        "x, series",
+        [(1.5, True), (2.0, True), (math.nextafter(2.0, 3.0), False), (2.5, False)],
+    )
+    def test_switch_point_belongs_to_the_series(self, x, series):
+        xb = np.array([x])
+        expected = sf._k0_series_array(xb) if series else special.k0(xb)
+        assert sf.bessel_k0_array(xb)[0] == expected[0]
+
+    @pytest.mark.parametrize(
         "n, x_max", [(1, 2.0), (8193, 2.0), (200001, 2.0), (8193, 0.3), (200001, 0.02)]
     )
     def test_series_equals_full_sum_bitwise(self, n, x_max):
