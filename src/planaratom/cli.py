@@ -12,8 +12,8 @@ Subcommands and the flags each one reads:
 * ``report``: side-by-side discrepancy report on the file's energies rows,
   then its radii rows, in file order, ``--format md|csv|json --output``.
 
-``table`` and ``report`` solve their distinct states concurrently, one
-thread per CPU the process may run on (:func:`_solve_states`).
+``table`` and ``report`` solve each distinct state once, in row order, in
+the calling thread (:func:`_solve_states`).
 
 Every command writes through :func:`_emit`: CSV opens with ``# schema=``
 and any ``# key=value`` comment lines (the wavefunction CSV's name its
@@ -25,11 +25,11 @@ stdout, except that ``table`` and ``report`` default to
 Exit codes: 0 success, 1 usage error (``usage error:``), solver failure
 (``error:``: a state not bracketed, degenerate matching, a grid too coarse
 for Numerov or a 2D grid that starts past the state, a potential not
-finite on the grid or a wavefunction that cannot be normalized) or an
-output file that cannot be written (``error: cannot write <path>``), 2
-solver did not converge (record is still written). Output is
-deterministic: fixed column orders, floats at 12 significant digits, no
-timestamps.
+finite on the grid, a sweep that overflows or a wavefunction that cannot
+be normalized) or an output file that cannot be written (``error: cannot
+write <path>``), 2 solver did not converge (record is still written).
+Output is deterministic: fixed column orders, floats at 12 significant
+digits, no timestamps.
 """
 
 from __future__ import annotations
@@ -37,9 +37,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -224,34 +222,15 @@ def _solve_request(req: RunRequest):
     return result, wf, mean_radius(wf, problem)
 
 
-def _solve_dropping_wavefunction(req: RunRequest):
-    result, _, radius = _solve_request(req)
-    return result, radius
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _solve_states(reqs) -> dict:
-    """Solve each distinct :class:`RunRequest` once.
+    """Solve each distinct :class:`RunRequest` once, in order, in the calling thread.
 
-    Maps each request to its ``(EigenResult, RadiusResult)`` pair. The
-    states are solved by one worker thread per available CPU; the numpy passes
-    over the grid release the GIL, the banded solve of a sweep does not. A
-    failure raises the first failing request's error
-    in ``reqs`` order and cancels the states not yet started. Wavefunctions
+    Maps each request to its ``(EigenResult, RadiusResult)`` pair. A failure
+    raises the first failing request's error in ``reqs`` order. Wavefunctions
     are not kept, so memory does not grow with the number of states.
     """
-    reqs = list(dict.fromkeys(reqs))
-    pool = ThreadPoolExecutor(max_workers=min(len(reqs), _cpu_count()))
-    try:
-        return dict(zip(reqs, pool.map(_solve_dropping_wavefunction, reqs)))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    # [::2] keeps (result, radius): each wavefunction is freed before the next solve
+    return {req: _solve_request(req)[::2] for req in dict.fromkeys(reqs)}
 
 
 def _state_fields(req: RunRequest, **more) -> dict:

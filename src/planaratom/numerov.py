@@ -105,10 +105,12 @@ by 4.6e-10 of max|u| for pe ``chern_simons`` ground and 1.6e-9 for tmu
 ``chern_simons_jordan`` at lambda 1e-4 (unscaled rows: 1.2e-10, 1.6e-10).
 A bound on the per-step growth cuts the sweep into segments only where it
 could overflow, and values are rescaled between segments, so deep
-classically forbidden regions are safe; default grids need one segment. A
-grid past Numerov's stability limit (``f = 1 + h^2 g / 12`` outside ``(0,
-1.5)`` on a swept row) raises :class:`GridTooCoarseError`; inside that
-range ``f_k`` is a safe divisor.
+classically forbidden regions are safe; default grids need one segment.
+Seeds too large for the growth that follows, as the outward seed
+``rho_min^(l+1)`` of a very high ``ell`` is, still overflow, and the sweep
+raises :class:`SweepOverflowError`. A grid past Numerov's stability limit
+(``f = 1 + h^2 g / 12`` outside ``(0, 1.5)`` on a swept row) raises
+:class:`GridTooCoarseError`; inside that range ``f_k`` is a safe divisor.
 
 A solve allocates nothing the size of its grid per shot or per sweep. The
 two sweeps of a shot, its ``f``, and the two joined sweeps the search
@@ -221,6 +223,10 @@ class GridTooCoarseError(SolverError):
     Numerov's stable range, or a 2D grid starts past ``MAX_KAPPA_RHO_MIN``
     decay lengths from the origin.
     """
+
+
+class SweepOverflowError(SolverError):
+    """A sweep's values overflow a double: its seeds leave too little headroom."""
 
 
 class NonFinitePotentialError(SolverError):
@@ -365,7 +371,8 @@ def _sweep(
     (``_SEGMENT_GROWTH``), and a segment whose peak passes
     ``RESCALE_THRESHOLD`` rescales all values before it, so deep
     classically forbidden regions never overflow. Default grids need one
-    segment.
+    segment. A segment that still overflows, from seeds too large for its
+    growth, raises :class:`SweepOverflowError`.
 
     Each segment is solved in blocks of ``_BLOCK`` rows, one
     ``dtbtrs`` call each, whose band rows are built from ``f`` into
@@ -438,6 +445,11 @@ def _sweep(
             rhs = u[first + 2 : min(first + 2 + _BLOCK, stop) + 2]
             rhs[2:] = 0.0
         peak = max(u[start + 2 : stop + 2].max(), -u[start + 2 : stop + 2].min())
+        if not peak < math.inf:  # inf or NaN
+            raise SweepOverflowError(
+                f"sweep overflows a double by rho={rho[stop + 1]:.6g}: it starts from {u0:.3g} "
+                f"and {u1:.3g} at rho={rho[0]:.6g}, too large for the growth that follows"
+            )
         if peak > RESCALE_THRESHOLD:
             u[: stop + 2] /= peak
         start = stop
@@ -506,8 +518,8 @@ class _Scratch(threading.local):
     small, which drops the smaller; :meth:`give` takes it back. A solve
     never receives a block another solve is using, the blocks never
     outnumber the threads that solve, and a thread's block is freed when
-    the thread ends, as the pool threads of the CLI's ``table`` and
-    ``report`` do after each command.
+    the thread ends. The CLI solves in its calling thread, which keeps its
+    block from one command to the next.
     """
 
     block: np.ndarray | None = None
@@ -631,7 +643,8 @@ class _ShootingWorkspace:
             np.multiply(u_right[_STENCIL_PAD + 1 :], ul / ur if ur != 0.0 else 1.0, out=out[m + 1 :])
             if defect is not None:
                 # einsum, not np.dot: a BLAS dot this long wakes OpenBLAS's thread
-                # pool, which slows the concurrent solves of `table` and `report`
+                # pool, which slows the library's concurrent callers, such as two
+                # client threads solving at once
                 slope = -self.h * np.einsum("i,i->", out, out) / (out[i] * out[i] * scale)
         return _Shot(energy, m, nodes, slope, defect)
 
@@ -718,12 +731,15 @@ def default_grid(
 ) -> RadialGrid:
     """Per-problem default mesh; explicit arguments override the recipe.
 
-    Coulomb kinds size the box from the closed-form tail constant; the K0
-    kinds from a self-consistent depth estimate. 3D problems keep a tiny
-    ``rho_min`` (the regular solution is analytic there). For ``ell >= 5``
-    it moves out just far enough that the centrifugal term leaves ``f >=
-    1/2`` on the first swept row: ``rho_min + 2h = h sqrt(l(l+1)/6)``. 2D
-    problems start a fixed number of steps out, see the module docstring.
+    Coulomb kinds size the box from the closed form: at least 30 decay
+    lengths ``1/kappa``, and 15 past the level's outer classical turning
+    point, which the centrifugal term pushes out at high ``ell``. The K0
+    kinds size it from a self-consistent depth estimate. 3D problems keep
+    a tiny ``rho_min`` (the regular solution is analytic there). For ``ell
+    >= 5`` it moves out just far enough that the centrifugal term leaves
+    ``f >= 1/2`` on the first swept row: ``rho_min + 2h = h
+    sqrt(l(l+1)/6)``. 2D problems start a fixed number of steps out, see
+    the module docstring.
     """
     if node_target < 0:
         raise ValueError("node_target must be non-negative")
@@ -737,7 +753,10 @@ def default_grid(
     else:
         e_est = closed_form_energy(problem, node_target)
         kappa = math.sqrt(-e_est)
-        box = max(30.0 / kappa, 40.0 / math.sqrt(zeta))
+        # the level's outer turning point, the larger root of e_est = U_eff(rho)
+        c = problem.centrifugal_coefficient
+        turning = (math.sqrt(zeta) + math.sqrt(zeta + e_est * c)) / -e_est
+        box = max(30.0 / kappa, 40.0 / math.sqrt(zeta), turning + 15.0 / kappa)
         n_default = 50001 if kind == "coulomb3d" else 100001
     if rho_max is None:
         rho_max = box

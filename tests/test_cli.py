@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import time
 
 import numpy as np
@@ -154,6 +155,16 @@ class TestSolveCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err == "error: cannot normalize a zero or non-finite wavefunction\n"
+
+    @pytest.mark.parametrize("ell", ["150", "200"])
+    def test_sweep_overflow_is_solver_error(self, capsys, ell):
+        # the outward seed rho_min^(ell+1) leaves the sweep no room to grow (inf at ell 200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["solve", "--atom", "pe", "--potential", "coulomb3d", "--ell", ell])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: sweep overflows a double by rho=")
 
     def test_unwritable_output_is_error(self, capsys, tmp_path):
         path = tmp_path / "missing" / "x.csv"
@@ -431,7 +442,7 @@ class TestJsonMirrorsCsv:
         ]
 
 
-class TestConcurrentTables:
+class TestSolveStates:
     def test_ell_states_match_sequential_solves(self):
         reqs = [req for req, _ in cli._reference_rows("ell_states")]
         sequential = {}
@@ -462,3 +473,17 @@ class TestConcurrentTables:
         assert code == 1
         assert captured.out == ""
         assert captured.err == "error: pe ell=2 failed\n"
+
+    def test_solves_in_the_calling_thread(self, capsys, monkeypatch):
+        idents = set()
+        solve = cli.solve_state
+
+        def recording(*args, **kwargs):
+            idents.add(threading.get_ident())
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_state", recording)
+        for argv in (["table", "ell-states"], ["report", "--format", "csv"]):
+            assert cli.main(argv + ["--output", "-"]) == 0
+        capsys.readouterr()
+        assert idents == {threading.get_ident()}

@@ -157,6 +157,13 @@ class TestSweep:
         assert np.all(np.isfinite(u))
         assert np.max(np.abs(u)) <= nv.RESCALE_THRESHOLD * 10
 
+    def test_overflow_raises_solver_error(self):
+        # e^0.15 per row over 999 rows: fits one segment, but not from seeds near 1e300
+        f = 1.0 + (0.05**2 / 12.0) * np.full(1000, -9.0)
+        rho = 0.05 * np.arange(1000)
+        with pytest.raises(nv.SweepOverflowError, match=r"starts from 1e\+300 and 1\.16e\+300"):
+            sweep(f, 1e300, 1e300 * math.exp(0.15), rho)
+
     def test_nonfinite_g_rejected(self):
         grid = nv.RadialGrid(0.1, 5.0, 1000)
         f = numerov_f(lambda r: np.full_like(r, np.nan), grid)
@@ -365,6 +372,16 @@ class TestSolveState:
         res, _ = nv.solve_state(problem, 0)
         assert res.converged
         assert abs(res.energy + md.make_atom("pe").zeta / (ell + 1) ** 2) <= 1e-8
+
+    @pytest.mark.parametrize("kind", ["coulomb3d", "coulomb2d"])
+    @pytest.mark.parametrize("ell", [16, 20, 25])
+    def test_default_box_holds_high_ell_levels(self, kind, ell):
+        # the box reaches 15 decay lengths past the level's outer turning point
+        problem = make_problem("pe", kind, ell=ell)
+        res, _ = nv.solve_state(problem, 0)
+        assert res.converged
+        assert res.nodes == 0
+        assert abs(res.energy - nv.closed_form_energy(problem, 0)) <= 1e-8
 
     def test_default_3d_grid_keeps_rho_min_through_ell_4(self):
         for ell in range(5):
