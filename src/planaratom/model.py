@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import bessel_k0_array
+from .specfun import X_MAX, bessel_k0_array
 
 # Inverse fine-structure constant as used throughout: the speed of light in
 # atomic units. Deliberately not a CODATA refinement; the embedded reference
@@ -144,7 +144,12 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class EffectivePotentialParams:
-    """Full problem definition: interaction, atom, and angular momentum."""
+    """Full problem definition: interaction, atom, and angular momentum.
+
+    A lambda whose K0 argument per unit ``rho``, ``lambda/(alpha
+    sqrt(zeta))``, overflows a double is rejected: past about 1.3e306 for
+    the six atoms.
+    """
 
     potential: PotentialSpec
     atom: AtomSpec
@@ -153,6 +158,8 @@ class EffectivePotentialParams:
     def __post_init__(self):
         if self.ell < 0 or self.ell != int(self.ell):
             raise ValueError("ell must be a non-negative integer")
+        if not self.k0_argument_scale < math.inf:
+            raise ValueError(f"lambda={self.potential.lam:g} overflows K0's argument scale")
 
     @property
     def dimension(self) -> int:
@@ -194,10 +201,12 @@ def effective_potential(params: EffectivePotentialParams, rho) -> np.ndarray | f
     """Dimensionless effective potential U_eff(rho).
 
     Accepts a scalar or array of strictly positive radii; returns the same
-    shape. Arguments of K0 past the underflow threshold contribute exactly 0.
-    The terms are summed in place: the K0 kinds allocate the output, which
-    first holds K0's argument, and K0's own result, and nothing else the
-    size of ``rho``.
+    shape. Arguments of K0 past the underflow threshold contribute exactly 0,
+    so ``rho`` is capped where the argument reaches twice ``X_MAX``: the
+    argument stays finite for any lambda, and below the cap its bits are
+    those of the uncapped product. The terms are summed in place: the K0
+    kinds allocate the output, which first holds K0's argument, and K0's
+    own result, and nothing else the size of ``rho``.
     """
     arr = np.asarray(rho, dtype=float)
     # min and max propagate NaN, so one comparison each catches every bad entry
@@ -206,7 +215,8 @@ def effective_potential(params: EffectivePotentialParams, rho) -> np.ndarray | f
     u = np.empty_like(arr)
     pref = params.k0_prefactor
     if pref:
-        np.multiply(arr, params.k0_argument_scale, out=u)
+        np.minimum(arr, 2.0 * X_MAX / params.k0_argument_scale, out=u)
+        u *= params.k0_argument_scale
         k0 = bessel_k0_array(u)
         k0 *= pref
     cent = params.centrifugal_coefficient

@@ -108,19 +108,24 @@ could overflow, and values are rescaled between segments, so deep
 classically forbidden regions are safe; default grids need one segment.
 Seeds too large for the growth that follows, as the outward seed
 ``rho_min^(l+1)`` of a very high ``ell`` is, still overflow, and the sweep
-raises :class:`SweepOverflowError`. A grid past Numerov's stability limit
+raises :class:`SweepOverflowError`; so it does, before solving, for a seed
+that is itself not finite. A grid past Numerov's stability limit
 (``f = 1 + h^2 g / 12`` outside ``(0, 1.5)`` on a swept row) raises
 :class:`GridTooCoarseError`; inside that range ``f_k`` is a safe divisor.
 
-A solve allocates nothing the size of its grid per shot or per sweep. The
-two sweeps of a shot, its ``f``, and the two joined sweeps the search
-keeps live in one block of scratch memory (``_ShootingWorkspace``), which
-every grid of the cascade shares because each one's search ends before the
-next finer one's starts. Only the requested grid's joined sweeps are
-normalized, into the one new array a solve returns. :func:`solve_state`
-takes the block from the calling thread's slot (``_Scratch``) and puts it
-back when it returns, so the solves of one thread reuse the same memory. The node count works on the
-samples' sign bits, an eighth of their size.
+A solve allocates nothing the size of its grid per shot or per sweep. A
+shot sweeps outward straight into the buffer its caller names and sweeps
+inward into the workspace's own, then joins the two in the first at the
+match index. That buffer, the inward sweep, ``f`` and the other of the two
+joined buffers the search keeps live in one block of scratch memory
+(``_ShootingWorkspace``): four grid-sized buffers and the band rows of a
+sweep block, 6.6 MB at 200,001 points. Every grid of the cascade shares it,
+because each one's search ends before the next finer one's starts. Only the
+requested grid's joined sweeps are normalized, into the one new array a
+solve returns. Each thread keeps one block (``_Scratch``), grown when a
+solve needs more, and every solve of the thread works in it:
+:func:`solve_state` is never re-entered on a thread. The node count works
+on the samples' sign bits, an eighth of their size.
 """
 
 from __future__ import annotations
@@ -349,13 +354,12 @@ _SEGMENT_GROWTH = 300.0 / math.sqrt(12.0)
 _BLOCK = 8192
 
 
-def _sweep(
-    f: np.ndarray, u0: float, u1: float, rho: np.ndarray, out: np.ndarray, band: np.ndarray
-) -> np.ndarray:
+def _sweep(f, u0, u1, rho0, step, out, band) -> np.ndarray:
     """Numerov recurrence as a lower-triangular banded solve.
 
-    ``f = 1 + h^2 g / 12`` and ``rho`` in sweep order; seeds sit at the
-    first two entries. Row ``k >= 2`` of the system reads ``u_k - (12 - 10
+    ``f = 1 + h^2 g / 12`` in sweep order, row ``k`` at ``rho = rho0 + k
+    step`` (``step`` is negative for an inward sweep); the seeds sit at the
+    first two rows. Row ``k >= 2`` of the system reads ``u_k - (12 - 10
     f_{k-1})/f_k u_{k-1} + f_{k-2}/f_k u_{k-2} = 0`` (the recurrence divided
     by ``f_k``, so no division is left in the substitution), the seed terms
     move to the right-hand side, and LAPACK's ``dtbtrs`` solves it by
@@ -372,7 +376,8 @@ def _sweep(
     ``RESCALE_THRESHOLD`` rescales all values before it, so deep
     classically forbidden regions never overflow. Default grids need one
     segment. A segment that still overflows, from seeds too large for its
-    growth, raises :class:`SweepOverflowError`.
+    growth, raises :class:`SweepOverflowError`, as does, before any solve, a
+    seed that is not finite.
 
     Each segment is solved in blocks of ``_BLOCK`` rows, one
     ``dtbtrs`` call each, whose band rows are built from ``f`` into
@@ -392,9 +397,19 @@ def _sweep(
     if not (worst > 0.0 and diag.max() < 1.5):
         k = 2 + int(np.argmin((diag > 0.0) & (diag < 1.5)))
         raise GridTooCoarseError(
-            f"grid too coarse for Numerov at rho={rho[k]:.6g}: f = 1 + h^2 g/12 = {f[k]:.3g} "
-            "must be finite and in (0, 1.5) for a stable recurrence; refine it or raise rho_min"
+            f"grid too coarse for Numerov at rho={rho0 + k * step:.6g}: f = 1 + h^2 g/12 = "
+            f"{f[k]:.3g} must be finite and in (0, 1.5) for a stable recurrence; refine it or "
+            "raise rho_min"
         )
+
+    def overflow(k, why):
+        return SweepOverflowError(
+            f"sweep overflows a double by rho={rho0 + k * step:.6g}: it starts from {u0:.3g} "
+            f"and {u1:.3g} at rho={rho0:.6g}, {why}"
+        )
+
+    if not (abs(u0) < math.inf and abs(u1) < math.inf):  # inf or NaN
+        raise overflow(1, "which are not finite")
     stops = [n - 2]
     # fast path: the worst row's bound on every row stays under one segment; it spares
     # the growth sum on over 90% of the rows swept in the benchmark workloads
@@ -446,10 +461,7 @@ def _sweep(
             rhs[2:] = 0.0
         peak = max(u[start + 2 : stop + 2].max(), -u[start + 2 : stop + 2].min())
         if not peak < math.inf:  # inf or NaN
-            raise SweepOverflowError(
-                f"sweep overflows a double by rho={rho[stop + 1]:.6g}: it starts from {u0:.3g} "
-                f"and {u1:.3g} at rho={rho[0]:.6g}, too large for the growth that follows"
-            )
+            raise overflow(stop + 1, "too large for the growth that follows")
         if peak > RESCALE_THRESHOLD:
             u[: stop + 2] /= peak
         start = stop
@@ -484,9 +496,9 @@ def _outer_turning_point(u_eff: np.ndarray, energy: float) -> int:
 
 class _Shot(NamedTuple):
     """One shooting trial: its energy, match index, node count up to the
-    match index, the defect's slope ``dD/dE`` (None unless the trial wrote
-    its joined sweeps) and defect (None when gated off target or pinned on
-    a node), see :meth:`_ShootingWorkspace.shoot`."""
+    match index, the defect's slope ``dD/dE`` and defect (both None when
+    gated off target or pinned on a node), see
+    :meth:`_ShootingWorkspace.shoot`."""
 
     energy: float
     m: int
@@ -497,7 +509,7 @@ class _Shot(NamedTuple):
 
 def _scratch_size(n_points: int) -> int:
     """Doubles of a :class:`_ShootingWorkspace`'s scratch memory on ``n_points``."""
-    return 5 * n_points + 3 * (_BLOCK + 2)
+    return 4 * n_points + 3 * (_BLOCK + 2)
 
 
 def _new_block(size: int) -> np.ndarray:
@@ -510,29 +522,24 @@ def _new_block(size: int) -> np.ndarray:
 
 
 class _Scratch(threading.local):
-    """Scratch memory that :func:`solve_state` keeps between the solves of
-    one thread.
+    """The scratch block that every :func:`solve_state` call of one thread
+    works in.
 
-    A thread holds at most one block, free while no solve of its own uses
-    it. :meth:`take` hands that block out, or a new one when it is too
-    small, which drops the smaller; :meth:`give` takes it back. A solve
-    never receives a block another solve is using, the blocks never
-    outnumber the threads that solve, and a thread's block is freed when
-    the thread ends. The CLI solves in its calling thread, which keeps its
-    block from one command to the next.
+    :meth:`at_least` returns the thread's block, replaced by a new one of
+    ``size`` doubles when it is smaller, which drops the old. A solve runs
+    from start to end on its thread and never calls another, so the solves
+    of a thread take turns in the block and those of two threads never
+    share one. A thread's block is freed when the thread ends. The CLI
+    solves in its calling thread, which keeps its block from one command to
+    the next.
     """
 
     block: np.ndarray | None = None
 
-    def take(self, size: int) -> np.ndarray:
-        block, self.block = self.block, None
-        if block is None or block.shape[0] < size:
-            block = _new_block(size)
-        return block
-
-    def give(self, block: np.ndarray) -> None:
-        if self.block is None or self.block.shape[0] < block.shape[0]:
-            self.block = block
+    def at_least(self, size: int) -> np.ndarray:
+        if self.block is None or self.block.shape[0] < size:
+            self.block = _new_block(size)
+        return self.block
 
 
 _SCRATCH = _Scratch()
@@ -542,20 +549,20 @@ class _ShootingWorkspace:
     """Per-problem state shared across energy trials of one solve.
 
     ``memory``, at least :func:`_scratch_size` doubles, holds every
-    grid-sized buffer of a shot and of the search: the outward and inward
-    sweeps, ``f``, the band rows of a sweep block, and ``joined`` and
-    ``spare``, the joined sweeps that :func:`_search` keeps. A shot
-    allocates nothing the size of the grid.
+    grid-sized buffer of a shot and of the search: the inward sweep, ``f``,
+    the band rows of a sweep block, and ``joined`` and ``spare``, the
+    joined sweeps that :func:`_search` keeps, into one of which each shot
+    sweeps outward. A shot allocates nothing the size of the grid. Only a
+    workspace that evaluates its own potential builds the grid's points.
     """
 
     def __init__(self, problem, grid, memory, node_target=0, u_eff=None):
         self.problem = problem
         self.grid = grid
         self.node_target = node_target
-        self.rho = grid.points()
         self.h = grid.step
         if u_eff is None:
-            u_eff = np.asarray(effective_potential(problem, self.rho), dtype=float)
+            u_eff = np.asarray(effective_potential(problem, grid.points()), dtype=float)
             if not np.all(np.isfinite(u_eff)):
                 raise NonFinitePotentialError("effective potential is not finite on the grid")
         self.u_eff = u_eff
@@ -564,10 +571,10 @@ class _ShootingWorkspace:
         self.points_swept = 0
         n = grid.n_points
         self.memory = memory
-        self._left, self._right, self._f, self.joined, self.spare = (
-            memory[k * n : (k + 1) * n] for k in range(5)
+        self._right, self._f, self.joined, self.spare = (
+            memory[k * n : (k + 1) * n] for k in range(4)
         )
-        self._band = memory[5 * n : 5 * n + 3 * (_BLOCK + 2)].reshape(_BLOCK + 2, 3).T
+        self._band = memory[4 * n : 4 * n + 3 * (_BLOCK + 2)].reshape(_BLOCK + 2, 3).T
 
     def quartered(self) -> _ShootingWorkspace | None:
         """Workspace on every fourth point of this grid, reusing its potential:
@@ -595,30 +602,34 @@ class _ShootingWorkspace:
         f += 1.0
         return f
 
-    def shoot(self, energy, match_index=None, gated=False, out=None) -> _Shot:
-        """One shooting trial: sweep outward and inward, match in between.
+    def shoot(self, energy, match_index=None, gated=False, *, out) -> _Shot:
+        """One shooting trial: sweep outward into ``out``, sweep inward, and
+        join the two in ``out`` at the match index.
 
         The match index ``m`` is ``match_index`` if given, else the
         outermost classical turning point, clamped away from the ends.
         ``nodes`` is counted on the outward sweep up to ``m``. With
-        ``gated`` the inward sweep is skipped (``defect`` None) when
-        ``nodes`` differs from ``node_target``. ``defect`` is also None
-        when the outward sweep has a node pinned at the match point, see
-        :meth:`_defect_at`. Given ``out``, a trial that sweeps inward writes
-        both sweeps there, joined at ``m`` and unnormalized; the sweeps
-        themselves live in the workspace's buffers, which the next trial
-        overwrites. A trial with a defect then also carries its slope,
-        ``dD/dE = -int u^2 drho / u(i)^2`` over the log-derivative scale of
-        :meth:`_defect_at` at the index ``i`` it used: the Wronskian
-        identity for two sweeps joined with ``u`` continuous (J. W. Cooley,
-        Math. Comp. 15 (1961) 363).
+        ``gated`` the inward sweep is skipped (``defect`` None, ``out``
+        holding the outward sweep alone) when ``nodes`` differs from
+        ``node_target``. ``defect`` is also None when the outward sweep has
+        a node pinned at the match point, see :meth:`_defect_at`. A trial
+        that sweeps inward leaves both sweeps in ``out``, joined at ``m``
+        and unnormalized; the inward one is swept into the workspace's
+        buffer, which the next trial overwrites. A trial with a defect also
+        carries its slope, ``dD/dE = -int u^2 drho / u(i)^2`` over the
+        log-derivative scale of :meth:`_defect_at` at the index ``i`` it
+        used: the Wronskian identity for two sweeps joined with ``u``
+        continuous (J. W. Cooley, Math. Comp. 15 (1961) 363).
         """
-        n = self.grid.n_points
+        n, rho_min, h = self.grid.n_points, self.grid.rho_min, self.h
         m = _outer_turning_point(self.u_eff, energy) if match_index is None else int(match_index)
         m = min(max(m, _STENCIL_PAD + 2), n - _STENCIL_PAD - 3)
         f = self._f_of(energy, self.u_eff[: m + _STENCIL_PAD + 1])
-        seeds = small_rho_solution(self.problem, energy, self.rho[:2])
-        u_left = _sweep(f, float(seeds[0]), float(seeds[1]), self.rho, self._left, self._band)
+        # bit for bit the grid's first two points; a seed that overflows is
+        # _sweep's to report
+        with np.errstate(over="ignore", invalid="ignore"):
+            seeds = small_rho_solution(self.problem, energy, np.array([rho_min, rho_min + h]))
+        u_left = _sweep(f, float(seeds[0]), float(seeds[1]), rho_min, h, out, self._band)
         self.sweeps += 1
         self.points_swept += f.shape[0]
         nodes = count_nodes(u_left[: m + 1])
@@ -626,26 +637,24 @@ class _ShootingWorkspace:
             return _Shot(energy, m, nodes, None, None)
         kappa_sq = self.u_eff[-1] - energy
         kappa = math.sqrt(kappa_sq) if kappa_sq > 0.0 else 1.0
-        # the inward sweep's f and rho in sweep order, from the outer edge in
+        # the inward sweep's f in sweep order, from the outer edge in
         f = self._f_of(energy, self.u_eff[m - _STENCIL_PAD :][::-1])
-        rho = self.rho[m - _STENCIL_PAD :][::-1]
-        seed = INWARD_SEED * math.exp(kappa * self.h)
-        u_right = _sweep(f, INWARD_SEED, seed, rho, self._right, self._band)[::-1]
+        seed = INWARD_SEED * math.exp(kappa * h)
+        u_right = _sweep(f, INWARD_SEED, seed, self.grid.rho_max, -h, self._right, self._band)[::-1]
         self.sweeps += 1
         self.points_swept += f.shape[0]
         defect, i, scale = self._defect_at(u_left, u_right, m)
+        ul, ur = u_left[m], u_right[_STENCIL_PAD]
+        if ul == 0.0 and ur == 0.0:
+            raise DegenerateSeedError("both sweeps vanish at the matching point")
+        # the outward sweep stays in out[: m + 1]; the inward one, scaled, follows it
+        np.multiply(u_right[_STENCIL_PAD + 1 :], ul / ur if ur != 0.0 else 1.0, out=out[m + 1 :])
         slope = None
-        if out is not None:
-            ul, ur = u_left[m], u_right[_STENCIL_PAD]
-            if ul == 0.0 and ur == 0.0:
-                raise DegenerateSeedError("both sweeps vanish at the matching point")
-            out[: m + 1] = u_left[: m + 1]
-            np.multiply(u_right[_STENCIL_PAD + 1 :], ul / ur if ur != 0.0 else 1.0, out=out[m + 1 :])
-            if defect is not None:
-                # einsum, not np.dot: a BLAS dot this long wakes OpenBLAS's thread
-                # pool, which slows the library's concurrent callers, such as two
-                # client threads solving at once
-                slope = -self.h * np.einsum("i,i->", out, out) / (out[i] * out[i] * scale)
+        if defect is not None:
+            # einsum, not np.dot: a BLAS dot this long wakes OpenBLAS's thread
+            # pool, which slows the library's concurrent callers, such as two
+            # client threads solving at once
+            slope = -h * np.einsum("i,i->", out, out) / (out[i] * out[i] * scale)
         return _Shot(energy, m, nodes, slope, defect)
 
     def sign(self, shot: _Shot) -> int:
@@ -684,8 +693,6 @@ class _ShootingWorkspace:
                 # meaningful for shallow and deep wells alike
                 scale = max(1.0, abs(dl), abs(dr))
                 return (dl - dr) / scale, i, scale
-        if u_left[m] == 0.0 and u_right[_STENCIL_PAD] == 0.0:
-            raise DegenerateSeedError("both sweeps vanish at the matching point")
         return None, m, 1.0
 
 
@@ -704,8 +711,8 @@ def estimate_cs_ground_energy(problem: EffectivePotentialParams) -> float:
     """Crude self-consistent depth estimate for the K0 well.
 
     Sizes the default grid and starts the default bracket; it lies below
-    the solved ground level (a solved/estimate ratio of 0.36-0.80 for pe
-    and tmu, both K0 kinds, lambda from 2e-6 to 2e-4).
+    the solved ground level (a solved/estimate ratio of 0.36-0.87 for pe,
+    pmu and tmu, both K0 kinds, lambda from 1e-9 to 2e-4).
     """
     pref = problem.k0_prefactor
     a = problem.k0_argument_scale
@@ -776,12 +783,16 @@ def default_bracket(
 ) -> tuple[float, float]:
     """Default starting bracket: 1.5x the closed form for Coulomb; for K0
     kinds from :func:`estimate_cs_ground_energy`, below the ground level and
-    so below every excited level of the well (``solve_state`` widens a
-    bracket that misses)."""
+    so below every excited level of the well, up to ``max(-1e-4, estimate/4)``
+    Ry. That top lies above the ground level, which every 2D ell-0 K0 well
+    binds: its solved/estimate ratio stays at or below 0.87 (pe, pmu and
+    tmu, both K0 kinds, lambda from 1e-9 to 2e-4). ``solve_state`` widens a
+    bracket that misses."""
     e_est = closed_form_energy(problem, node_target)
     if e_est is not None:
         return (1.5 * e_est, -bisection_tol)
-    return (estimate_cs_ground_energy(problem), -1e-4)
+    eta = estimate_cs_ground_energy(problem)
+    return (eta, max(-1e-4, 0.25 * eta))
 
 
 def simpson_u2(u: np.ndarray, h: float, rho: np.ndarray | None = None) -> float:
@@ -852,15 +863,12 @@ def solve_state(
     check_arguments(node_target, bisection_tol)
     if grid is None:
         grid = default_grid(problem, node_target)
-    memory = _SCRATCH.take(_scratch_size(grid.n_points))
-    try:
-        ws = _ShootingWorkspace(problem, grid, memory, node_target)
-        bracket = default_bracket(problem, node_target, bisection_tol)
-        found, e_coarse = _cascade(ws, bracket, bisection_tol)
-        u = _normalize_samples(found.u, grid.step)
-    finally:
-        # the normalized wavefunction is a new array, so the memory is free again
-        _SCRATCH.give(memory)
+    memory = _SCRATCH.at_least(_scratch_size(grid.n_points))
+    ws = _ShootingWorkspace(problem, grid, memory, node_target)
+    bracket = default_bracket(problem, node_target, bisection_tol)
+    found, e_coarse = _cascade(ws, bracket, bisection_tol)
+    # a new array: the next solve of this thread overwrites the scratch block
+    u = _normalize_samples(found.u, grid.step)
     final, nodes = found.shot, count_nodes(u)
     result = EigenResult(
         energy=final.energy,
@@ -893,7 +901,7 @@ def _cascade(ws, bracket, tol, depth=0):
             found, _ = _cascade(coarse, bracket, tol, depth + 1)
         except BracketingError as err:
             # every level widens to the same top: one shot there shows the level above it
-            if ws.sign(ws.shoot(err.bracket[1], gated=True)) > 0:
+            if ws.sign(ws.shoot(err.bracket[1], gated=True, out=ws.spare)) > 0:
                 raise
         except SolverError:
             pass
@@ -944,7 +952,8 @@ def _search(ws, bracket, tol, e_coarse=None) -> _Found:
         level_above = ws.sign(shot) > 0
         if (energy == hi and level_above) or (energy == lo and not level_above):
             if widenings == MAX_WIDENINGS:
-                scan = [(-e, ws.shoot(-e, gated=True).nodes) for e in np.geomspace(-lo, -hi, 8)]
+                energies = -np.geomspace(-lo, -hi, 8)
+                scan = [(e, ws.shoot(e, gated=True, out=spare).nodes) for e in energies]
                 message = (
                     f"state with {node_target} nodes not bracketed in [{lo:.6g}, {hi:.6g}] Ry; "
                     "node-count scan: " + "; ".join(f"E={e:.6g} Ry: {k} nodes" for e, k in scan)

@@ -156,15 +156,27 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err == "error: cannot normalize a zero or non-finite wavefunction\n"
 
-    @pytest.mark.parametrize("ell", ["150", "200"])
+    @pytest.mark.parametrize("ell", ["150", "175", "200"])
     def test_sweep_overflow_is_solver_error(self, capsys, ell):
-        # the outward seed rho_min^(ell+1) leaves the sweep no room to grow (inf at ell 200)
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = cli.main(["solve", "--atom", "pe", "--potential", "coulomb3d", "--ell", ell])
+        # the outward seed rho_min^(ell+1) leaves the sweep no room to grow (inf at
+        # ell 200); no numpy warning comes before the one error line
+        code = cli.main(["solve", "--atom", "pe", "--potential", "coulomb3d", "--ell", ell])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: sweep overflows a double by rho=")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+    def test_huge_lambda_is_solver_error(self, capsys):
+        # K0's argument lambda rho/(alpha sqrt(zeta)) passes a double on the default box,
+        # where K0 is 0: the level lies above the bracket's top
+        argv = ["solve", "--atom", "pe", "--potential", "chern-simons", "--lambda", "1e300"]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: state with 0 nodes not bracketed")
+        assert captured.err.endswith("may not be bound\n") and captured.err.count("\n") == 1
 
     def test_unwritable_output_is_error(self, capsys, tmp_path):
         path = tmp_path / "missing" / "x.csv"

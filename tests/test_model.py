@@ -6,6 +6,7 @@ import pytest
 import oracles
 from conftest import make_problem
 from planaratom import model as md
+from planaratom.specfun import bessel_k0_array
 
 # Reduced-mass ratios as tabulated in the reference study.
 TABLE_ZETA = {
@@ -120,8 +121,6 @@ class TestEffectivePotential:
             np.asarray(md.effective_potential(pa, rho))
             - np.asarray(md.effective_potential(pb, rho))
         )
-        from planaratom.specfun import bessel_k0_array
-
         rhs = (1.0 / math.pi) * np.abs(
             bessel_k0_array(pa.k0_argument_scale * rho)
             - bessel_k0_array(pb.k0_argument_scale * rho)
@@ -141,6 +140,27 @@ class TestEffectivePotential:
             md.effective_potential(make_problem("pe", "coulomb3d"), 0.0)
         with pytest.raises(ValueError):
             md.effective_potential(make_problem("pe", "coulomb3d"), -1.0)
+
+    @pytest.mark.parametrize("kind", ["chern_simons", "chern_simons_jordan"])
+    def test_lambda_whose_k0_argument_scale_overflows_rejected(self, kind):
+        assert make_problem("tmu", kind, 1.3e306).k0_argument_scale < math.inf
+        # pe's sqrt(zeta), below 1, takes a finite lambda/alpha past a double
+        assert 1.3117e306 * md.INV_ALPHA < math.inf
+        with pytest.raises(ValueError, match=r"lambda=1.3117e\+306 overflows K0's argument scale"):
+            make_problem("pe", kind, 1.3117e306)
+
+    def test_k0_argument_capped_past_x_max(self):
+        # lambda 1e300 puts K0's argument past a double from rho = 1.3e6 on: K0 is 0
+        # there, and the potential is the centrifugal term
+        rho = np.array([1e-3, 1.0, 1e7, 1e150])
+        problem = make_problem("pe", "chern_simons", 1e300)
+        assert np.array_equal(md.effective_potential(problem, rho), -0.25 / (rho * rho))
+        # below the cap every value keeps the bits of the uncapped product
+        problem = make_problem("pe", "chern_simons_jordan", 2e-4)
+        rho = np.geomspace(1e-3, 1e8, 2001)
+        k0 = bessel_k0_array(rho * problem.k0_argument_scale)
+        expected = -0.25 / (rho * rho) - problem.k0_prefactor * k0
+        assert np.array_equal(md.effective_potential(problem, rho), expected)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_rho_rejected(self, bad):

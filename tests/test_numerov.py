@@ -47,8 +47,9 @@ class TestRadialGrid:
 
 
 def sweep(f, u0, u1, rho):
-    """``nv._sweep`` into buffers of its own."""
-    return nv._sweep(f, u0, u1, rho, np.empty(f.shape[0]), np.empty((3, nv._BLOCK + 2), order="F"))
+    """``nv._sweep`` into buffers of its own, its rows at the points ``rho``."""
+    out, band = np.empty(f.shape[0]), np.empty((3, nv._BLOCK + 2), order="F")
+    return nv._sweep(f, u0, u1, rho[0], rho[1] - rho[0], out, band)
 
 
 def workspace(problem, grid, node_target=0):
@@ -246,7 +247,7 @@ class TestBlockedSweep:
         rho, f = self.cs_f(2 * self.B + 3)
         out = np.full(f.shape[0] + 5, 7.0)
         band = np.empty((3, self.B + 2), order="F")
-        u = nv._sweep(f, 0.011, 0.012, rho, out, band)
+        u = nv._sweep(f, 0.011, 0.012, rho[0], rho[1] - rho[0], out, band)
         assert np.shares_memory(u, out) and u.shape == f.shape
         assert np.all(out[f.shape[0] :] == 7.0)
         assert _same_bits(u, oracles.sweep_one_solve_per_segment(f, 0.011, 0.012))
@@ -293,7 +294,8 @@ class TestCountNodes:
 
 def match_defect(energy, problem, grid, match_index):
     """Defect of one shot at ``energy`` matched at ``match_index``."""
-    return workspace(problem, grid).shoot(energy, match_index).defect
+    ws = workspace(problem, grid)
+    return ws.shoot(energy, match_index, out=ws.joined).defect
 
 
 class TestMatchDefect:
@@ -476,6 +478,19 @@ class TestSolveState:
 
 
 class TestKZeroSearch:
+    # levels above -1.25e-5 Ry, where a fixed -1e-4 Ry top halved three times ends:
+    # the bracket's top must follow the depth estimate
+    @pytest.mark.parametrize("atom,lam", [
+        ("pe", 5e-8), ("pe", 2e-8), ("pe", 1e-8), ("pe", 1e-9),
+        ("pmu", 1e-8), ("pmu", 1e-9), ("tmu", 1e-8), ("tmu", 1e-9),
+    ])
+    def test_weak_jordan_ground_levels_converge(self, atom, lam):
+        problem = make_problem(atom, "chern_simons_jordan", lam)
+        lo, hi = nv.default_bracket(problem, 0, nv.BISECTION_TOL)
+        res, _ = nv.solve_state(problem, 0)
+        assert res.converged and res.nodes == 0
+        assert lo < res.energy < hi
+
     @pytest.mark.parametrize("lam", [2e-6, 5e-5, 2e-4])
     @pytest.mark.parametrize("kind", ["chern_simons", "chern_simons_jordan"])
     @pytest.mark.parametrize("atom", ["pe", "tmu"])
@@ -560,7 +575,8 @@ class TestKZeroSearch:
         problem, res, _ = solve_cached("pe", "chern_simons", 2e-4)
         ws = workspace(problem, res.grid)
         m = nv._outer_turning_point(ws.u_eff, res.energy)
-        defects = [ws.shoot(res.energy + k * 1e-8, m)[-1] for k in range(-8, 9)]
+        energies = res.energy + 1e-8 * np.arange(-8, 9)
+        defects = [ws.shoot(e, m, out=ws.joined).defect for e in energies]
         signs = np.sign(defects)
         assert np.count_nonzero(signs[1:] != signs[:-1]) == 1
 
@@ -651,7 +667,7 @@ class TestNewtonSearch:
         out = np.empty(res.grid.n_points)
         slope = ws.shoot(res.energy, res.match_index, out=out).slope
         de = 1e-6
-        up, down = (ws.shoot(res.energy + s * de, res.match_index).defect for s in (1, -1))
+        up, down = (ws.shoot(res.energy + s * de, res.match_index, out=out).defect for s in (1, -1))
         assert slope < 0.0
         assert slope == pytest.approx((up - down) / (2 * de), rel=1e-3)
 
@@ -970,9 +986,9 @@ class TestScratchMemory:
         nv.solve_state(problem, 0)  # this thread's scratch block, taken before the count
         n = nv.default_grid(problem, 0).n_points
         peak = self.traced_peak(lambda: nv.solve_state(problem, 0))
-        # the points, the potential and its K0 temporaries, the coarse levels' points
-        # and the normalized wavefunction: 3.51 arrays, against 4.63 when the
-        # normalization took u^2 and |u| as arrays of their own
+        # the points, the potential and its K0 temporaries while the potential is
+        # evaluated, 3.51 arrays, above the normalized wavefunction later; 4.63 when
+        # the normalization took u^2 and |u| as arrays of their own
         assert peak <= 3.7 * 8 * n
 
     def test_potential_allocates_its_output_and_k0s(self, solve_cached):
@@ -994,9 +1010,7 @@ class TestScratchMemory:
             ws.joined.fill(np.nan)
             return ws.shoot(energy * scale, gated=gated, out=ws.joined)
 
-        scratch = nv._Scratch()
-        blocks = [scratch.take(nv._scratch_size(g.n_points)) for g in grids]
-        assert not np.shares_memory(*blocks)  # the first is in use when the second is taken
+        blocks = [nv._new_block(nv._scratch_size(g.n_points)) for g in grids]
         pair = [nv._ShootingWorkspace(p, g, b) for p, g, b in zip(problems, grids, blocks)]
         alternate = []
         for trial in trials:
@@ -1008,24 +1022,32 @@ class TestScratchMemory:
             ws = workspace(p, g)
             alone = [(shoot(ws, e, *trial), ws.joined.tobytes()) for trial in trials]
             assert alone == [row[k] for row in alternate]
-        for block in blocks:
-            scratch.give(block)
-        assert scratch.block is blocks[1]  # the larger one stays
 
     def test_a_thread_keeps_one_block_the_largest_it_needed(self):
         scratch = nv._Scratch()
-        small = scratch.take(1000)
-        scratch.give(small)
-        assert scratch.take(500) is small
-        other = scratch.take(500)
-        assert not np.shares_memory(small, other)
-        scratch.give(small)
-        scratch.give(other)
-        assert scratch.block is small
-        big = scratch.take(2000)
-        assert big.shape == (2000,) and scratch.block is None
-        scratch.give(big)
-        assert scratch.block is big
+        small = scratch.at_least(1000)
+        assert small.shape == (1000,)
+        assert scratch.at_least(500) is small and scratch.at_least(1000) is small
+        big = scratch.at_least(2000)
+        assert big.shape == (2000,) and not np.shares_memory(small, big)
+        assert scratch.at_least(1000) is big and scratch.block is big
+
+    def test_a_full_grid_block_holds_four_grid_buffers_and_the_band(self):
+        # the inward sweep, f and the search's two joined buffers, into which shots
+        # sweep outward: 6.6 MB at 200,001 points
+        problem = make_problem("pe", "chern_simons", 2e-5)
+        grid = nv.default_grid(problem, 0)
+        n = grid.n_points
+        assert n == 200001
+        assert nv._scratch_size(n) == 4 * n + 3 * (nv._BLOCK + 2)
+        memory = nv._new_block(nv._scratch_size(n))
+        ws = nv._ShootingWorkspace(problem, grid, memory)
+        buffers = [ws._right, ws._f, ws.joined, ws.spare, ws._band]
+        assert [b.shape for b in buffers] == [(n,)] * 4 + [(3, nv._BLOCK + 2)]
+        assert sum(b.size for b in buffers) == memory.size
+        assert all(np.shares_memory(b, memory) for b in buffers)
+        for k, a in enumerate(buffers):
+            assert not any(np.shares_memory(a, b) for b in buffers[k + 1 :])
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform"
