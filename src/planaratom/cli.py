@@ -218,7 +218,11 @@ def _solve_request(req: RunRequest):
     problem = req.problem()
     # before the grid: a bad argument is a usage error, not the failure of a grid it meets
     check_arguments(req.nodes, req.tol)
-    result, wf = solve_state(problem, req.nodes, grid=req.grid(problem), bisection_tol=req.tol)
+    grid = req.grid(problem)
+    # a grid flag pins the grid; without one the default grid is the finest the solve may use
+    if (req.rho_min, req.rho_max, req.n_points) == (None, None, None):
+        grid = None
+    result, wf = solve_state(problem, req.nodes, grid=grid, bisection_tol=req.tol)
     return result, wf, mean_radius(wf, problem)
 
 

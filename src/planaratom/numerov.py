@@ -51,7 +51,7 @@ within ``DEFECT_TOL`` and the node count on target.
 
 :func:`solve_state` runs that search as a cascade of grids. The grid is
 quartered (every fourth point, same ``rho_min`` and ``rho_max``, the
-potential subsampled, so it is evaluated once per state) for as long as
+potential subsampled, so no point's is evaluated twice) for as long as
 ``n_points - 1`` is a multiple of 4 and the quarter keeps ``MIN_POINTS``: a
 200,001-point grid solves on 3,126, 12,501, 50,001 and 200,001 points. The
 coarsest grid runs the search from the default bracket; that cold search
@@ -72,7 +72,20 @@ first swept row past the stable range), the grid above it starts cold, from
 the default bracket and with no estimate. When a grid cannot bracket the
 level, one gated shot on the grid above it, at the top every grid widens to,
 decides: if the level lies above it, the :class:`BracketingError` is raised.
-The requested grid and the one below it give the Richardson estimate
+
+A grid the caller names is the grid the state finishes on. With none named,
+the default grid is a ceiling: the solve finishes on the first level whose
+search converged (bracket within ``bisection_tol``, defect within
+``DEFECT_TOL``, node count on target) within ``bisection_tol`` of the
+converged energy of the level below it, and no finer level sweeps. Each
+energy lies within its own bracket of the search's root, so with ``r`` the
+ratio of successive levels' step errors (99-192 measured on K0 and Coulomb
+levels, 16 or more for any method of order 2 or higher) the finished
+level's step error is at most ``3 bisection_tol/(r - 1)``, a fifth of the
+tolerance or less. The potential of the requested grid is evaluated on
+every fourth point first, from that grid's own abscissae, and on its other
+three quarters only when that grid is first shot. The grid finished on and
+the one below it give the Richardson estimate
 ``EigenResult.energy_error_ry = (E_h - E_4h)/255`` of ``E_exact - E_h`` for
 an O(h^4) method. It covers the step error only: a 2D grid's start
 (``rho_min = 80 h`` moves with h, so the pair is not pure h^4) and the
@@ -121,7 +134,7 @@ joined buffers the search keeps live in one block of scratch memory
 (``_ShootingWorkspace``): four grid-sized buffers and the band rows of a
 sweep block, 6.6 MB at 200,001 points. Every grid of the cascade shares it,
 because each one's search ends before the next finer one's starts. Only the
-requested grid's joined sweeps are normalized, into the one new array a
+finished grid's joined sweeps are normalized, into the one new array a
 solve returns. Each thread keeps one block (``_Scratch``), grown when a
 solve needs more, and every solve of the thread works in it:
 :func:`solve_state` is never re-entered on a thread. The node count works
@@ -268,14 +281,16 @@ class RadialGrid:
 class EigenResult:
     """Converged (or flagged) eigenvalue with search diagnostics.
 
-    ``iterations`` counts the shots of the search on ``grid``, bracket ends
-    and widenings included; ``sweeps`` every Numerov sweep of the solve and
-    ``points_swept`` the grid points they cover, both counting every grid
-    of the cascade. ``match_index`` is the grid index where the returned
-    wavefunction's two sweeps are joined and ``match_defect`` is measured.
-    ``energy_error_ry`` estimates ``E_exact - energy`` from the energy of
-    the grid below, ``(E_h - E_4h)/255``; None when the search on ``grid``
-    started cold (see the module docstring).
+    ``grid`` is the grid the state finished on: the one the caller named,
+    or with none named a level of the default grid's cascade (see the module
+    docstring). ``iterations`` counts the shots of the search on ``grid``,
+    bracket ends and widenings included; ``sweeps`` every Numerov sweep of
+    the solve and ``points_swept`` the grid points they cover, both counting
+    every grid of the cascade that swept. ``match_index`` is the grid index
+    where the returned wavefunction's two sweeps are joined and
+    ``match_defect`` is measured. ``energy_error_ry`` estimates ``E_exact -
+    energy`` from the energy of the grid below, ``(E_h - E_4h)/255``; None
+    when the search on ``grid`` started cold.
     """
 
     energy: float
@@ -545,6 +560,33 @@ class _Scratch(threading.local):
 _SCRATCH = _Scratch()
 
 
+def _quarter_grid(grid: RadialGrid) -> RadialGrid | None:
+    """Every fourth point of ``grid``, the next coarser grid of the cascade; None
+    when ``n_points - 1`` is not a multiple of 4 or the quarter would have fewer
+    than ``MIN_POINTS``, which :class:`RadialGrid` rejects."""
+    n = grid.n_points
+    if (n - 1) % 4 or (n - 1) // 4 + 1 < MIN_POINTS:
+        return None
+    return RadialGrid(grid.rho_min, grid.rho_max, (n - 1) // 4 + 1)
+
+
+def _abscissae(grid: RadialGrid, rows: np.ndarray) -> np.ndarray:
+    """The points of the grid indices ``rows`` (floats, overwritten), bit for bit
+    those of :meth:`RadialGrid.points` short of its last, which ``np.linspace``
+    sets to ``rho_max``: it computes index ``k`` as ``k step + rho_min``."""
+    rows *= grid.step
+    rows += grid.rho_min
+    return rows
+
+
+def _potential(problem, rho) -> np.ndarray:
+    """:func:`effective_potential` at ``rho``, which must be finite there."""
+    u_eff = np.asarray(effective_potential(problem, rho), dtype=float)
+    if not np.all(np.isfinite(u_eff)):
+        raise NonFinitePotentialError("effective potential is not finite on the grid")
+    return u_eff
+
+
 class _ShootingWorkspace:
     """Per-problem state shared across energy trials of one solve.
 
@@ -552,8 +594,13 @@ class _ShootingWorkspace:
     grid-sized buffer of a shot and of the search: the inward sweep, ``f``,
     the band rows of a sweep block, and ``joined`` and ``spare``, the
     joined sweeps that :func:`_search` keeps, into one of which each shot
-    sweeps outward. A shot allocates nothing the size of the grid. Only a
-    workspace that evaluates its own potential builds the grid's points.
+    sweeps outward. A shot allocates nothing the size of the grid.
+
+    A workspace given no potential evaluates its own. On a grid that
+    quarters it evaluates every fourth point first, all that the coarser
+    grids read, and the other three quarters on the first use of
+    :attr:`u_eff`, in blocks of ``_BLOCK`` rows of four points: a solve that
+    finishes on a coarser grid never evaluates them.
     """
 
     def __init__(self, problem, grid, memory, node_target=0, u_eff=None):
@@ -561,11 +608,14 @@ class _ShootingWorkspace:
         self.grid = grid
         self.node_target = node_target
         self.h = grid.step
+        self._u_eff, self._quarter = u_eff, None
         if u_eff is None:
-            u_eff = np.asarray(effective_potential(problem, grid.points()), dtype=float)
-            if not np.all(np.isfinite(u_eff)):
-                raise NonFinitePotentialError("effective potential is not finite on the grid")
-        self.u_eff = u_eff
+            if _quarter_grid(grid) is None:
+                self._u_eff = _potential(problem, grid.points())
+            else:
+                rho = _abscissae(grid, np.arange(0, grid.n_points, 4, dtype=float))
+                rho[-1] = grid.rho_max
+                self._quarter = _potential(problem, rho)
         self.h2_12 = self.h * self.h / 12.0
         self.sweeps = 0
         self.points_swept = 0
@@ -576,23 +626,35 @@ class _ShootingWorkspace:
         )
         self._band = memory[4 * n : 4 * n + 3 * (_BLOCK + 2)].reshape(_BLOCK + 2, 3).T
 
+    @property
+    def u_eff(self) -> np.ndarray:
+        """The effective potential on the grid."""
+        if self._u_eff is None:
+            u_eff = np.empty(self.grid.n_points)
+            u_eff[::4] = self._quarter
+            # rows of four points from index 0 up: the last point is in the quarter
+            fours = u_eff[:-1].reshape(-1, 4)
+            for start in range(0, fours.shape[0], _BLOCK):
+                rest = fours[start : start + _BLOCK, 1:]
+                rows = np.arange(4 * start, 4 * (start + rest.shape[0]), dtype=float)
+                rows = rows.reshape(-1, 4)[:, 1:].copy()
+                rest[...] = _potential(self.problem, _abscissae(self.grid, rows))
+            self._u_eff, self._quarter = u_eff, None
+        return self._u_eff
+
     def quartered(self) -> _ShootingWorkspace | None:
         """Workspace on every fourth point of this grid, reusing its potential:
         the next coarser grid of the cascade.
 
         It works in this workspace's memory, so its search, and the searches
         on the grids it quarters in turn, must end before this workspace
-        shoots. None when ``n_points - 1`` is not a multiple of 4 or the
-        quarter grid would have fewer than ``MIN_POINTS``, which
-        :class:`RadialGrid` rejects: there the cascade ends.
+        shoots. None where :func:`_quarter_grid` is: there the cascade ends.
         """
-        n = self.grid.n_points
-        if (n - 1) % 4 or (n - 1) // 4 + 1 < MIN_POINTS:
+        grid = _quarter_grid(self.grid)
+        if grid is None:
             return None
-        grid = RadialGrid(self.grid.rho_min, self.grid.rho_max, (n - 1) // 4 + 1)
-        return _ShootingWorkspace(
-            self.problem, grid, self.memory, self.node_target, self.u_eff[::4]
-        )
+        u_eff = self._quarter if self._u_eff is None else self._u_eff[::4]
+        return _ShootingWorkspace(self.problem, grid, self.memory, self.node_target, u_eff)
 
     def _f_of(self, energy, u_eff) -> np.ndarray:
         """``f = 1 + h^2 (energy - u_eff) / 12`` in the workspace's buffer."""
@@ -712,11 +774,18 @@ def estimate_cs_ground_energy(problem: EffectivePotentialParams) -> float:
 
     Sizes the default grid and starts the default bracket; it lies below
     the solved ground level (a solved/estimate ratio of 0.36-0.87 for pe,
-    pmu and tmu, both K0 kinds, lambda from 1e-9 to 2e-4).
+    pmu and tmu, both K0 kinds, lambda from 1e-9 to 2e-4). Raises
+    :class:`SolverError` when its start, five times the prefactor, overflows
+    a double: a jordan prefactor ``lambda/(pi alpha)`` from about 3.6e307 Ry
+    (pe lambda 8.3e305).
     """
     pref = problem.k0_prefactor
     a = problem.k0_argument_scale
     eta = -pref * 5.0
+    if eta == -math.inf:
+        raise SolverError(
+            f"the K0 well's depth estimate overflows a double: its prefactor is {pref:.6g} Ry"
+        )
     for _ in range(40):
         kappa = math.sqrt(-eta)
         arg = max(a / (2.0 * kappa), 1e-290)
@@ -854,19 +923,23 @@ def solve_state(
     """Find the bound state with ``node_target`` radial nodes.
 
     Returns the eigenvalue (rydberg) with search diagnostics and the
-    normalized matched wavefunction; the module docstring describes the
+    normalized matched wavefunction, both on the grid the state finished
+    on: ``grid``, or with None the first level of :func:`default_grid`'s
+    cascade that converged within ``bisection_tol`` of the level below it
+    (the grid itself when none does). The module docstring describes the
     search, whose final bracket is ``bisection_tol`` Ry wide. Raises
     :class:`BracketingError` when no sign change is found after
     ``MAX_WIDENINGS`` widenings; an exhausted step budget returns a result
     flagged ``converged=False`` instead.
     """
     check_arguments(node_target, bisection_tol)
-    if grid is None:
+    ceiling = grid is None
+    if ceiling:
         grid = default_grid(problem, node_target)
     memory = _SCRATCH.at_least(_scratch_size(grid.n_points))
     ws = _ShootingWorkspace(problem, grid, memory, node_target)
     bracket = default_bracket(problem, node_target, bisection_tol)
-    found, e_coarse = _cascade(ws, bracket, bisection_tol)
+    found, grid, e_coarse, *_ = _cascade(ws, bracket, bisection_tol, ceiling)
     # a new array: the next solve of this thread overwrites the scratch block
     u = _normalize_samples(found.u, grid.step)
     final, nodes = found.shot, count_nodes(u)
@@ -887,34 +960,54 @@ def solve_state(
     return result, WaveFunction(grid=grid, u=u, energy=final.energy)
 
 
-def _cascade(ws, bracket, tol, depth=0):
+class _Level(NamedTuple):
+    """A level of the cascade that searched: its :class:`_Found`, its grid, the
+    energy of the level below that started it (None for a cold start), whether
+    that level converged, and whether the solve finishes on this level."""
+
+    found: _Found
+    grid: RadialGrid
+    e_coarse: float | None
+    coarse_converged: bool
+    final: bool = False
+
+
+def _cascade(ws, bracket, tol, ceiling, depth=0) -> _Level:
     """The search on ``ws``, warm-started from the cascade on ``ws.quartered()``.
 
-    Returns the search's :class:`_Found` and the energy of the level below
-    that started it, None for a cold start. ``bracket`` is the default one,
-    where every cold start begins, and ``depth`` the number of quarterings
-    from the grid of the request to ``ws``'s.
+    Returns the level the solve finishes on: ``ws``'s, or with ``ceiling``
+    the first coarser one that converged within ``tol`` of the converged
+    level below it, whereupon no finer level searches. ``ws.sweeps`` and
+    ``ws.points_swept`` then count every level that swept. ``bracket`` is the
+    default one, where every cold start begins, and ``depth`` the number of
+    quarterings from the grid of the request to ``ws``'s.
     """
-    coarse, e_coarse = ws.quartered(), None
+    coarse, below = ws.quartered(), None
     if coarse is not None:
         try:
-            found, _ = _cascade(coarse, bracket, tol, depth + 1)
+            below = _cascade(coarse, bracket, tol, ceiling, depth + 1)
         except BracketingError as err:
             # every level widens to the same top: one shot there shows the level above it
             if ws.sign(ws.shoot(err.bracket[1], gated=True, out=ws.spare)) > 0:
                 raise
         except SolverError:
             pass
-        else:
-            # counted on the unnormalized sweeps: scaling them changes no sign
-            if found.done and count_nodes(found.u) == ws.node_target:
-                e_coarse = found.shot.energy
         ws.sweeps += coarse.sweeps
         ws.points_swept += coarse.points_swept
+        if below is not None and below.final:
+            return below
+    # counted on the unnormalized sweeps: scaling them changes no sign
+    passes = below is not None and below.found.done and count_nodes(below.found.u) == ws.node_target
+    e_coarse = below.found.shot.energy if passes else None
+    coarse_converged = passes and below.found.width <= tol
+    # the stop test: the level below converged within tol of the converged level below it
+    if ceiling and coarse_converged and below.coarse_converged:
+        if abs(e_coarse - below.e_coarse) <= tol:
+            return below._replace(final=True)
     if e_coarse is not None:
         pad = max(WARM_BRACKET_REL * WARM_BRACKET_GROWTH**depth * abs(e_coarse), tol)
         bracket = (e_coarse - pad, e_coarse + pad)
-    return _search(ws, bracket, tol, e_coarse), e_coarse
+    return _Level(_search(ws, bracket, tol, e_coarse), ws.grid, e_coarse, coarse_converged)
 
 
 class _Found(NamedTuple):

@@ -2,6 +2,7 @@ import json
 import math
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -177,6 +178,35 @@ class TestSolveCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: state with 0 nodes not bracketed")
         assert captured.err.endswith("may not be bound\n") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("lam", ["8.3e305", "1.3e306"])
+    def test_jordan_depth_estimate_overflow_is_solver_error(self, capsys, lam):
+        # five times the jordan prefactor lambda/(pi alpha) passes a double; the grid
+        # check used to divide by the rho_min of an infinite kappa
+        argv = ["solve", "--atom", "pe", "--potential", "chern-simons-jordan", "--lambda", lam]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: the K0 well's depth estimate overflows a double")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+    @pytest.mark.parametrize("flags,points", [
+        ([], 12501),
+        (["--points", "200001"], 200001),
+        (["--rho-max", "60"], 200001),
+        (["--rho-min", "0.024"], 200001),
+    ])
+    def test_grid_flags_pin_the_grid(self, capsys, flags, points):
+        # with no grid flag the solve finishes on the first level of the default grid's
+        # cascade within tol of the level below; any grid flag pins the grid
+        argv = ["solve", "--atom", "pe", "--potential", "chern-simons", "--lambda", "2e-6",
+                "--ell", "2", "--format", "json", *flags]
+        code, out = run(capsys, argv)
+        payload = json.loads(out)
+        assert code == 0 and payload["converged"] is True
+        assert (payload["rho_min"], payload["rho_max"]) == (0.024, 60.0)
+        assert payload["n_points"] == points
 
     def test_unwritable_output_is_error(self, capsys, tmp_path):
         path = tmp_path / "missing" / "x.csv"
@@ -456,13 +486,16 @@ class TestJsonMirrorsCsv:
 
 class TestSolveStates:
     def test_ell_states_match_sequential_solves(self):
+        # each row pinned to its default grid, as --points pins it: both sides solve on it
         reqs = [req for req, _ in cli._reference_rows("ell_states")]
+        pinned = {req: replace(req, n_points=req.grid(req.problem()).n_points) for req in reqs}
         sequential = {}
         for req in reqs:
             problem = req.problem()
             result, wf = nv.solve_state(problem, req.nodes, grid=req.grid(problem))
             sequential[req] = result, mean_radius(wf, problem)
-        concurrent = cli._solve_states(reqs)
+        solved = cli._solve_states(pinned.values())
+        concurrent = {req: solved[pinned[req]] for req in reqs}
         assert cli._build_table("ell_states", concurrent) == cli._build_table(
             "ell_states", sequential
         )

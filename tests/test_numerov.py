@@ -694,10 +694,12 @@ class TestWarmStart:
         ("chern_simons", 2e-5), ("chern_simons_jordan", 2e-5),
     ])
     def test_warm_and_cold_energies_agree(self, shots, kind, lam, nodes):
+        # on the default grid named, so that every level of the cascade searches
         problem = make_problem("pe", kind, lam)
-        warm, _ = nv.solve_state(problem, nodes)
+        grid = nv.default_grid(problem, nodes)
+        warm, _ = nv.solve_state(problem, nodes, grid=grid)
         sweeps = sweeps_per_grid(shots)
-        cold_res = cold(problem, nodes)
+        cold_res = cold(problem, nodes, grid)
         assert warm.converged and cold_res.converged
         assert warm.energy_error_ry is not None and cold_res.energy_error_ry is None
         assert abs(warm.energy - cold_res.energy) <= nv.BISECTION_TOL
@@ -839,6 +841,121 @@ class TestWarmStart:
                     grid = nv.default_grid(problem, nodes, n_points=4001)
                     res, _ = nv.solve_state(problem, nodes, grid=grid)
                     assert np.isfinite(res.energy)
+
+
+@pytest.fixture
+def levels(monkeypatch):
+    """Log of the cascade's searches as ``(grid points, energy, sweeps, points swept)``,
+    the counts those of the workspace when its search ended, the levels below included."""
+    log = []
+    search = nv._search
+
+    def recording(ws, *args, **kwargs):
+        found = search(ws, *args, **kwargs)
+        log.append((ws.grid.n_points, found.shot.energy, ws.sweeps, ws.points_swept))
+        return found
+
+    monkeypatch.setattr(nv, "_search", recording)
+    return log
+
+
+class TestAdaptiveFinish:
+    """With no grid named, the default grid is the finest a solve may use."""
+
+    @pytest.mark.parametrize("atom", ["pe", "pmu", "tmu"])
+    @pytest.mark.parametrize("kind,lam", [
+        ("coulomb3d", None), ("coulomb2d", None),
+        ("chern_simons", 2e-6), ("chern_simons", 2e-5), ("chern_simons", 2e-4),
+        ("chern_simons_jordan", 5e-5), ("chern_simons_jordan", 2e-4),
+    ])
+    def test_agrees_with_the_default_grid_named(self, kind, lam, atom):
+        # both searches carry their own bracket: the energies agree within two of them
+        # (measured: 8.2e-9 Ry at most, tmu coulomb2d ell 3, finishing on 25,001 points)
+        for ell in range(4):
+            for nodes in range(4):
+                problem = make_problem(atom, kind, lam, ell)
+                grid = nv.default_grid(problem, nodes)
+                try:
+                    pinned, _ = nv.solve_state(problem, nodes, grid=grid)
+                except nv.BracketingError:
+                    # weak jordan wells bind no such level: neither solve brackets one
+                    with pytest.raises(nv.BracketingError):
+                        nv.solve_state(problem, nodes)
+                    continue
+                free, _ = nv.solve_state(problem, nodes)
+                assert pinned.grid == grid
+                assert free.grid.n_points <= grid.n_points
+                assert (free.grid.rho_min, free.grid.rho_max) == (grid.rho_min, grid.rho_max)
+                assert (free.converged, free.nodes) == (pinned.converged, pinned.nodes)
+                assert abs(free.energy - pinned.energy) <= 2 * nv.BISECTION_TOL
+
+    @pytest.mark.parametrize("kind,lam,ell,nodes,points", [
+        ("chern_simons", 2e-6, 2, 0, 12501),  # the CLI's check of the installed package
+        ("chern_simons", 2e-5, 1, 0, 50001),
+        ("coulomb3d", None, 0, 0, 12501),  # the radii table's pe row
+        ("chern_simons", 2e-5, 0, 0, 200001),  # K0 ell-0 levels differ by more than tol
+    ])
+    def test_finishes_on_the_first_level_within_tol_of_the_one_below(
+        self, levels, kind, lam, ell, nodes, points
+    ):
+        problem = make_problem("pe", kind, lam, ell)
+        res, wf = nv.solve_state(problem, nodes)
+        assert res.converged and res.grid.n_points == points and wf.grid == res.grid
+        # every level ran up to the finished one and none past it; the level below
+        # it converged, within tol of it, and gives the error estimate
+        *_, (below, e_below, _, _), (last, e_last, sweeps, points_swept) = levels
+        assert last == points and below == (last - 1) // 4 + 1
+        assert all(n < points for n, *_ in levels[:-1])
+        assert abs(e_last - e_below) <= nv.BISECTION_TOL or points == 200001
+        assert res.energy == e_last
+        assert res.energy_error_ry == (e_last - e_below) / 255.0
+        assert (res.sweeps, res.points_swept) == (sweeps, points_swept)
+
+    def test_finer_levels_neither_sweep_nor_evaluate_the_potential(self, shots, monkeypatch):
+        evaluated = []
+        potential = nv.effective_potential
+
+        def counting(problem, rho):
+            evaluated.append(np.size(rho))
+            return potential(problem, rho)
+
+        monkeypatch.setattr(nv, "effective_potential", counting)
+        problem = make_problem("pe", "chern_simons", 2e-6, ell=2)
+        res, _ = nv.solve_state(problem, 0)
+        assert res.grid.n_points == 12501
+        assert sweeps_per_grid(shots).keys() == {3126, 12501}
+        # every fourth point of the 200,001, all that 12,501 and 3,126 points read
+        assert evaluated == [50001]
+        pinned, _ = nv.solve_state(problem, 0, grid=nv.default_grid(problem, 0))
+        assert pinned.grid.n_points == 200001
+        assert evaluated[1] == 50001 and sum(evaluated[1:]) == 200001
+
+    @pytest.mark.parametrize("kind,lam,rho_max,points", [
+        ("chern_simons", 2e-5, None, 200001),  # 50,000 rows of four: six full blocks and a part
+        ("coulomb2d", None, None, 100001),
+        ("coulomb3d", None, None, 4 * nv._BLOCK + 1),  # whole blocks only
+        # linspace puts rho_max last, an ulp off 100,080 steps past rho_min
+        ("coulomb3d", None, 62.5227664311167, 100081),
+    ])
+    def test_quarter_first_potential_is_the_grids_bit_for_bit(self, kind, lam, rho_max, points):
+        problem = make_problem("tmu", kind, lam, ell=1)
+        grid = nv.default_grid(problem, 0, rho_max=rho_max, n_points=points)
+        expected = md.effective_potential(problem, grid.points())
+        ws = workspace(problem, grid)
+        coarse = ws.quartered()
+        assert ws._u_eff is None  # the three quarters wait for the first use
+        assert coarse.u_eff.tobytes() == expected[::4].tobytes()
+        assert ws.u_eff.tobytes() == expected.tobytes()
+
+    def test_explicit_grid_finishes_on_itself(self, levels):
+        # the state's levels agree within tol from 12,501 points up, and still every
+        # level of a named grid searches
+        problem = make_problem("pe", "chern_simons", 2e-6, ell=2)
+        for grid in (nv.default_grid(problem, 0), nv.default_grid(problem, 0, n_points=50001)):
+            levels.clear()
+            res, wf = nv.solve_state(problem, 0, grid=grid)
+            assert res.grid == wf.grid == grid
+            assert levels[-1][0] == grid.n_points
 
 
 class TestSpectrumProperties:
