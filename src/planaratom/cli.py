@@ -3,9 +3,11 @@
 Subcommands and the flags each one reads:
 
 * ``solve``: one state. ``--atom --potential --lambda|--mgamma-ev --ell``
-  name it, ``--nodes --rho-min --rho-max --points --tol`` override the
-  grid and the search tolerance, ``--format csv|json --output`` and
-  ``--wavefunction-output`` say where the record and the samples go.
+  name it, ``--nodes`` and ``--tol`` set the node count and the search
+  tolerance, ``--rho-min --rho-max --points`` pin the grid (without them
+  the default grid is the finest the solve may use), ``--format csv|json
+  --output`` and ``--wavefunction-output`` say where the record and the
+  samples go.
 * ``table energies|radii|ell-states``: that table's rows of the embedded
   ``data/published_tables.csv``, in file order, next to recomputed values,
   ``--format csv|json --output``.
