@@ -74,18 +74,44 @@ level, one gated shot on the grid above it, at the top every grid widens to,
 decides: if the level lies above it, the :class:`BracketingError` is raised.
 
 A grid the caller names is the grid the state finishes on. With none named,
-the default grid is a ceiling: the solve finishes on the first level whose
-search converged (bracket within ``bisection_tol``, defect within
-``DEFECT_TOL``, node count on target) within ``bisection_tol`` of the
-converged energy of the level below it, and no finer level sweeps. Each
-energy lies within its own bracket of the search's root, so with ``r`` the
-ratio of successive levels' step errors (99-192 measured on K0 and Coulomb
-levels, 16 or more for any method of order 2 or higher) the finished
-level's step error is at most ``3 bisection_tol/(r - 1)``, a fifth of the
-tolerance or less. The potential of the requested grid is evaluated on
-every fourth point first, from that grid's own abscissae, and on its other
-three quarters only when that grid is first shot. The grid finished on and
-the one below it give the Richardson estimate
+the default grid is a ceiling: the solve finishes on the first level that
+passes one of two stop tests, and no finer level sweeps. Both read only
+converged levels (bracket within ``bisection_tol``, defect within
+``DEFECT_TOL``, node count on target), the level ``h`` and the unbroken run
+of converged levels below it, ``4h`` and ``16h``, with their energies ``E``
+and final bracket widths ``w``; each energy lies within its own bracket of
+the search's root. Let ``r`` be the ratio of successive levels' step
+errors: 99-192 measured on K0 and Coulomb levels, and 16 or more for any
+method of order 2 or higher.
+
+1. ``|E_h - E_4h| <= bisection_tol``. Level ``h``'s step error is then at
+   most ``3 bisection_tol/(r - 1)``, a fifth of the tolerance or less.
+2. With ``d1 = E_4h - E_16h`` and ``d2 = E_h - E_4h``, the roots of levels
+   ``4h`` and ``16h`` differ by at least ``lo1 = |d1| - w_4h - w_16h``, and
+   those of ``h`` and ``4h`` by at most ``hi2 = |d2| + w_h + w_4h``. When
+   ``d1 d2 > 0`` and ``lo1 >= 16 hi2``, the ratio observed on the
+   three levels is at least a second-order method's, and the Richardson
+   bound with that observed order (P. J. Roache, J. Fluids Eng. 116 (1994)
+   405), ``hi2/(lo1/hi2 - 1)``, bounds level ``h``'s step error. The test
+   holds when the bound is at most ``bisection_tol/4``, so that it and the
+   search's own bracket stay within ``1.25 bisection_tol`` of the exact
+   energy. Its premise is that the ratio on the finer pair is no smaller
+   than on the coarser one. Measured at ``bisection_tol = 1e-12`` on the
+   levels of an 800,001-point grid of the default box, for the 42 ell-0
+   states of one ``cs-concurrent`` benchmark seed: on ground levels the
+   ratio reads 105.6-105.8 on 3,126, 12,501 and 50,001 points and 184-191
+   on 12,501, 50,001 and 200,001, and ``d2/(r - 1)`` exceeds ``E_800,001 -
+   E_50,001`` on every one. On ``chern_simons`` one-node levels it falls
+   from 103 to 99 and the estimate is 15% short; there the bound reads
+   about twice the tolerance, and the test does not hold. Default
+   ``chern_simons_jordan`` ell-0 levels pass it on 50,001 points (the bound
+   0.05 to 0.19 of the tolerance on 192 of them); ``chern_simons`` ground
+   levels read about 7 times the tolerance there and keep 200,001.
+
+The potential of the requested grid is evaluated on every fourth point
+first, from that grid's own abscissae, and on its other three quarters only
+when that grid is first shot. The grid finished on and the one below it
+give the Richardson estimate
 ``EigenResult.energy_error_ry = (E_h - E_4h)/255`` of ``E_exact - E_h`` for
 an O(h^4) method. It covers the step error only: a 2D grid's start
 (``rho_min = 80 h`` moves with h, so the pair is not pure h^4) and the
@@ -925,8 +951,10 @@ def solve_state(
     Returns the eigenvalue (rydberg) with search diagnostics and the
     normalized matched wavefunction, both on the grid the state finished
     on: ``grid``, or with None the first level of :func:`default_grid`'s
-    cascade that converged within ``bisection_tol`` of the level below it
-    (the grid itself when none does). The module docstring describes the
+    cascade that converged within ``bisection_tol`` of the level below it,
+    or whose checked Richardson bound from the two converged levels below
+    it is at most ``bisection_tol/4``; the grid itself when none does. The
+    module docstring describes both stop tests and their premise, and the
     search, whose final bracket is ``bisection_tol`` Ry wide. Raises
     :class:`BracketingError` when no sign change is found after
     ``MAX_WIDENINGS`` widenings; an exhausted step budget returns a result
@@ -962,22 +990,45 @@ def solve_state(
 
 class _Level(NamedTuple):
     """A level of the cascade that searched: its :class:`_Found`, its grid, the
-    energy of the level below that started it (None for a cold start), whether
-    that level converged, and whether the solve finishes on this level."""
+    energy of the level below that started it (None for a cold start), the
+    ``(energy, bracket width)`` of each level in the unbroken run of converged
+    levels directly below it, coarsest first, and whether the solve finishes
+    on this level."""
 
     found: _Found
     grid: RadialGrid
     e_coarse: float | None
-    coarse_converged: bool
+    run: tuple[tuple[float, float], ...]
     final: bool = False
+
+
+def _finishes(run, tol) -> bool:
+    """Whether a default solve finishes on the last level of ``run``, a run of
+    consecutive converged levels as in :class:`_Level` whose last three have
+    grids ``16h``, ``4h`` and ``h``: the two stop tests of the module
+    docstring, the second with the checked Richardson bound
+    ``hi2/(lo1/hi2 - 1) <= tol/4``."""
+    if len(run) < 2:
+        return False
+    (e_4h, w_4h), (e_h, w_h) = run[-2:]
+    if abs(e_h - e_4h) <= tol:
+        return True
+    if len(run) < 3:
+        return False
+    e_16h, w_16h = run[-3]
+    d1, d2 = e_4h - e_16h, e_h - e_4h
+    lo1, hi2 = abs(d1) - w_4h - w_16h, abs(d2) + w_h + w_4h
+    return d1 * d2 > 0.0 and lo1 >= 16.0 * hi2 and hi2 / (lo1 / hi2 - 1.0) <= 0.25 * tol
 
 
 def _cascade(ws, bracket, tol, ceiling, depth=0) -> _Level:
     """The search on ``ws``, warm-started from the cascade on ``ws.quartered()``.
 
     Returns the level the solve finishes on: ``ws``'s, or with ``ceiling``
-    the first coarser one that converged within ``tol`` of the converged
-    level below it, whereupon no finer level searches. ``ws.sweeps`` and
+    the first coarser one that passes a stop test of :func:`_finishes`
+    (within ``tol`` of the converged level below it, or a checked Richardson
+    bound at most ``tol/4`` from the two converged levels below it),
+    whereupon no finer level searches. ``ws.sweeps`` and
     ``ws.points_swept`` then count every level that swept. ``bracket`` is the
     default one, where every cold start begins, and ``depth`` the number of
     quarterings from the grid of the request to ``ws``'s.
@@ -999,15 +1050,14 @@ def _cascade(ws, bracket, tol, ceiling, depth=0) -> _Level:
     # counted on the unnormalized sweeps: scaling them changes no sign
     passes = below is not None and below.found.done and count_nodes(below.found.u) == ws.node_target
     e_coarse = below.found.shot.energy if passes else None
-    coarse_converged = passes and below.found.width <= tol
-    # the stop test: the level below converged within tol of the converged level below it
-    if ceiling and coarse_converged and below.coarse_converged:
-        if abs(e_coarse - below.e_coarse) <= tol:
-            return below._replace(final=True)
+    converged = passes and below.found.width <= tol
+    run = below.run + ((e_coarse, below.found.width),) if converged else ()
+    if ceiling and _finishes(run, tol):
+        return below._replace(final=True)
     if e_coarse is not None:
         pad = max(WARM_BRACKET_REL * WARM_BRACKET_GROWTH**depth * abs(e_coarse), tol)
         bracket = (e_coarse - pad, e_coarse + pad)
-    return _Level(_search(ws, bracket, tol, e_coarse), ws.grid, e_coarse, coarse_converged)
+    return _Level(_search(ws, bracket, tol, e_coarse), ws.grid, e_coarse, run)
 
 
 class _Found(NamedTuple):

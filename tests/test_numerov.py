@@ -758,8 +758,10 @@ class TestWarmStart:
         ("tmu", "coulomb2d", None, 0),  # and one quartering down
     ])
     def test_widest_measured_gaps_stay_inside_the_pad(self, shots, atom, kind, lam, nodes):
-        # each warm level's first shot is the energy below it; no shot leaves its pad
-        res, _ = nv.solve_state(make_problem(atom, kind, lam), nodes)
+        # each warm level's first shot is the energy below it; no shot leaves its pad.
+        # On the default grid named, so that every depth of its cascade searches
+        problem = make_problem(atom, kind, lam)
+        res, _ = nv.solve_state(problem, nodes, grid=nv.default_grid(problem, nodes))
         assert res.converged
         for depth, n in enumerate(CASCADE[res.grid.n_points][:-1]):
             energies = [e for m, e, _ in shots if m == n]
@@ -911,7 +913,13 @@ class TestAdaptiveFinish:
         assert res.energy_error_ry == (e_last - e_below) / 255.0
         assert (res.sweeps, res.points_swept) == (sweeps, points_swept)
 
-    def test_finer_levels_neither_sweep_nor_evaluate_the_potential(self, shots, monkeypatch):
+    @pytest.mark.parametrize("kind,lam,ell,swept", [
+        ("chern_simons", 2e-6, 2, [3126, 12501]),  # within tol of the level below
+        ("chern_simons_jordan", 2e-4, 0, [3126, 12501, 50001]),  # the checked bound
+    ])
+    def test_finer_levels_neither_sweep_nor_evaluate_the_potential(
+        self, shots, monkeypatch, kind, lam, ell, swept
+    ):
         evaluated = []
         potential = nv.effective_potential
 
@@ -920,11 +928,11 @@ class TestAdaptiveFinish:
             return potential(problem, rho)
 
         monkeypatch.setattr(nv, "effective_potential", counting)
-        problem = make_problem("pe", "chern_simons", 2e-6, ell=2)
+        problem = make_problem("pe", kind, lam, ell=ell)
         res, _ = nv.solve_state(problem, 0)
-        assert res.grid.n_points == 12501
-        assert sweeps_per_grid(shots).keys() == {3126, 12501}
-        # every fourth point of the 200,001, all that 12,501 and 3,126 points read
+        assert res.grid.n_points == swept[-1]
+        assert sweeps_per_grid(shots).keys() == set(swept)
+        # every fourth point of the 200,001, all that the levels up to 50,001 points read
         assert evaluated == [50001]
         pinned, _ = nv.solve_state(problem, 0, grid=nv.default_grid(problem, 0))
         assert pinned.grid.n_points == 200001
@@ -956,6 +964,104 @@ class TestAdaptiveFinish:
             res, wf = nv.solve_state(problem, 0, grid=grid)
             assert res.grid == wf.grid == grid
             assert levels[-1][0] == grid.n_points
+
+
+def checked_bound(levels):
+    """The step-error bound of the second stop test on the last three levels of a
+    ``levels`` log, each energy taken within ``BISECTION_TOL`` of its root; None
+    where the observed ratio is not checked."""
+    (e_16h, *_), (e_4h, *_), (e_h, *_) = (entry[1:] for entry in levels[-3:])
+    tol = nv.BISECTION_TOL
+    d1, d2 = e_4h - e_16h, e_h - e_4h
+    lo1, hi2 = abs(d1) - 2 * tol, abs(d2) + 2 * tol
+    return hi2 / (lo1 / hi2 - 1) if d1 * d2 > 0 and lo1 >= 16 * hi2 else None
+
+
+class TestCheckedFinish:
+    """With no grid named, a solve also finishes on the first level whose checked
+    Richardson bound from the two converged levels below it is at most tol/4."""
+
+    @pytest.mark.parametrize("nodes", [0, 1])
+    def test_jordan_ground_levels_finish_on_50001_points(self, levels, nodes):
+        problem = make_problem("pe", "chern_simons_jordan", 2e-4)
+        res, wf = nv.solve_state(problem, nodes)
+        assert res.converged and res.nodes == nodes
+        assert res.grid.n_points == wf.grid.n_points == 50001
+        assert [n for n, *_ in levels] == [3126, 12501, 50001]
+        # the first stop test does not hold: the second one stopped the solve
+        (_, e_4h, *_), (_, e_h, sweeps, points_swept) = levels[-2:]
+        assert abs(e_h - e_4h) > nv.BISECTION_TOL
+        assert checked_bound(levels) <= 0.25 * nv.BISECTION_TOL
+        assert res.energy == e_h and res.energy_error_ry == (e_h - e_4h) / 255.0
+        assert (res.sweeps, res.points_swept) == (sweeps, points_swept)
+
+    def test_unchecked_levels_and_named_grids_keep_their_grid(self, levels):
+        # chern-simons ell 0: the bound on 50,001 points reads about 7 tol
+        res, _ = nv.solve_state(make_problem("pe", "chern_simons", 2e-5), 0)
+        assert res.converged and res.grid.n_points == 200001
+        assert checked_bound(levels[:-1]) > 0.25 * nv.BISECTION_TOL
+        # the jordan level that finishes on 50,001 points with none named
+        problem = make_problem("pe", "chern_simons_jordan", 2e-4)
+        for points in (200001, 50001):
+            grid = nv.default_grid(problem, 0, n_points=points)
+            res, wf = nv.solve_state(problem, 0, grid=grid)
+            assert res.converged and res.grid == wf.grid == grid
+
+    def test_moved_levels_within_the_bound_of_a_finer_solve(self, levels):
+        # against the same box on 800,001 points at 1e-12 Ry: the bound plus the
+        # search tolerance (measured: 2.94e-9 Ry at most, pmu and tmu lambda 2e-4)
+        tol = nv.BISECTION_TOL
+        moved = 0
+        for atom in ("pe", "tmu"):
+            for lam in (5e-5, 2e-4):
+                for nodes in range(4):
+                    problem = make_problem(atom, "chern_simons_jordan", lam)
+                    levels.clear()
+                    try:
+                        res, _ = nv.solve_state(problem, nodes)
+                    except nv.BracketingError:
+                        continue  # weak jordan wells bind no such level
+                    (_, e_4h, *_), (_, e_h, *_) = levels[-2:]
+                    if res.grid.n_points == 200001 or abs(e_h - e_4h) <= tol:
+                        continue
+                    moved += 1
+                    grid = nv.RadialGrid(res.grid.rho_min, res.grid.rho_max, 800001)
+                    fine, _ = nv.solve_state(problem, nodes, grid=grid, bisection_tol=1e-12)
+                    assert res.converged and fine.converged
+                    assert abs(res.energy - fine.energy) <= 0.25 * tol + tol
+        assert moved >= 4
+
+    @pytest.mark.parametrize("changes,finish", [
+        ({}, 50001),
+        # opposite signs of the two differences: no order is observed
+        ({3126: (-2e-6, 1e-9, True)}, 200001),
+        # an observed ratio below 16, though d2/(r - 1) would fit tol/4
+        ({3126: (3e-7, 1e-9, True)}, 200001),
+        # a ratio of 19 in the energies, 14.2 once each lies within its bracket
+        ({3126: (3.96e-7, 5e-9, True), 12501: (2e-8, 5e-9, True)}, 200001),
+        # a ratio of 20 and a bound of tol/2
+        ({3126: (1.995e-6, 1e-9, True), 12501: (9.3e-8, 1e-9, True), 50001: (0.0, 1e-9, True)},
+         200001),
+        # a ratio and bound that pass, with an unconverged level in the run: one stopped
+        # at the resolution floor wider than tol, or one that ran out of shots
+        ({12501: (2e-8, 2e-8, True)}, 200001),
+        ({12501: (2e-8, 1e-9, False)}, 200001),
+        ({3126: (2e-6, 1e-9, False)}, 200001),
+    ])
+    def test_synthetic_chains(self, monkeypatch, changes, finish):
+        # E_exact + e on each grid, the search's bracket width and whether it stopped done
+        chain = {3126: (2e-6, 1e-9, True), 12501: (2e-8, 1e-9, True), 50001: (2e-10, 1e-9, True),
+                 200001: (0.0, 1e-9, True), **changes}
+
+        def search(ws, bracket, tol, e_coarse=None):
+            n = ws.grid.n_points
+            error, width, done = chain[n]
+            shot = nv._Shot(-1.0 + error, n // 2, 0, -1.0, 0.0)
+            return nv._Found(shot, np.ones(n), width, 1, done)  # nodeless sweeps
+
+        monkeypatch.setattr(nv, "_search", search)
+        res, _ = nv.solve_state(make_problem("pe", "chern_simons_jordan", 2e-4), 0)
+        assert res.grid.n_points == finish
 
 
 class TestSpectrumProperties:
@@ -1103,9 +1209,11 @@ class TestScratchMemory:
         nv.solve_state(problem, 0)  # this thread's scratch block, taken before the count
         n = nv.default_grid(problem, 0).n_points
         peak = self.traced_peak(lambda: nv.solve_state(problem, 0))
-        # the points, the potential and its K0 temporaries while the potential is
-        # evaluated, 3.51 arrays, above the normalized wavefunction later; 4.63 when
-        # the normalization took u^2 and |u| as arrays of their own
+        # 2.38 arrays, while the normalized wavefunction's nodes are counted: the
+        # potential, the wavefunction and three boolean arrays of an eighth each. The
+        # potential in quarters keeps its evaluation below that; on all points at once
+        # it peaked at 3.51, and 4.63 when the normalization took u^2 and |u| as arrays
+        # of their own
         assert peak <= 3.7 * 8 * n
 
     def test_potential_allocates_its_output_and_k0s(self, solve_cached):
