@@ -5,7 +5,7 @@ Library layout:
 * :mod:`planaratom.specfun` — the modified Bessel function K0;
 * :mod:`planaratom.model` — constants, atoms, effective potentials;
 * :mod:`planaratom.numerov` — grid, sweeps, and the shooting eigensolver;
-* :mod:`planaratom.observables` — norms and mean radii;
+* :mod:`planaratom.observables` — mean radii;
 * :mod:`planaratom.cli` — the ``planaratom`` command.
 """
 

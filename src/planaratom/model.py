@@ -22,6 +22,7 @@ Supported interactions:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,10 @@ PARTICLE_MASSES = {
     "d": 3670.48296788,
     "t": 5496.92153573,
 }
+
+# Floor of K0's argument: twice the smallest subnormal double, at which
+# log(x/2) is still finite.
+_K0_FLOOR = 2.0 * 5e-324
 
 ATOM_NAMES = ("pe", "de", "te", "pmu", "dmu", "tmu")
 
@@ -148,7 +153,9 @@ class EffectivePotentialParams:
 
     A lambda whose K0 argument per unit ``rho``, ``lambda/(alpha
     sqrt(zeta))``, overflows a double is rejected: past about 1.3e306 for
-    the six atoms.
+    the six atoms. So is one whose scale is subnormal: below about 1.6e-310
+    for the electronic atoms and 2.2e-309 to 2.3e-309 for the muonic ones,
+    where ``rho`` times it loses its precision.
     """
 
     potential: PotentialSpec
@@ -160,6 +167,8 @@ class EffectivePotentialParams:
             raise ValueError("ell must be a non-negative integer")
         if not self.k0_argument_scale < math.inf:
             raise ValueError(f"lambda={self.potential.lam:g} overflows K0's argument scale")
+        if 0.0 < self.k0_argument_scale < sys.float_info.min:
+            raise ValueError(f"lambda={self.potential.lam:g} underflows K0's argument scale")
 
     @property
     def dimension(self) -> int:
@@ -197,15 +206,18 @@ class EffectivePotentialParams:
         return 0.0
 
 
-def effective_potential(params: EffectivePotentialParams, rho) -> np.ndarray | float:
+def effective_potential(params: EffectivePotentialParams, rho) -> np.ndarray:
     """Dimensionless effective potential U_eff(rho).
 
-    Accepts a scalar or array of strictly positive radii; returns the same
-    shape. Arguments of K0 past the underflow threshold contribute exactly 0,
-    so ``rho`` is capped where the argument reaches twice ``X_MAX``: the
-    argument stays finite for any lambda, and below the cap its bits are
-    those of the uncapped product. The terms are summed in place: the K0
-    kinds allocate the output, which first holds K0's argument, and K0's
+    Accepts a scalar or array of strictly positive radii; returns an array
+    of the same shape, 0-d for a scalar. Arguments of K0 past the underflow
+    threshold contribute exactly 0, so ``rho`` is capped where the argument
+    reaches twice ``X_MAX``: the argument stays finite for any lambda. In
+    the same pass it is floored where the argument reaches twice the
+    smallest subnormal double, so that K0 stays finite where ``rho`` times
+    the scale underflows. Between the floor and the cap the argument's bits
+    are those of the unclipped product. The terms are summed in place: the
+    K0 kinds allocate the output, which first holds K0's argument, and K0's
     own result, and nothing else the size of ``rho``.
     """
     arr = np.asarray(rho, dtype=float)
@@ -215,8 +227,9 @@ def effective_potential(params: EffectivePotentialParams, rho) -> np.ndarray | f
     u = np.empty_like(arr)
     pref = params.k0_prefactor
     if pref:
-        np.minimum(arr, 2.0 * X_MAX / params.k0_argument_scale, out=u)
-        u *= params.k0_argument_scale
+        scale = params.k0_argument_scale
+        np.clip(arr, _K0_FLOOR / scale, 2.0 * X_MAX / scale, out=u)
+        u *= scale
         k0 = bessel_k0_array(u)
         k0 *= pref
     cent = params.centrifugal_coefficient
@@ -230,8 +243,6 @@ def effective_potential(params: EffectivePotentialParams, rho) -> np.ndarray | f
         u -= c / arr
     if pref:
         u -= k0
-    if np.isscalar(rho):
-        return float(u)
     return u
 
 

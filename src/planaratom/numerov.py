@@ -108,14 +108,17 @@ method of order 2 or higher.
    0.05 to 0.19 of the tolerance on 192 of them); ``chern_simons`` ground
    levels read about 7 times the tolerance there and keep 200,001.
 
-The potential of the requested grid is evaluated on every fourth point
-first, from that grid's own abscissae, and on its other three quarters only
-when that grid is first shot. The grid finished on and the one below it
-give the Richardson estimate
-``EigenResult.energy_error_ry = (E_h - E_4h)/255`` of ``E_exact - E_h`` for
-an O(h^4) method. It covers the step error only: a 2D grid's start
-(``rho_min = 80 h`` moves with h, so the pair is not pure h^4) and the
-search tolerance are not in it.
+The potential of a grid that quarters is evaluated first on the quarter
+grid's own points, which are every fourth point of it bit for bit, and on
+its other three quarters only when that grid is first shot; the coarser
+grids below view every fourth point of the quarter's. A potential that
+overflows or divides by zero on a grid is a
+:class:`NonFinitePotentialError` naming the first such point, with no
+numpy warning. The grid finished on and the one below it give the
+Richardson estimate ``EigenResult.energy_error_ry = (E_h - E_4h)/255`` of
+``E_exact - E_h`` for an O(h^4) method. It covers the step error only: a
+2D grid's start (``rho_min = 80 h`` moves with h, so the pair is not pure
+h^4) and the search tolerance are not in it.
 
 Near the origin every potential here is singular; sweeps are seeded with a
 short Frobenius expansion of the regular solution (power law ``rho^s`` with
@@ -321,7 +324,6 @@ class EigenResult:
 
     energy: float
     nodes: int
-    ell: int
     converged: bool
     match_defect: float
     bracket_width: float
@@ -586,30 +588,15 @@ class _Scratch(threading.local):
 _SCRATCH = _Scratch()
 
 
-def _quarter_grid(grid: RadialGrid) -> RadialGrid | None:
-    """Every fourth point of ``grid``, the next coarser grid of the cascade; None
-    when ``n_points - 1`` is not a multiple of 4 or the quarter would have fewer
-    than ``MIN_POINTS``, which :class:`RadialGrid` rejects."""
-    n = grid.n_points
-    if (n - 1) % 4 or (n - 1) // 4 + 1 < MIN_POINTS:
-        return None
-    return RadialGrid(grid.rho_min, grid.rho_max, (n - 1) // 4 + 1)
-
-
-def _abscissae(grid: RadialGrid, rows: np.ndarray) -> np.ndarray:
-    """The points of the grid indices ``rows`` (floats, overwritten), bit for bit
-    those of :meth:`RadialGrid.points` short of its last, which ``np.linspace``
-    sets to ``rho_max``: it computes index ``k`` as ``k step + rho_min``."""
-    rows *= grid.step
-    rows += grid.rho_min
-    return rows
-
-
 def _potential(problem, rho) -> np.ndarray:
-    """:func:`effective_potential` at ``rho``, which must be finite there."""
-    u_eff = np.asarray(effective_potential(problem, rho), dtype=float)
-    if not np.all(np.isfinite(u_eff)):
-        raise NonFinitePotentialError("effective potential is not finite on the grid")
+    """:func:`effective_potential` at ``rho``, which must be finite there. An
+    overflow or a division by zero there is this error, with no numpy warning."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u_eff = effective_potential(problem, rho)
+    finite = np.isfinite(u_eff)
+    if not finite.all():
+        bad = rho.flat[np.argmin(finite)]
+        raise NonFinitePotentialError(f"effective potential is not finite at rho={bad:.6g}")
     return u_eff
 
 
@@ -622,11 +609,14 @@ class _ShootingWorkspace:
     joined sweeps that :func:`_search` keeps, into one of which each shot
     sweeps outward. A shot allocates nothing the size of the grid.
 
-    A workspace given no potential evaluates its own. On a grid that
-    quarters it evaluates every fourth point first, all that the coarser
-    grids read, and the other three quarters on the first use of
-    :attr:`u_eff`, in blocks of ``_BLOCK`` rows of four points: a solve that
-    finishes on a coarser grid never evaluates them.
+    The workspace of the requested grid is given no potential. On a grid
+    that does not quarter it evaluates its own on the first use of
+    :attr:`u_eff`. On one that quarters, its coarse level (see
+    :meth:`quartered`) evaluates its own grid's points, all that the coarser
+    grids read, and the first use of :attr:`u_eff` takes every fourth point
+    from there and evaluates the other three quarters, in blocks of
+    ``_BLOCK`` rows of four points: a solve that finishes on a coarser grid
+    never evaluates them.
     """
 
     def __init__(self, problem, grid, memory, node_target=0, u_eff=None):
@@ -634,14 +624,7 @@ class _ShootingWorkspace:
         self.grid = grid
         self.node_target = node_target
         self.h = grid.step
-        self._u_eff, self._quarter = u_eff, None
-        if u_eff is None:
-            if _quarter_grid(grid) is None:
-                self._u_eff = _potential(problem, grid.points())
-            else:
-                rho = _abscissae(grid, np.arange(0, grid.n_points, 4, dtype=float))
-                rho[-1] = grid.rho_max
-                self._quarter = _potential(problem, rho)
+        self._u_eff, self._coarse = u_eff, None
         self.h2_12 = self.h * self.h / 12.0
         self.sweeps = 0
         self.points_swept = 0
@@ -656,31 +639,45 @@ class _ShootingWorkspace:
     def u_eff(self) -> np.ndarray:
         """The effective potential on the grid."""
         if self._u_eff is None:
+            coarse = self._coarse or self.quartered()
+            if coarse is None:
+                self._u_eff = _potential(self.problem, self.grid.points())
+                return self._u_eff
             u_eff = np.empty(self.grid.n_points)
-            u_eff[::4] = self._quarter
-            # rows of four points from index 0 up: the last point is in the quarter
+            u_eff[::4] = coarse.u_eff
+            # rows of four points from index 0 up: the last point is the coarse grid's;
+            # np.linspace computes index k as k step + rho_min, and so does this
             fours = u_eff[:-1].reshape(-1, 4)
             for start in range(0, fours.shape[0], _BLOCK):
                 rest = fours[start : start + _BLOCK, 1:]
                 rows = np.arange(4 * start, 4 * (start + rest.shape[0]), dtype=float)
-                rows = rows.reshape(-1, 4)[:, 1:].copy()
-                rest[...] = _potential(self.problem, _abscissae(self.grid, rows))
-            self._u_eff, self._quarter = u_eff, None
+                rho = rows.reshape(-1, 4)[:, 1:] * self.h
+                rho += self.grid.rho_min
+                rest[...] = _potential(self.problem, rho)
+            self._u_eff, self._coarse = u_eff, None
         return self._u_eff
 
     def quartered(self) -> _ShootingWorkspace | None:
-        """Workspace on every fourth point of this grid, reusing its potential:
-        the next coarser grid of the cascade.
+        """Workspace on every fourth point of this grid, the next coarser grid of
+        the cascade; None when ``n_points - 1`` is not a multiple of 4 or the
+        quarter would have fewer than ``MIN_POINTS``: there the cascade ends.
 
-        It works in this workspace's memory, so its search, and the searches
-        on the grids it quarters in turn, must end before this workspace
-        shoots. None where :func:`_quarter_grid` is: there the cascade ends.
+        Its grid's step is four times this one's, exactly: a power of two
+        scales the division. So ``np.linspace`` puts its point ``k`` on this
+        grid's point ``4k``, bit for bit, and both grids end on ``rho_max``.
+        It views every fourth point of this workspace's potential; while this
+        one has none, it evaluates its own grid's points, and this workspace
+        keeps it to read them back. It works in this workspace's memory, so
+        its search, and the searches on the grids it quarters in turn, must
+        end before this workspace shoots.
         """
-        grid = _quarter_grid(self.grid)
-        if grid is None:
+        n = self.grid.n_points
+        if (n - 1) % 4 or (n - 1) // 4 + 1 < MIN_POINTS:
             return None
-        u_eff = self._quarter if self._u_eff is None else self._u_eff[::4]
-        return _ShootingWorkspace(self.problem, grid, self.memory, self.node_target, u_eff)
+        grid = RadialGrid(self.grid.rho_min, self.grid.rho_max, (n - 1) // 4 + 1)
+        u_eff = _potential(self.problem, grid.points()) if self._u_eff is None else self._u_eff[::4]
+        self._coarse = _ShootingWorkspace(self.problem, grid, self.memory, self.node_target, u_eff)
+        return self._coarse
 
     def _f_of(self, energy, u_eff) -> np.ndarray:
         """``f = 1 + h^2 (energy - u_eff) / 12`` in the workspace's buffer."""
@@ -974,7 +971,6 @@ def solve_state(
     result = EigenResult(
         energy=final.energy,
         nodes=nodes,
-        ell=problem.ell,
         converged=bool(found.done and found.width <= bisection_tol and nodes == node_target),
         match_defect=final.defect if final.defect is not None else math.inf,
         bracket_width=found.width,
@@ -990,16 +986,14 @@ def solve_state(
 
 class _Level(NamedTuple):
     """A level of the cascade that searched: its :class:`_Found`, its grid, the
-    energy of the level below that started it (None for a cold start), the
+    energy of the level below that started it (None for a cold start), and the
     ``(energy, bracket width)`` of each level in the unbroken run of converged
-    levels directly below it, coarsest first, and whether the solve finishes
-    on this level."""
+    levels directly below it, coarsest first."""
 
     found: _Found
     grid: RadialGrid
     e_coarse: float | None
     run: tuple[tuple[float, float], ...]
-    final: bool = False
 
 
 def _finishes(run, tol) -> bool:
@@ -1028,7 +1022,8 @@ def _cascade(ws, bracket, tol, ceiling, depth=0) -> _Level:
     the first coarser one that passes a stop test of :func:`_finishes`
     (within ``tol`` of the converged level below it, or a checked Richardson
     bound at most ``tol/4`` from the two converged levels below it),
-    whereupon no finer level searches. ``ws.sweeps`` and
+    whereupon no finer level searches: a frame passes up a level that is not
+    its coarse workspace's. ``ws.sweeps`` and
     ``ws.points_swept`` then count every level that swept. ``bracket`` is the
     default one, where every cold start begins, and ``depth`` the number of
     quarterings from the grid of the request to ``ws``'s.
@@ -1045,15 +1040,15 @@ def _cascade(ws, bracket, tol, ceiling, depth=0) -> _Level:
             pass
         ws.sweeps += coarse.sweeps
         ws.points_swept += coarse.points_swept
-        if below is not None and below.final:
-            return below
+        if below is not None and below.grid is not coarse.grid:
+            return below  # the solve finished on a coarser level
     # counted on the unnormalized sweeps: scaling them changes no sign
     passes = below is not None and below.found.done and count_nodes(below.found.u) == ws.node_target
     e_coarse = below.found.shot.energy if passes else None
     converged = passes and below.found.width <= tol
     run = below.run + ((e_coarse, below.found.width),) if converged else ()
     if ceiling and _finishes(run, tol):
-        return below._replace(final=True)
+        return below
     if e_coarse is not None:
         pad = max(WARM_BRACKET_REL * WARM_BRACKET_GROWTH**depth * abs(e_coarse), tol)
         bracket = (e_coarse - pad, e_coarse + pad)

@@ -1,4 +1,4 @@
-"""Norm and mean-radius observables of converged wavefunctions.
+"""The mean-radius observable of converged wavefunctions.
 
 The dimension-aware mean radius ``<r> = int r^D R^2 dr / int r^(D-1) R^2 dr``
 with ``R = u / r^((D-1)/2)`` collapses to ``<rho> = int rho u^2 drho`` for a
@@ -26,12 +26,6 @@ class RadiusResult:
 
     mean_rho: float
     mean_r_bohr: float
-    dimension: int
-
-
-def norm_squared(wf: WaveFunction) -> float:
-    """Composite-Simpson value of ``int u^2 drho`` on the grid."""
-    return simpson_u2(wf.u, wf.grid.step)
 
 
 def _origin_moments(wf: WaveFunction, problem: EffectivePotentialParams):
@@ -76,7 +70,7 @@ def mean_radius(wf: WaveFunction, problem: EffectivePotentialParams) -> RadiusRe
     ValueError
         If the input is not normalized to within ``NORM_TOLERANCE``.
     """
-    nsq = norm_squared(wf)
+    nsq = simpson_u2(wf.u, wf.grid.step)
     if abs(nsq - 1.0) > NORM_TOLERANCE:
         raise ValueError(
             f"mean_radius requires a normalized wavefunction (int u^2 = {nsq:.8g})"
@@ -90,5 +84,4 @@ def mean_radius(wf: WaveFunction, problem: EffectivePotentialParams) -> RadiusRe
     return RadiusResult(
         mean_rho=mean_rho,
         mean_r_bohr=mean_rho / problem.atom.sqrt_zeta,
-        dimension=problem.dimension,
     )

@@ -142,13 +142,38 @@ class TestSolveCommand:
 
     def test_nonfinite_potential_is_solver_error(self, capsys):
         # l(l+1)/rho^2 overflows at rho = 1e-200
-        with np.errstate(divide="ignore", over="ignore"):
-            code = cli.main(
-                ["solve", "--atom", "pe", "--potential", "coulomb3d", "--ell", "1",
-                 "--rho-min", "1e-200"] + FAST
-            )
+        code = cli.main(
+            ["solve", "--atom", "pe", "--potential", "coulomb3d", "--ell", "1",
+             "--rho-min", "1e-200"] + FAST
+        )
         assert code == 1
-        assert capsys.readouterr().err == "error: effective potential is not finite on the grid\n"
+        assert capsys.readouterr().err == "error: effective potential is not finite at rho=1e-200\n"
+
+    @pytest.mark.parametrize("flags", [[], ["--points", "4002"]])
+    def test_nonfinite_potential_warns_nothing_and_names_rho(self, capsys, flags):
+        # (l^2 - 1/4)/rho^2 divides by zero at rho = 1e-200, on the quarter grid of the
+        # default 100,001 points and on a grid that does not quarter. A numpy warning
+        # would fail the test, and would print before the error line outside pytest
+        argv = ["solve", "--atom", "pe", "--potential", "coulomb2d", "--rho-min", "1e-200"]
+        code = cli.main(argv + flags)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: effective potential is not finite at rho=1e-200\n"
+
+    @pytest.mark.parametrize("argv,expected", [
+        # rho_min times K0's argument scale rounds to 0 on the first points
+        (["--atom", "pe", "--potential", "chern-simons", "--lambda", "1e-300",
+          "--rho-min", "1e-30", "--points", "4001"], "error: state with 0 nodes not bracketed"),
+        # the argument scale itself is subnormal
+        (["--atom", "pmu", "--potential", "chern-simons", "--lambda", "5e-324"],
+         "usage error: lambda=4.94066e-324 underflows K0's argument scale"),
+    ])
+    def test_k0_argument_underflow_is_no_bessel_usage_error(self, capsys, argv, expected):
+        code = cli.main(["solve"] + argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "bessel_k0" not in captured.err
+        assert captured.err.startswith(expected) and captured.err.count("\n") == 1
 
     def test_normalization_failure_is_solver_error(self, capsys, monkeypatch):
         monkeypatch.setattr(nv, "simpson_u2", lambda u, h, rho=None: math.nan)

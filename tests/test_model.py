@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -161,6 +162,34 @@ class TestEffectivePotential:
         k0 = bessel_k0_array(rho * problem.k0_argument_scale)
         expected = -0.25 / (rho * rho) - problem.k0_prefactor * k0
         assert np.array_equal(md.effective_potential(problem, rho), expected)
+
+    @pytest.mark.parametrize("kind", ["chern_simons", "chern_simons_jordan"])
+    def test_lambda_whose_k0_argument_scale_is_subnormal_rejected(self, kind):
+        with pytest.raises(ValueError, match=r"lambda=4.94066e-324 underflows K0's argument scale"):
+            make_problem("pmu", kind, 5e-324)
+        with pytest.raises(ValueError, match="underflows K0's argument scale"):
+            make_problem("pe", kind, 1e-310)
+        # just above the thresholds, about 1.6e-310 for pe and 2.3e-309 for tmu
+        assert make_problem("pe", kind, 1e-309).k0_argument_scale > sys.float_info.min
+        assert make_problem("tmu", kind, 2.3e-309).k0_argument_scale > sys.float_info.min
+
+    def test_k0_argument_floored_where_rho_times_scale_underflows(self):
+        # rho times the scale, 1.37e-298, rounds to 0 below rho = 1.8e-26, which
+        # bessel_k0 rejects: the argument is floored at twice the smallest subnormal
+        problem = make_problem("pe", "chern_simons", 1e-300)
+        rho = np.array([1e-40, 1e-30, 1e-20, 1.0])
+        u = md.effective_potential(problem, rho)
+        k0_floor = bessel_k0_array(np.array([1e-323]))
+        assert np.all(np.isfinite(u))
+        assert np.array_equal(u[:2], -0.25 / (rho[:2] * rho[:2]) - problem.k0_prefactor * k0_floor)
+        # above the floor every value keeps the bits of the unclipped product
+        k0 = bessel_k0_array(rho[2:] * problem.k0_argument_scale)
+        assert np.array_equal(u[2:], -0.25 / (rho[2:] * rho[2:]) - problem.k0_prefactor * k0)
+
+    def test_scalar_rho_gives_a_0d_array(self):
+        u = md.effective_potential(make_problem("pe", "chern_simons", 2e-5), 2.0)
+        assert isinstance(u, np.ndarray) and u.shape == ()
+        assert u == md.effective_potential(make_problem("pe", "chern_simons", 2e-5), [2.0])[0]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_rho_rejected(self, bad):

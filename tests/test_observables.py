@@ -14,7 +14,7 @@ from planaratom import observables as ob
 
 
 def wf_from(u, grid, energy=-1.0):
-    # norm_squared ignores the energy; mean_radius builds the origin series at it
+    # mean_radius builds the origin series at the energy
     return nv.WaveFunction(grid=grid, u=np.asarray(u, dtype=float), energy=energy)
 
 
@@ -69,7 +69,7 @@ class TestNormalize:
         grid = self.grid
         rho = grid.points()
         u = self.normalize(np.exp(-rho))
-        assert abs(ob.norm_squared(wf_from(u, grid)) - 1.0) < 1e-12
+        assert abs(nv.simpson_u2(u, grid.step) - 1.0) < 1e-12
         exact_nsq = 0.5 * (math.exp(-2 * grid.rho_min) - math.exp(-2 * grid.rho_max))
         assert np.allclose(u, np.exp(-rho) / math.sqrt(exact_nsq), rtol=1e-10)
 
@@ -111,14 +111,12 @@ class TestMeanRadius:
         exact = 1.5 / problem.atom.zeta
         assert r.mean_r_bohr == pytest.approx(exact, rel=1e-6)
         assert r.mean_r_bohr == pytest.approx(r.mean_rho / problem.atom.sqrt_zeta, rel=1e-15)
-        assert r.dimension == 3
 
     @pytest.mark.parametrize("atom", ["pe", "pmu", "tmu"])
     def test_2d_closed_form(self, atom, solve_cached):
         problem, res, wf = solve_cached(atom, "coulomb2d")
         r = ob.mean_radius(wf, problem)
         assert r.mean_r_bohr == pytest.approx(0.5 / problem.atom.zeta, rel=1e-6)
-        assert r.dimension == 2
 
     @pytest.mark.parametrize("atom", ["pe", "pmu", "tmu"])
     def test_k0_radius_is_largest(self, atom, solve_cached):
