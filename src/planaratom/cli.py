@@ -28,7 +28,8 @@ Exit codes: 0 success, 1 usage error (``usage error:``), solver failure
 (``error:``: a state not bracketed, degenerate matching, a grid too coarse
 for Numerov or a 2D grid that starts past the state, a potential not
 finite on the grid, a sweep that overflows, a K0 well whose depth
-estimate overflows or a wavefunction that cannot be normalized) or an output file that cannot be written (``error: cannot
+estimate overflows, a scratch block too large to map or a wavefunction that
+cannot be normalized) or an output file that cannot be written (``error: cannot
 write <path>``), 2 solver did not converge (record is still written).
 Output is deterministic: fixed column orders, floats at 12 significant
 digits, no timestamps.
@@ -56,7 +57,6 @@ from .model import (
 )
 from .numerov import (
     BISECTION_TOL,
-    RadialGrid,
     SolverError,
     check_arguments,
     check_origin_gap,
@@ -128,17 +128,6 @@ class RunRequest:
     def problem(self) -> EffectivePotentialParams:
         spec = PotentialSpec(POTENTIAL_TOKENS[self.potential_token], self.lam)
         return EffectivePotentialParams(spec, make_atom(self.atom), self.ell)
-
-    def grid(self, problem) -> RadialGrid:
-        grid = default_grid(
-            problem,
-            self.nodes,
-            rho_min=self.rho_min,
-            rho_max=self.rho_max,
-            n_points=self.n_points,
-        )
-        check_origin_gap(problem, grid)
-        return grid
 
 
 def _request_from_args(args) -> RunRequest:
@@ -220,7 +209,8 @@ def _solve_request(req: RunRequest):
     problem = req.problem()
     # before the grid: a bad argument is a usage error, not the failure of a grid it meets
     check_arguments(req.nodes, req.tol)
-    grid = req.grid(problem)
+    grid = default_grid(problem, req.nodes, req.rho_min, req.rho_max, req.n_points)
+    check_origin_gap(problem, grid)
     # a grid flag pins the grid; without one the default grid is the finest the solve may use
     if (req.rho_min, req.rho_max, req.n_points) == (None, None, None):
         grid = None
@@ -342,34 +332,27 @@ def _build_report():
     rows = []
     for section, quantity, refs in (("energies", "energy_ry", energies),
                                     ("radii", "mean_r_bohr", radii)):
-        for (req, pub), rec in zip(refs, _build_table(section, states)):
+        for req, pub in refs:
+            result, radius = states[req]
             problem = req.problem()
-            jordan = None
-            jordan_ratio = None
+            jordan = jordan_ratio = None
             if section == "energies":
+                computed = result.energy
                 closed = closed_form_energy(problem, req.nodes)
                 if req in variants:
                     jordan = states[variants[req]][0].energy
                     jordan_ratio = jordan_variant_gap(problem)
             else:
+                computed = radius.mean_r_bohr
                 factor = _CLOSED_RADIUS_FACTOR.get(req.potential_token)
                 closed = factor / problem.atom.zeta if factor is not None else None
-            rows.append(
-                {
-                    "section": section,
-                    "atom": req.atom,
-                    "potential": req.potential_token,
-                    "lambda": req.lam,
-                    "quantity": quantity,
-                    "published_value": pub,
-                    "computed": rec[quantity],
-                    "closed_form": closed,
-                    "jordan_variant": jordan,
-                    "jordan_prefactor_ratio": jordan_ratio,
-                    "deviation": rec["deviation"],
-                    "flag": _flag_for(pub, rec[quantity], closed),
-                }
-            )
+            rows.append({
+                "section": section, "atom": req.atom, "potential": req.potential_token,
+                "lambda": req.lam, "quantity": quantity, "published_value": pub,
+                "computed": computed, "closed_form": closed, "jordan_variant": jordan,
+                "jordan_prefactor_ratio": jordan_ratio, "deviation": computed - pub,
+                "flag": _flag_for(pub, computed, closed),
+            })
     return rows
 
 

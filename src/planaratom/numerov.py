@@ -49,29 +49,36 @@ and its two sweeps, joined at the match index, are the wavefunction. It is
 flagged converged when the bracket is within ``bisection_tol``, its defect
 within ``DEFECT_TOL`` and the node count on target.
 
-:func:`solve_state` runs that search as a cascade of grids. The grid is
-quartered (every fourth point, same ``rho_min`` and ``rho_max``, the
-potential subsampled, so no point's is evaluated twice) for as long as
-``n_points - 1`` is a multiple of 4 and the quarter keeps ``MIN_POINTS``: a
-200,001-point grid solves on 3,126, 12,501, 50,001 and 200,001 points. The
-coarsest grid runs the search from the default bracket; that cold search
-takes about as many shots on any grid, so it runs where shots are cheapest.
-Each finer grid starts from the energy ``E_4h`` of the grid below it, with
-one shot at ``E_4h``, matched at the turning point of ``E_4h + pad``, in the
-presumed bracket ``E_4h +- pad``, ``pad = max(WARM_BRACKET_REL
+:func:`solve_state` runs that search on a cascade of grids, in one loop
+from the coarsest level up. The grid is quartered (every fourth point, same
+``rho_min`` and ``rho_max``, the potential subsampled, so no point's is
+evaluated twice) for as long as ``n_points - 1`` is a multiple of 4 and the
+quarter keeps ``MIN_POINTS``: a 200,001-point grid solves on 3,126, 12,501,
+50,001 and 200,001 points. The coarsest grid runs the search from the
+default bracket; that cold search takes about as many shots on any grid, so
+it runs where shots are cheapest. Each finer grid starts from the energy
+``E_4h`` of the grid below it, with one shot at ``E_4h``, matched at the
+turning point of the bracket's top, in the presumed bracket from ``E_4h -
+pad`` to ``min(E_4h + pad, E_4h/2)``, ``pad = max(WARM_BRACKET_REL
 WARM_BRACKET_GROWTH^d |E_4h|, bisection_tol)`` for the grid ``d``
-quarterings below the requested one. That takes two shots when ``E_4h`` lies
-within about the tolerance of ``E_h`` and three when a first Newton step
-must close the distance; a bracket that misses is widened like any other. A
-grid passes its energy up when its search stopped with the bracket at
-``bisection_tol`` or at the resolution floor, its defect within
-``DEFECT_TOL`` and the node count of its joined sweeps on target; the sweeps
-are not normalized, which changes no sign. Otherwise, or when its search
-raises a :class:`SolverError` (as when a high ``ell`` puts a coarse grid's
-first swept row past the stable range), the grid above it starts cold, from
-the default bracket and with no estimate. When a grid cannot bracket the
-level, one gated shot on the grid above it, at the top every grid widens to,
-decides: if the level lies above it, the :class:`BracketingError` is raised.
+quarterings below the requested one. The top binds only on levels shallower
+than ``2 pad``, in practice ``2 bisection_tol``: it keeps their bracket
+below zero, where a Newton step aimed past the root would otherwise shoot a
+positive energy, at which ``f`` leaves Numerov's range on a box sized for so
+shallow a level. The rest takes two shots when ``E_4h`` lies within about
+the tolerance of ``E_h`` and three when a first Newton step must close the
+distance; a bracket that misses is widened like any other. A grid passes its
+energy up when its search stopped with the bracket at ``bisection_tol`` or
+at the resolution floor, its defect within ``DEFECT_TOL`` and the node count
+of its joined sweeps on target; the sweeps are not normalized, which changes
+no sign, and that count is the result's when the solve finishes there.
+Otherwise, or when its search raises a :class:`SolverError` (as when a high
+``ell`` puts a coarse grid's first swept row past the stable range), the
+next finer grid starts cold, from the default bracket and with no estimate;
+on the requested grid the error is raised. When a grid cannot bracket the
+level, each finer grid makes one gated shot at the top every grid widens to
+in place of its search: the first that finds the level below that top
+starts cold, and when none does the :class:`BracketingError` is raised.
 
 A grid the caller names is the grid the state finishes on. With none named,
 the default grid is a ceiling: the solve finishes on the first level that
@@ -945,63 +952,89 @@ def solve_state(
 ) -> tuple[EigenResult, WaveFunction]:
     """Find the bound state with ``node_target`` radial nodes.
 
-    Returns the eigenvalue (rydberg) with search diagnostics and the
-    normalized matched wavefunction, both on the grid the state finished
-    on: ``grid``, or with None the first level of :func:`default_grid`'s
+    Searches the levels of the grid's cascade in one loop, coarsest first,
+    and returns the eigenvalue (rydberg) with search diagnostics and the
+    normalized matched wavefunction, both on the level the loop stopped on:
+    ``grid``, or with None the first level of :func:`default_grid`'s
     cascade that converged within ``bisection_tol`` of the level below it,
     or whose checked Richardson bound from the two converged levels below
     it is at most ``bisection_tol/4``; the grid itself when none does. The
-    module docstring describes both stop tests and their premise, and the
+    result's node count and ``converged`` are that level's, and its
+    ``sweeps`` and ``points_swept`` sum every level's. The module docstring
+    describes both stop tests and their premise, the warm brackets, and the
     search, whose final bracket is ``bisection_tol`` Ry wide. Raises
     :class:`BracketingError` when no sign change is found after
-    ``MAX_WIDENINGS`` widenings; an exhausted step budget returns a result
-    flagged ``converged=False`` instead.
+    ``MAX_WIDENINGS`` widenings, and :class:`SolverError` when the scratch
+    block of the grid cannot be mapped; an exhausted step budget returns a
+    result flagged ``converged=False`` instead.
     """
     check_arguments(node_target, bisection_tol)
-    ceiling = grid is None
+    tol, ceiling = bisection_tol, grid is None
     if ceiling:
         grid = default_grid(problem, node_target)
-    memory = _SCRATCH.at_least(_scratch_size(grid.n_points))
-    ws = _ShootingWorkspace(problem, grid, memory, node_target)
-    bracket = default_bracket(problem, node_target, bisection_tol)
-    found, grid, e_coarse, *_ = _cascade(ws, bracket, bisection_tol, ceiling)
+    size = _scratch_size(grid.n_points)
+    try:
+        memory = _SCRATCH.at_least(size)
+    except (OSError, OverflowError) as exc:
+        raise SolverError(f"cannot map {8e-6 * size:.6g} MB of scratch memory for "
+                          f"{grid.n_points} points: {exc}") from None
+    bracket = default_bracket(problem, node_target, tol)
+    levels = [_ShootingWorkspace(problem, grid, memory, node_target)]
+    while (coarse := levels[-1].quartered()) is not None:
+        levels.append(coarse)
+    # the energy a level passes up, the run of converged levels ending on it as
+    # (energy, bracket width) pairs, and the error of the last level that missed the state
+    e_coarse, run, missed = None, (), None
+    for depth, ws in reversed(list(enumerate(levels))):
+        start, e_coarse, warm = e_coarse, None, bracket
+        try:
+            # every level widens to the same top: one shot there shows the level above it
+            if missed and ws.sign(ws.shoot(missed.bracket[1], gated=True, out=ws.spare)) > 0:
+                raise missed
+            missed = None
+            if start is not None:
+                pad = max(WARM_BRACKET_REL * WARM_BRACKET_GROWTH**depth * abs(start), tol)
+                warm = (start - pad, min(start + pad, 0.5 * start))
+            found = _search(ws, warm, tol, start)
+        except SolverError as err:
+            if depth == 0:
+                raise
+            # a level that missed the state passes its error on; any other starts the next cold
+            run, missed = (), err if isinstance(err, BracketingError) else None
+            continue
+        # counted on the unnormalized sweeps: scaling them changes no sign
+        nodes = count_nodes(found.u)
+        passes = found.done and nodes == node_target
+        converged = bool(passes and found.width <= tol)
+        e_coarse = found.shot.energy if passes else None
+        run = run + ((e_coarse, found.width),) if converged else ()
+        if ceiling and _finishes(run, tol):
+            break
     # a new array: the next solve of this thread overwrites the scratch block
-    u = _normalize_samples(found.u, grid.step)
-    final, nodes = found.shot, count_nodes(u)
+    u = _normalize_samples(found.u, ws.grid.step)
+    final = found.shot
     result = EigenResult(
         energy=final.energy,
         nodes=nodes,
-        converged=bool(found.done and found.width <= bisection_tol and nodes == node_target),
+        converged=converged,
         match_defect=final.defect if final.defect is not None else math.inf,
         bracket_width=found.width,
         iterations=found.iterations,
-        sweeps=ws.sweeps,
-        points_swept=ws.points_swept,
+        sweeps=sum(level.sweeps for level in levels),
+        points_swept=sum(level.points_swept for level in levels),
         match_index=final.m,
-        grid=grid,
-        energy_error_ry=None if e_coarse is None else (final.energy - e_coarse) / 255.0,
+        grid=ws.grid,
+        energy_error_ry=None if start is None else (final.energy - start) / 255.0,
     )
-    return result, WaveFunction(grid=grid, u=u, energy=final.energy)
-
-
-class _Level(NamedTuple):
-    """A level of the cascade that searched: its :class:`_Found`, its grid, the
-    energy of the level below that started it (None for a cold start), and the
-    ``(energy, bracket width)`` of each level in the unbroken run of converged
-    levels directly below it, coarsest first."""
-
-    found: _Found
-    grid: RadialGrid
-    e_coarse: float | None
-    run: tuple[tuple[float, float], ...]
+    return result, WaveFunction(grid=ws.grid, u=u, energy=final.energy)
 
 
 def _finishes(run, tol) -> bool:
     """Whether a default solve finishes on the last level of ``run``, a run of
-    consecutive converged levels as in :class:`_Level` whose last three have
-    grids ``16h``, ``4h`` and ``h``: the two stop tests of the module
-    docstring, the second with the checked Richardson bound
-    ``hi2/(lo1/hi2 - 1) <= tol/4``."""
+    consecutive converged levels, ``(energy, bracket width)`` each and
+    coarsest first, whose last three have grids ``16h``, ``4h`` and ``h``:
+    the two stop tests of the module docstring, the second with the checked
+    Richardson bound ``hi2/(lo1/hi2 - 1) <= tol/4``."""
     if len(run) < 2:
         return False
     (e_4h, w_4h), (e_h, w_h) = run[-2:]
@@ -1013,46 +1046,6 @@ def _finishes(run, tol) -> bool:
     d1, d2 = e_4h - e_16h, e_h - e_4h
     lo1, hi2 = abs(d1) - w_4h - w_16h, abs(d2) + w_h + w_4h
     return d1 * d2 > 0.0 and lo1 >= 16.0 * hi2 and hi2 / (lo1 / hi2 - 1.0) <= 0.25 * tol
-
-
-def _cascade(ws, bracket, tol, ceiling, depth=0) -> _Level:
-    """The search on ``ws``, warm-started from the cascade on ``ws.quartered()``.
-
-    Returns the level the solve finishes on: ``ws``'s, or with ``ceiling``
-    the first coarser one that passes a stop test of :func:`_finishes`
-    (within ``tol`` of the converged level below it, or a checked Richardson
-    bound at most ``tol/4`` from the two converged levels below it),
-    whereupon no finer level searches: a frame passes up a level that is not
-    its coarse workspace's. ``ws.sweeps`` and
-    ``ws.points_swept`` then count every level that swept. ``bracket`` is the
-    default one, where every cold start begins, and ``depth`` the number of
-    quarterings from the grid of the request to ``ws``'s.
-    """
-    coarse, below = ws.quartered(), None
-    if coarse is not None:
-        try:
-            below = _cascade(coarse, bracket, tol, ceiling, depth + 1)
-        except BracketingError as err:
-            # every level widens to the same top: one shot there shows the level above it
-            if ws.sign(ws.shoot(err.bracket[1], gated=True, out=ws.spare)) > 0:
-                raise
-        except SolverError:
-            pass
-        ws.sweeps += coarse.sweeps
-        ws.points_swept += coarse.points_swept
-        if below is not None and below.grid is not coarse.grid:
-            return below  # the solve finished on a coarser level
-    # counted on the unnormalized sweeps: scaling them changes no sign
-    passes = below is not None and below.found.done and count_nodes(below.found.u) == ws.node_target
-    e_coarse = below.found.shot.energy if passes else None
-    converged = passes and below.found.width <= tol
-    run = below.run + ((e_coarse, below.found.width),) if converged else ()
-    if ceiling and _finishes(run, tol):
-        return below
-    if e_coarse is not None:
-        pad = max(WARM_BRACKET_REL * WARM_BRACKET_GROWTH**depth * abs(e_coarse), tol)
-        bracket = (e_coarse - pad, e_coarse + pad)
-    return _Level(_search(ws, bracket, tol, e_coarse), ws.grid, e_coarse, run)
 
 
 class _Found(NamedTuple):

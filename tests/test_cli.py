@@ -175,6 +175,26 @@ class TestSolveCommand:
         assert "bessel_k0" not in captured.err
         assert captured.err.startswith(expected) and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("exc", [
+        OSError(12, "Cannot allocate memory"),
+        OverflowError("Python int too large to convert to C ssize_t"),
+    ])
+    def test_scratch_block_that_cannot_be_mapped_is_solver_error(self, capsys, monkeypatch, exc):
+        # a stand-in mmap refuses the 68.7 GB scratch block of 2**31 points; a real one
+        # may map it and fail only when its pages are touched
+        def refuse(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(nv.mmap, "mmap", refuse)
+        argv = ["solve", "--atom", "pe", "--potential", "coulomb3d", "--points", "2147483648"]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(
+            "error: cannot map 68719.7 MB of scratch memory for 2147483648 points: "
+        )
+        assert captured.err.count("\n") == 1
+
     def test_normalization_failure_is_solver_error(self, capsys, monkeypatch):
         monkeypatch.setattr(nv, "simpson_u2", lambda u, h, rho=None: math.nan)
         code = cli.main(["solve", "--atom", "pe", "--potential", "coulomb3d"] + FAST)
@@ -513,11 +533,14 @@ class TestSolveStates:
     def test_ell_states_match_sequential_solves(self):
         # each row pinned to its default grid, as --points pins it: both sides solve on it
         reqs = [req for req, _ in cli._reference_rows("ell_states")]
-        pinned = {req: replace(req, n_points=req.grid(req.problem()).n_points) for req in reqs}
+        pinned = {
+            req: replace(req, n_points=nv.default_grid(req.problem(), req.nodes).n_points)
+            for req in reqs
+        }
         sequential = {}
         for req in reqs:
             problem = req.problem()
-            result, wf = nv.solve_state(problem, req.nodes, grid=req.grid(problem))
+            result, wf = nv.solve_state(problem, req.nodes, grid=nv.default_grid(problem, req.nodes))
             sequential[req] = result, mean_radius(wf, problem)
         solved = cli._solve_states(pinned.values())
         concurrent = {req: solved[pinned[req]] for req in reqs}

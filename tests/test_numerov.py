@@ -769,6 +769,14 @@ class TestWarmStart:
                       nv.BISECTION_TOL)
             assert all(abs(e - energies[0]) <= pad for e in energies)
 
+    @pytest.mark.parametrize("lam", [1e-40, 1e-30, 1e-25])
+    def test_warm_bracket_of_a_level_shallower_than_tol_stays_below_zero(self, shots, lam):
+        # E_4h + tol would reach positive energies, where f = 1 + h^2 g/12 leaves
+        # Numerov's range on a box sized for a level of -1e-22 Ry or shallower
+        res, _ = nv.solve_state(make_problem("pe", "chern_simons_jordan", lam), 0)
+        assert res.converged and res.nodes == 0
+        assert max(e for _, e, _ in shots) < 0.0
+
     @pytest.mark.parametrize("ell,nodes", [(0, 0), (1, 0), (0, 2), (3, 1)])
     @pytest.mark.parametrize("kind", ["coulomb3d", "coulomb2d"])
     @pytest.mark.parametrize("atom", ["pe", "pmu"])
@@ -848,13 +856,16 @@ class TestWarmStart:
 @pytest.fixture
 def levels(monkeypatch):
     """Log of the cascade's searches as ``(grid points, energy, sweeps, points swept)``,
-    the counts those of the workspace when its search ended, the levels below included."""
+    the counts running totals of the levels logged since the log was last cleared,
+    each workspace counting its own."""
     log = []
     search = nv._search
 
     def recording(ws, *args, **kwargs):
         found = search(ws, *args, **kwargs)
-        log.append((ws.grid.n_points, found.shot.energy, ws.sweeps, ws.points_swept))
+        sweeps, points_swept = log[-1][2:] if log else (0, 0)
+        log.append((ws.grid.n_points, found.shot.energy, sweeps + ws.sweeps,
+                    points_swept + ws.points_swept))
         return found
 
     monkeypatch.setattr(nv, "_search", recording)
