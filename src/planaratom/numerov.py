@@ -9,8 +9,9 @@ widened when it misses). Every trial energy is one shooting step
 (``_ShootingWorkspace.shoot``): an outward and an inward sweep, the nodes
 of the outward one counted up to the match index, and the log-derivative
 mismatch (the defect) of the two at that index. Below the eigenvalue a
-trial has too few nodes or a positive defect, above it too many nodes or a
-negative defect; that sign keeps the bracket. The shot also carries the
+trial has too few nodes or a positive defect, above it too many nodes, a
+negative defect or a node pinned at the match index; the shot records that
+side, which keeps the bracket. The shot also carries the
 defect's slope: for two sweeps joined at ``m`` with ``u`` continuous, the
 Wronskian gives ``dD/dE = -int u^2 drho / u(m)^2`` (J. W. Cooley, Math.
 Comp. 15 (1961) 363), one sum over the joined sweeps the shot writes.
@@ -244,7 +245,9 @@ WARM_BRACKET_GROWTH = 64.0
 # of levels above -64 Ry.
 RESOLUTION_ULPS = 128
 
-# Points kept past the match index so 5-point derivative stencils fit.
+# Points each sweep runs past the match index into the other's range. The
+# 5-point stencil at the match index needs 2; the value also sets how close
+# to either end of the grid the match index is clamped.
 _STENCIL_PAD = 4
 
 
@@ -547,14 +550,17 @@ def _outer_turning_point(u_eff: np.ndarray, energy: float) -> int:
 class _Shot(NamedTuple):
     """One shooting trial: its energy, match index, node count up to the
     match index, the defect's slope ``dD/dE`` and defect (both None when
-    gated off target or pinned on a node), see
-    :meth:`_ShootingWorkspace.shoot`."""
+    gated off target or pinned on a node), and whether it lies below the
+    level: by the node count when it is off target, else by the defect's
+    sign, positive below; a shot on target with no defect, pinned on a node
+    at the match index, lies above. See :meth:`_ShootingWorkspace.shoot`."""
 
     energy: float
     m: int
     nodes: int
     slope: float | None
     defect: float | None
+    below: bool
 
 
 def _scratch_size(n_points: int) -> int:
@@ -616,14 +622,13 @@ class _ShootingWorkspace:
     joined sweeps that :func:`_search` keeps, into one of which each shot
     sweeps outward. A shot allocates nothing the size of the grid.
 
-    The workspace of the requested grid is given no potential. On a grid
-    that does not quarter it evaluates its own on the first use of
-    :attr:`u_eff`. On one that quarters, its coarse level (see
-    :meth:`quartered`) evaluates its own grid's points, all that the coarser
-    grids read, and the first use of :attr:`u_eff` takes every fourth point
-    from there and evaluates the other three quarters, in blocks of
-    ``_BLOCK`` rows of four points: a solve that finishes on a coarser grid
-    never evaluates them.
+    The workspace of the requested grid is given no potential. Until
+    :meth:`quartered` has built its coarse level, it evaluates its own on the
+    first use of :attr:`u_eff`. Once built, that coarse level evaluates its
+    own grid's points, all that the coarser grids read, and the first use of
+    :attr:`u_eff` takes every fourth point from there and evaluates the other
+    three quarters, in blocks of ``_BLOCK`` rows of four points: a solve that
+    finishes on a coarser grid never evaluates them.
     """
 
     def __init__(self, problem, grid, memory, node_target=0, u_eff=None):
@@ -646,12 +651,11 @@ class _ShootingWorkspace:
     def u_eff(self) -> np.ndarray:
         """The effective potential on the grid."""
         if self._u_eff is None:
-            coarse = self._coarse or self.quartered()
-            if coarse is None:
+            if self._coarse is None:
                 self._u_eff = _potential(self.problem, self.grid.points())
                 return self._u_eff
             u_eff = np.empty(self.grid.n_points)
-            u_eff[::4] = coarse.u_eff
+            u_eff[::4] = self._coarse.u_eff
             # rows of four points from index 0 up: the last point is the coarse grid's;
             # np.linspace computes index k as k step + rho_min, and so does this
             fours = u_eff[:-1].reshape(-1, 4)
@@ -703,15 +707,23 @@ class _ShootingWorkspace:
         ``nodes`` is counted on the outward sweep up to ``m``. With
         ``gated`` the inward sweep is skipped (``defect`` None, ``out``
         holding the outward sweep alone) when ``nodes`` differs from
-        ``node_target``. ``defect`` is also None when the outward sweep has
-        a node pinned at the match point, see :meth:`_defect_at`. A trial
-        that sweeps inward leaves both sweeps in ``out``, joined at ``m``
-        and unnormalized; the inward one is swept into the workspace's
-        buffer, which the next trial overwrites. A trial with a defect also
-        carries its slope, ``dD/dE = -int u^2 drho / u(i)^2`` over the
-        log-derivative scale of :meth:`_defect_at` at the index ``i`` it
-        used: the Wronskian identity for two sweeps joined with ``u``
-        continuous (J. W. Cooley, Math. Comp. 15 (1961) 363).
+        ``node_target``. A trial that sweeps inward leaves both sweeps in
+        ``out``, joined at ``m`` and unnormalized; the inward one is swept
+        into the workspace's buffer, which the next trial overwrites.
+
+        The defect is the two sweeps' log-derivative mismatch at ``m``, each
+        from a 5-point stencil, over the larger of 1 and the two
+        log-derivatives' magnitudes. It is None, and so is its slope, when
+        the outward sweep has a node pinned at ``m`` (``|u(m)|`` at most 1e-9
+        of its peak from 16 points before ``m`` to 2 after it) or the inward
+        one is 0 there. A pinned node makes the energy an eigenvalue of the left
+        problem on ``[rho_min, rho_m]`` with ``u(rho_m) = 0``; Dirichlet
+        eigenvalues rise as the interval shrinks, so that energy lies above
+        the level with the same node count, and the shot counts as above. A
+        trial with a defect carries its slope, ``dD/dE = -int u^2 drho /
+        u(m)^2`` over the same scale: the Wronskian identity for two sweeps
+        joined with ``u`` continuous (J. W. Cooley, Math. Comp. 15 (1961)
+        363).
         """
         n, rho_min, h = self.grid.n_points, self.grid.rho_min, self.h
         m = _outer_turning_point(self.u_eff, energy) if match_index is None else int(match_index)
@@ -726,7 +738,7 @@ class _ShootingWorkspace:
         self.points_swept += f.shape[0]
         nodes = count_nodes(u_left[: m + 1])
         if gated and nodes != self.node_target:
-            return _Shot(energy, m, nodes, None, None)
+            return _Shot(energy, m, nodes, None, None, nodes < self.node_target)
         kappa_sq = self.u_eff[-1] - energy
         kappa = math.sqrt(kappa_sq) if kappa_sq > 0.0 else 1.0
         # the inward sweep's f in sweep order, from the outer edge in
@@ -735,57 +747,28 @@ class _ShootingWorkspace:
         u_right = _sweep(f, INWARD_SEED, seed, self.grid.rho_max, -h, self._right, self._band)[::-1]
         self.sweeps += 1
         self.points_swept += f.shape[0]
-        defect, i, scale = self._defect_at(u_left, u_right, m)
         ul, ur = u_left[m], u_right[_STENCIL_PAD]
         if ul == 0.0 and ur == 0.0:
             raise DegenerateSeedError("both sweeps vanish at the matching point")
+        defect = slope = None
+        # measured before the join: the stencil reads u_left[m + 1] and u_left[m + 2]
+        if abs(ul) > 1e-9 * np.max(np.abs(u_left[max(0, m - 16) : m + 3])) and ur != 0.0:
+            dl = _derivative_5pt(u_left, m, h) / ul
+            dr = _derivative_5pt(u_right, _STENCIL_PAD, h) / ur
+            # normalize by the log-derivative scale so the tolerance is
+            # meaningful for shallow and deep wells alike
+            scale = max(1.0, abs(dl), abs(dr))
+            defect = (dl - dr) / scale
         # the outward sweep stays in out[: m + 1]; the inward one, scaled, follows it
         np.multiply(u_right[_STENCIL_PAD + 1 :], ul / ur if ur != 0.0 else 1.0, out=out[m + 1 :])
-        slope = None
         if defect is not None:
             # einsum, not np.dot: a BLAS dot this long wakes OpenBLAS's thread
             # pool, which slows the library's concurrent callers, such as two
             # client threads solving at once
-            slope = -h * np.einsum("i,i->", out, out) / (out[i] * out[i] * scale)
-        return _Shot(energy, m, nodes, slope, defect)
-
-    def sign(self, shot: _Shot) -> int:
-        """+1 if ``shot`` lies below the target eigenvalue, -1 above.
-
-        Node counting decides alone when the count is off target;
-        otherwise the sign of the defect.
-        """
-        if shot.nodes != self.node_target:
-            return 1 if shot.nodes < self.node_target else -1
-        if shot.defect is None:
-            # outward node sitting on the match point: just past the
-            # left-problem eigenvalue, hence above the target energy
-            return -1
-        return 1 if shot.defect > 0.0 else -1
-
-    def _defect_at(self, u_left, u_right, m):
-        """Log-derivative mismatch at the match index, nudging off nodes.
-
-        ``u_left`` covers grid indices [0, m+pad], ``u_right`` covers
-        [m-pad, N-1]. Returns the defect, the index it was measured at and
-        its log-derivative scale; the defect is None when the outward sweep
-        has a node pinned at every candidate index (energy sits on a
-        left-problem eigenvalue).
-        """
-        left_scale = np.max(np.abs(u_left[max(0, m - 16) : m + 3]))
-        start = m - _STENCIL_PAD
-        for shift in (0, -1, 1, -2, 2):
-            i = m + shift
-            ul = u_left[i]
-            ur = u_right[i - start]
-            if abs(ul) > 1e-9 * left_scale and ur != 0.0:
-                dl = _derivative_5pt(u_left, i, self.h) / ul
-                dr = _derivative_5pt(u_right, i - start, self.h) / ur
-                # normalize by the log-derivative scale so the tolerance is
-                # meaningful for shallow and deep wells alike
-                scale = max(1.0, abs(dl), abs(dr))
-                return (dl - dr) / scale, i, scale
-        return None, m, 1.0
+            slope = -h * np.einsum("i,i->", out, out) / (ul * ul * scale)
+        on_target = nodes == self.node_target
+        below = defect > 0.0 if on_target and defect is not None else nodes < self.node_target
+        return _Shot(energy, m, nodes, slope, defect, below)
 
 
 def closed_form_energy(problem: EffectivePotentialParams, nodes: int) -> float | None:
@@ -989,7 +972,7 @@ def solve_state(
         start, e_coarse, warm = e_coarse, None, bracket
         try:
             # every level widens to the same top: one shot there shows the level above it
-            if missed and ws.sign(ws.shoot(missed.bracket[1], gated=True, out=ws.spare)) > 0:
+            if missed and ws.shoot(missed.bracket[1], gated=True, out=ws.spare).below:
                 raise missed
             missed = None
             if start is not None:
@@ -1080,7 +1063,7 @@ def _search(ws, bracket, tol, e_coarse=None) -> _Found:
     while True:
         shot = ws.shoot(energy, m, gated=True, out=spare)
         iterations += 1
-        level_above = ws.sign(shot) > 0
+        level_above = shot.below
         if (energy == hi and level_above) or (energy == lo and not level_above):
             if widenings == MAX_WIDENINGS:
                 energies = -np.geomspace(-lo, -hi, 8)

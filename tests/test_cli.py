@@ -529,6 +529,56 @@ class TestJsonMirrorsCsv:
         ]
 
 
+class TestReportMarkdown:
+    """``md``, the report's default format, on two synthetic rows: nothing is solved."""
+
+    ROWS = [
+        {"section": "energies", "atom": "pe", "potential": "chern-simons", "lambda": 2e-6,
+         "quantity": "energy_ry", "published_value": -2.2417, "computed": -2.24176543210987,
+         "closed_form": None, "jordan_variant": -0.0123456789012345,
+         "jordan_prefactor_ratio": 0.5, "deviation": -6.543210987e-05, "flag": "match"},
+        {"section": "radii", "atom": "pmu", "potential": "coulomb3d", "lambda": None,
+         "quantity": "mean_r_bohr", "published_value": 0.0081, "computed": 0.00807128,
+         "closed_form": 0.00807130000001, "jordan_variant": None,
+         "jordan_prefactor_ratio": None, "deviation": -2.872e-05,
+         "flag": "paper-numerical-error"},
+    ]
+    HEADER = (
+        "| atom | potential | lambda | published | computed | closed form "
+        "| jordan variant | jordan prefactor ratio | flag |\n"
+        "|---|---|---|---|---|---|---|---|---|\n"
+    )
+    TEXT = (
+        "# Reference-versus-recomputed discrepancy report\n"
+        "\n"
+        "Flags: `match` (within 0.5%), `paper-numerical-error` (within 5%, consistent with "
+        "the reference pipeline's quoted accuracy), `unresolved` (structural disagreement). "
+        "The closed-form column adjudicates where an exact spectrum exists; the jordan column "
+        "shows the weaker-prefactor variant of the massive-photon potential.\n"
+        "\n"
+        "## energies\n"
+        "\n"
+        + HEADER
+        + "| pe | chern-simons | 2e-06 | -2.2417 | -2.24176543211 |  | -0.0123456789012 | 0.5 "
+        "| match |\n"
+        "\n"
+        "## radii\n"
+        "\n"
+        + HEADER
+        + "| pmu | coulomb3d |  | 0.0081 | 0.00807128 | 0.00807130000001 |  |  "
+        "| paper-numerical-error |\n"
+        "\n"
+    )
+
+    def test_emit_writes_both_sections(self, capsys):
+        cli._emit("md", "-", self.ROWS)
+        assert capsys.readouterr().out == self.TEXT
+
+    def test_report_command_defaults_to_markdown(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_build_report", lambda: self.ROWS)
+        assert run(capsys, ["report", "--output", "-"]) == (0, self.TEXT)
+
+
 class TestSolveStates:
     def test_ell_states_match_sequential_solves(self):
         # each row pinned to its default grid, as --points pins it: both sides solve on it

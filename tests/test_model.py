@@ -41,6 +41,11 @@ class TestAtoms:
         with pytest.raises(ValueError, match="unknown atom"):
             md.make_atom("xe")
 
+    @pytest.mark.parametrize("orbiter,nucleus", [(0.0, 1.0), (1.0, -1.0)])
+    def test_mass_not_positive(self, orbiter, nucleus):
+        with pytest.raises(ValueError, match="masses must be positive"):
+            md.AtomSpec("x", orbiter, nucleus)
+
 
 class TestPotentialSpec:
     def test_lambda_required_for_k0_kinds(self):
@@ -50,6 +55,15 @@ class TestPotentialSpec:
     def test_lambda_forbidden_for_coulomb(self):
         with pytest.raises(ValueError, match="no lambda"):
             md.PotentialSpec("coulomb3d", 2e-5)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown potential kind 'coulomb4d'"):
+            md.PotentialSpec("coulomb4d")
+
+    @pytest.mark.parametrize("ell", [-1, 1.5])
+    def test_ell_not_a_non_negative_integer(self, ell):
+        with pytest.raises(ValueError, match="ell must be a non-negative integer"):
+            make_problem("pe", "coulomb3d", ell=ell)
 
     def test_dimension(self):
         assert md.PotentialSpec("coulomb3d").dimension == 3

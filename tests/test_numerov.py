@@ -243,6 +243,16 @@ class TestBlockedSweep:
         assert abs(slow[-1]) > 1e-100
         assert _same_bits(fast, slow)
 
+    def test_one_row_spanning_several_segments(self):
+        # the growth bound of the row at f = 1e-5, sqrt(1/f - 1) = 316, spans more than
+        # three segments of _SEGMENT_GROWTH = 86.6: four cuts stop on that row, so the
+        # three segments between them are empty
+        f = np.full(2000, 0.9)
+        f[1000] = 1e-5
+        rho = 0.01 * np.arange(f.shape[0])
+        assert _same_bits(sweep(f, 1e-3, 1.01e-3, rho),
+                          oracles.sweep_one_solve_per_segment(f, 1e-3, 1.01e-3))
+
     def test_writes_only_into_given_buffers(self):
         rho, f = self.cs_f(2 * self.B + 3)
         out = np.full(f.shape[0] + 5, 7.0)
@@ -272,6 +282,11 @@ class TestCountNodes:
 
     def test_endpoints_excluded(self):
         assert nv.count_nodes(np.array([-1.0, 1.0, 1.0, 1.0, -1.0])) == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_samples_raise(self, bad):
+        with pytest.raises(ValueError, match="samples must be finite"):
+            nv.count_nodes(np.array([0.5, 1.0, bad, -1.0, -0.5]))
 
     @pytest.mark.parametrize(
         "signs, nodes",
@@ -342,6 +357,34 @@ class TestMatchDefect:
         assert res.match_index >= int(np.nonzero((g[:-1] > 0.0) & (g[1:] <= 0.0))[0][-1])
         assert np.all(g[res.match_index + 1 :] <= 0.0)
         assert match_defect(res.energy, problem, grid, res.match_index) == res.match_defect
+
+    def test_node_pinned_at_the_match_index_counts_above(self):
+        # the outward sweep's value at m changes sign across an eigenvalue of the left
+        # problem on [rho_min, rho_m], 0.246 Ry above the level: a shot an ulp from it has
+        # a node pinned at m, gets no defect and lies above the level
+        problem = make_problem("pe", "chern_simons", 2e-5)
+        grid = nv.default_grid(problem, 0, n_points=20001)
+        res, _ = nv.solve_state(problem, 0, grid=grid)
+        m = res.match_index
+        ws = workspace(problem, grid)
+
+        def shoot(energy):
+            # the shot and its outward sweep's value at m
+            return ws.shoot(energy, m, out=ws.joined), ws.joined[m]
+
+        lo, hi = res.energy, 0.5 * res.energy
+        assert shoot(lo)[1] > 0.0 > shoot(hi)[1]
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if shoot(mid)[1] > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        assert math.nextafter(lo, math.inf) == hi
+        for energy in (lo, hi):
+            shot, _ = shoot(energy)
+            assert shot.defect is None and shot.slope is None
+            assert shot.below is False and shot.nodes == 0
+            assert shot.energy > res.energy
 
 
 class TestSolveState:
@@ -1067,7 +1110,7 @@ class TestCheckedFinish:
         def search(ws, bracket, tol, e_coarse=None):
             n = ws.grid.n_points
             error, width, done = chain[n]
-            shot = nv._Shot(-1.0 + error, n // 2, 0, -1.0, 0.0)
+            shot = nv._Shot(-1.0 + error, n // 2, 0, -1.0, 0.0, False)
             return nv._Found(shot, np.ones(n), width, 1, done)  # nodeless sweeps
 
         monkeypatch.setattr(nv, "_search", search)
