@@ -4,8 +4,8 @@ Subcommands and the flags each one reads:
 
 * ``solve``: one state. ``--atom --potential --lambda|--mgamma-ev --ell``
   name it, ``--nodes`` and ``--tol`` set the node count and the search
-  tolerance, ``--rho-min --rho-max --points`` pin the grid (without them
-  the default grid is the finest the solve may use), ``--format csv|json
+  tolerance, ``--rho-min --rho-max --points`` override the default grid's
+  ends and point count, ``--format csv|json
   --output`` and ``--wavefunction-output`` say where the record and the
   samples go.
 * ``table energies|radii|ell-states``: that table's rows of the embedded
@@ -26,11 +26,11 @@ stdout, except that ``table`` and ``report`` default to
 
 Exit codes: 0 success, 1 usage error (``usage error:``), solver failure
 (``error:``: a state not bracketed, degenerate matching, a grid too coarse
-for Numerov or a 2D grid that starts past the state, a potential not
-finite on the grid, a sweep that overflows, a K0 well whose depth
-estimate overflows, a scratch block too large to map or a wavefunction that
-cannot be normalized) or an output file that cannot be written (``error: cannot
-write <path>``), 2 solver did not converge (record is still written).
+for Numerov, a potential not finite on the grid, a sweep that overflows, a
+K0 well whose depth estimate overflows, a scratch block too large to map
+or a wavefunction that cannot be normalized) or an output file that cannot
+be written (``error: cannot write <path>``), 2 solver did not converge
+(record is still written).
 Output is deterministic: fixed column orders, floats at 12 significant
 digits, no timestamps.
 """
@@ -59,7 +59,6 @@ from .numerov import (
     BISECTION_TOL,
     SolverError,
     check_arguments,
-    check_origin_gap,
     closed_form_energy,
     default_grid,
     solve_state,
@@ -210,10 +209,6 @@ def _solve_request(req: RunRequest):
     # before the grid: a bad argument is a usage error, not the failure of a grid it meets
     check_arguments(req.nodes, req.tol)
     grid = default_grid(problem, req.nodes, req.rho_min, req.rho_max, req.n_points)
-    check_origin_gap(problem, grid)
-    # a grid flag pins the grid; without one the default grid is the finest the solve may use
-    if (req.rho_min, req.rho_max, req.n_points) == (None, None, None):
-        grid = None
     result, wf = solve_state(problem, req.nodes, grid=grid, bisection_tol=req.tol)
     return result, wf, mean_radius(wf, problem)
 

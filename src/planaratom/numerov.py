@@ -1,26 +1,37 @@
 """Bound-state solver: Numerov integration plus node-counted shooting.
 
 The radial problem is ``u''(rho) + [E - U_eff(rho)] u(rho) = 0`` with the
-energy ``E`` carried in rydberg (twice the Hartree value). Eigenvalues are
-found by one search on a bracket ``[E_lo, E_hi]`` (see
+energy ``E`` carried in rydberg (twice the Hartree value). It is solved on a
+mesh uniform in ``x = ln rho`` (:class:`RadialGrid`) for ``phi = u/sqrt(rho)``,
+the Langer form (R. E. Langer, Phys. Rev. 51 (1937) 669): ``phi''(x) =
+[rho^2 (U_eff - E) + 1/4] phi``. The ``1/4`` cancels the 2D centrifugal
+``-1/(4 rho^2)`` at ell 0, so no term is singular, and the regular solution
+is ``phi ~ rho^(s - 1/2)`` near the origin (``s = l + 1`` in 3D, ``l + 1/2``
+in 2D). A default grid starts ``RHO_MIN_KAPPA`` decay lengths ``1/kappa``
+from the origin, below which too little of the state lies to matter, and
+has ``DEFAULT_POINTS`` points.
+
+Eigenvalues are found by one search on a bracket ``[E_lo, E_hi]`` (see
 :func:`default_bracket`: 1.5x the closed form for Coulomb kinds, the
 self-consistent depth estimate of the ground level for the K0 kinds, and
 widened when it misses). Every trial energy is one shooting step
 (``_ShootingWorkspace.shoot``): an outward and an inward sweep, the nodes
-of the outward one counted up to the match index, and the log-derivative
-mismatch (the defect) of the two at that index. Below the eigenvalue a
+of the outward one counted up to and including the match index, and the
+log-derivative mismatch (the defect) of the two at that index. Below the eigenvalue a
 trial has too few nodes or a positive defect, above it too many nodes, a
 negative defect or a node pinned at the match index; the shot records that
 side, which keeps the bracket. The shot also carries the
 defect's slope: for two sweeps joined at ``m`` with ``u`` continuous, the
 Wronskian gives ``dD/dE = -int u^2 drho / u(m)^2`` (J. W. Cooley, Math.
-Comp. 15 (1961) 363), one sum over the joined sweeps the shot writes.
+Comp. 15 (1961) 363), one sum ``int rho^2 phi^2 dx`` over the joined sweeps
+the shot writes.
 
 The search is ``rtsafe`` (Numerical Recipes, section 9.4), Newton steps
 kept inside the bracket:
 
 1. Node stage: until the upper end has the target node count, each trial
-   is matched at its own outermost classical turning point.
+   is matched at its own outermost classical turning point, or at
+   ``rho_max/2`` when none lies in the box.
 2. Newton stage: the match index is then fixed at the turning point of
    the upper end. Past it every energy in the bracket is classically
    forbidden, so the inward sweep has no node there, and the defect is
@@ -51,93 +62,55 @@ flagged converged when the bracket is within ``bisection_tol``, its defect
 within ``DEFECT_TOL`` and the node count on target.
 
 :func:`solve_state` runs that search on a cascade of grids, in one loop
-from the coarsest level up. The grid is quartered (every fourth point, same
-``rho_min`` and ``rho_max``, the potential subsampled, so no point's is
-evaluated twice) for as long as ``n_points - 1`` is a multiple of 4 and the
-quarter keeps ``MIN_POINTS``: a 200,001-point grid solves on 3,126, 12,501,
-50,001 and 200,001 points. The coarsest grid runs the search from the
-default bracket; that cold search takes about as many shots on any grid, so
-it runs where shots are cheapest. Each finer grid starts from the energy
-``E_4h`` of the grid below it, with one shot at ``E_4h``, matched at the
-turning point of the bracket's top, in the presumed bracket from ``E_4h -
-pad`` to ``min(E_4h + pad, E_4h/2)``, ``pad = max(WARM_BRACKET_REL
+from the coarsest level up, and finishes on the grid it was given, or on
+the default grid. The grid is quartered (every fourth point, same
+``rho_min`` and ``rho_max``) for as long as ``n_points - 1`` is a multiple
+of 4 and the quarter keeps ``MIN_POINTS``: a default grid solves on 1,001
+and 4,001 points. The potential is evaluated once, on the grid given, and
+each coarser level views every fourth point of it, which are its own points
+bit for bit. The coarsest grid runs the search from the default bracket;
+that cold search takes about as many shots on any grid, so it runs where
+shots are cheapest. Each finer grid starts from the energy ``E_4h`` of the
+grid below it, with one shot at ``E_4h``, matched at the turning point of
+the bracket's top, in the presumed bracket from ``max(E_4h - pad, 2 E_4h)``
+to ``min(E_4h + pad, E_4h/2)``, ``pad = max(WARM_BRACKET_REL
 WARM_BRACKET_GROWTH^d |E_4h|, bisection_tol)`` for the grid ``d``
-quarterings below the requested one. The top binds only on levels shallower
-than ``2 pad``, in practice ``2 bisection_tol``: it keeps their bracket
-below zero, where a Newton step aimed past the root would otherwise shoot a
-positive energy, at which ``f`` leaves Numerov's range on a box sized for so
-shallow a level. The rest takes two shots when ``E_4h`` lies within about
-the tolerance of ``E_h`` and three when a first Newton step must close the
-distance; a bracket that misses is widened like any other. A grid passes its
-energy up when its search stopped with the bracket at ``bisection_tol`` or
-at the resolution floor, its defect within ``DEFECT_TOL`` and the node count
-of its joined sweeps on target; the sweeps are not normalized, which changes
-no sign, and that count is the result's when the solve finishes there.
-Otherwise, or when its search raises a :class:`SolverError` (as when a high
-``ell`` puts a coarse grid's first swept row past the stable range), the
-next finer grid starts cold, from the default bracket and with no estimate;
-on the requested grid the error is raised. When a grid cannot bracket the
-level, each finer grid makes one gated shot at the top every grid widens to
-in place of its search: the first that finds the level below that top
-starts cold, and when none does the :class:`BracketingError` is raised.
+quarterings below the requested one. The ends in ``E_4h`` bind only on
+levels shallower than ``2 pad``, in practice ``2 bisection_tol``: they keep
+the bracket within a factor of two of the level and below zero, where a
+Newton step aimed past the root would otherwise shoot a positive energy or
+one many times deeper, at which ``f`` leaves Numerov's range on a box sized
+for so shallow a level. The rest takes two shots when ``E_4h`` lies within
+about the tolerance of ``E_h`` and three when a first Newton step must close
+the distance; a bracket that misses is widened like any other. A grid passes
+its energy up when its search stopped with the bracket at ``bisection_tol``
+or at the resolution floor, its defect within ``DEFECT_TOL`` and the node
+count of its joined sweeps on target; the sweeps are not normalized, which
+changes no sign, and that count is the result's on the finished grid.
+Otherwise, or when its search raises a :class:`SolverError`, the next finer
+grid starts cold, from the default bracket and with no estimate; on the
+finished grid the error is raised. When a grid cannot bracket the level,
+each finer grid makes one gated shot at the top every grid widens to in
+place of its search: the first that finds the level below that top starts
+cold, and when none does the :class:`BracketingError` is raised.
 
-A grid the caller names is the grid the state finishes on. With none named,
-the default grid is a ceiling: the solve finishes on the first level that
-passes one of two stop tests, and no finer level sweeps. Both read only
-converged levels (bracket within ``bisection_tol``, defect within
-``DEFECT_TOL``, node count on target), the level ``h`` and the unbroken run
-of converged levels below it, ``4h`` and ``16h``, with their energies ``E``
-and final bracket widths ``w``; each energy lies within its own bracket of
-the search's root. Let ``r`` be the ratio of successive levels' step
-errors: 99-192 measured on K0 and Coulomb levels, and 16 or more for any
-method of order 2 or higher.
-
-1. ``|E_h - E_4h| <= bisection_tol``. Level ``h``'s step error is then at
-   most ``3 bisection_tol/(r - 1)``, a fifth of the tolerance or less.
-2. With ``d1 = E_4h - E_16h`` and ``d2 = E_h - E_4h``, the roots of levels
-   ``4h`` and ``16h`` differ by at least ``lo1 = |d1| - w_4h - w_16h``, and
-   those of ``h`` and ``4h`` by at most ``hi2 = |d2| + w_h + w_4h``. When
-   ``d1 d2 > 0`` and ``lo1 >= 16 hi2``, the ratio observed on the
-   three levels is at least a second-order method's, and the Richardson
-   bound with that observed order (P. J. Roache, J. Fluids Eng. 116 (1994)
-   405), ``hi2/(lo1/hi2 - 1)``, bounds level ``h``'s step error. The test
-   holds when the bound is at most ``bisection_tol/4``, so that it and the
-   search's own bracket stay within ``1.25 bisection_tol`` of the exact
-   energy. Its premise is that the ratio on the finer pair is no smaller
-   than on the coarser one. Measured at ``bisection_tol = 1e-12`` on the
-   levels of an 800,001-point grid of the default box, for the 42 ell-0
-   states of one ``cs-concurrent`` benchmark seed: on ground levels the
-   ratio reads 105.6-105.8 on 3,126, 12,501 and 50,001 points and 184-191
-   on 12,501, 50,001 and 200,001, and ``d2/(r - 1)`` exceeds ``E_800,001 -
-   E_50,001`` on every one. On ``chern_simons`` one-node levels it falls
-   from 103 to 99 and the estimate is 15% short; there the bound reads
-   about twice the tolerance, and the test does not hold. Default
-   ``chern_simons_jordan`` ell-0 levels pass it on 50,001 points (the bound
-   0.05 to 0.19 of the tolerance on 192 of them); ``chern_simons`` ground
-   levels read about 7 times the tolerance there and keep 200,001.
-
-The potential of a grid that quarters is evaluated first on the quarter
-grid's own points, which are every fourth point of it bit for bit, and on
-its other three quarters only when that grid is first shot; the coarser
-grids below view every fourth point of the quarter's. A potential that
-overflows or divides by zero on a grid is a
+A potential that overflows or divides by zero on a grid is a
 :class:`NonFinitePotentialError` naming the first such point, with no
 numpy warning. The grid finished on and the one below it give the
 Richardson estimate ``EigenResult.energy_error_ry = (E_h - E_4h)/255`` of
-``E_exact - E_h`` for an O(h^4) method. It covers the step error only: a
-2D grid's start (``rho_min = 80 h`` moves with h, so the pair is not pure
-h^4) and the search tolerance are not in it.
+``E_exact - E_h`` for an O(h^4) method. It covers the step error only: the
+search tolerance and the box's ends are not in it, and neither is the
+roundoff of ``f = 1 + h^2 g/12``, which keeps fewer bits of ``g`` as ``h``
+shrinks: on deep levels it outgrows the step error from a few thousand
+points (see ``DEFAULT_POINTS``), so a finer grid is not always a better one.
 
-Near the origin every potential here is singular; sweeps are seeded with a
-short Frobenius expansion of the regular solution (power law ``rho^s`` with
-``s = l + 1`` in 3D and ``s = l + 1/2`` in 2D, plus series corrections),
-which keeps the eigenvalue error at the ``O(h^4)`` bulk level. For the 2D
-kinds the first grid point is placed a fixed number of steps away from the
-origin — the ``-1/(4 rho^2)`` term makes the true solution's curvature
-unbounded there, and a uniform grid starting much closer than one step
-cannot represent it. :func:`check_origin_gap` rejects a 2D grid whose
-first point sits more than ``MAX_KAPPA_RHO_MIN`` ground-level decay lengths
-out, where the seed no longer describes the state.
+Sweeps are seeded with a short Frobenius expansion of the regular solution
+(:func:`small_rho_solution`), scaled so that the outward sweep starts from
+``phi = 1``: its second value is ``e^((s - 1/2) h)`` times the series'
+ratio, which neither underflows nor overflows at any ``ell``. The inward
+sweep starts from ``INWARD_SEED`` at ``rho_max`` and grows by the growing
+root of the recurrence for a constant ``f``, the decay of a state past its
+turning point.
 
 Each sweep solves the three-term recurrence as a lower-triangular band
 system with LAPACK (``dtbtrs``), the two seeds on its right-hand side. It
@@ -149,18 +122,17 @@ last two values solved, so each row is computed with the same operations
 as in one solve of the whole segment, bit for bit. Each row is divided by
 its diagonal ``f_k`` beforehand, so the system has a unit diagonal and the
 forward substitution multiplies and adds only, which takes the division
-off its critical path. The rounding of the stored
-ratios costs accuracy: against a long-double loop an outward sweep is off
-by 4.6e-10 of max|u| for pe ``chern_simons`` ground and 1.6e-9 for tmu
-``chern_simons_jordan`` at lambda 1e-4 (unscaled rows: 1.2e-10, 1.6e-10).
-A bound on the per-step growth cuts the sweep into segments only where it
-could overflow, and values are rescaled between segments, so deep
-classically forbidden regions are safe; default grids need one segment.
-Seeds too large for the growth that follows, as the outward seed
-``rho_min^(l+1)`` of a very high ``ell`` is, still overflow, and the sweep
-raises :class:`SweepOverflowError`; so it does, before solving, for a seed
-that is itself not finite. A grid past Numerov's stability limit
-(``f = 1 + h^2 g / 12`` outside ``(0, 1.5)`` on a swept row) raises
+off its critical path. The rounding of the stored ratios costs accuracy:
+against a long-double loop the outward sweep of the pe ``chern_simons``
+ground level is off by 1.4e-10 of its peak on the default grid. A bound on
+the per-step growth cuts the sweep into
+segments only where it could overflow, and values are rescaled between
+segments, so deep classically forbidden regions and the ``rho^(l + 1/2)``
+growth of a high ``ell`` are safe. A segment that still overflows raises
+:class:`SweepOverflowError`; so does, before solving, a seed that is itself
+not finite. A grid past Numerov's stability limit (``f = 1 + h^2 g / 12``
+outside ``(0, 1.5)`` on a swept row, which happens first on the outermost
+rows, where the grid is coarsest in ``rho``) raises
 :class:`GridTooCoarseError`; inside that range ``f_k`` is a safe divisor.
 
 A solve allocates nothing the size of its grid per shot or per sweep. A
@@ -169,13 +141,13 @@ inward into the workspace's own, then joins the two in the first at the
 match index. That buffer, the inward sweep, ``f`` and the other of the two
 joined buffers the search keeps live in one block of scratch memory
 (``_ShootingWorkspace``): four grid-sized buffers and the band rows of a
-sweep block, 6.6 MB at 200,001 points. Every grid of the cascade shares it,
-because each one's search ends before the next finer one's starts. Only the
-finished grid's joined sweeps are normalized, into the one new array a
-solve returns. Each thread keeps one block (``_Scratch``), grown when a
-solve needs more, and every solve of the thread works in it:
-:func:`solve_state` is never re-entered on a thread. The node count works
-on the samples' sign bits, an eighth of their size.
+sweep block. Every grid of the cascade shares it, because each one's search
+ends before the next finer one's starts. Only the finished grid's joined
+sweeps are turned into ``u`` and normalized, into the one new array a solve
+returns. Each thread keeps one block (``_Scratch``), grown when a solve
+needs more, and every solve of the thread works in it: :func:`solve_state`
+is never re-entered on a thread. The node count works on the samples' sign
+bits, an eighth of their size.
 """
 
 from __future__ import annotations
@@ -202,17 +174,17 @@ RESCALE_THRESHOLD = 1e100
 # irrelevant by linearity, this just leaves growth headroom.
 INWARD_SEED = 1e-150
 
-# First grid point sits this many steps from the origin for 2D kinds.
-ORIGIN_STEP_MULTIPLE = 80.0
+# Points of a default grid. On x = ln rho a finer grid is not a better one, as
+# f = 1 + h^2 g/12 keeps fewer bits of g: the pmu coulomb2d ground level lies
+# 2.4e-9 Ry off its closed form on 4,001 points of its default box and 1.4e-7 Ry
+# on 8,001. 4,001 points quarter once, to 1,001.
+DEFAULT_POINTS = 4001
 
-# Largest kappa * rho_min of a 2D grid, kappa = sqrt(-E) of the ground level
-# from the closed form or estimate_cs_ground_energy. Measured against grids
-# starting at 0.05 (ell 0-2, nodes 0-3), energies at 0.5 move by at most
-# 2.6e-5 relative for Coulomb 2D, 1.5e-4 for chern-simons and 1.9e-3 for the
-# weak jordan variant; at 1 a Coulomb 2D one moves by 2e-3, still flagged
-# converged. Default grids stay below 0.19 for lambda in [2e-6, 2e-4] (ell
-# 0-3, nodes 0-3) and below 0.37 for any lambda >= 1e-20.
-MAX_KAPPA_RHO_MIN = 0.5
+# A default grid starts this many decay lengths 1/kappa from the origin, kappa =
+# sqrt(-E) of the closed form or of estimate_cs_ground_energy. The norm below it
+# is of order (kappa rho_min)^(2s + 1): measured at most 2e-10 of the state's
+# (2D ell 0), and the mean radius moves by as much.
+RHO_MIN_KAPPA = 1e-5
 
 # Number of Frobenius correction terms used in outward seeds.
 SEED_SERIES_TERMS = 6
@@ -232,9 +204,9 @@ MAX_WIDENINGS = 3
 # Half-width of the warm-start bracket on the requested grid, relative to the
 # energy of the grid below it, and its factor for each quartering further down.
 # Where |E_4h - E_h| exceeds 1e-8 Ry, |E_4h - E_h|/|E| measured at most 3.3e-7
-# on the requested grid, 6.3e-5 one quartering down and 3.0e-3 two down
-# (default grids of four kinds, ell 0-3, nodes 0-3, and 256 benchmark
-# chern-simons states): no level widened. A factor of 16 misses the last.
+# from 1,001 to 4,001 points (default grids of four kinds, ell 0-3, nodes 0-3).
+# On the uniform grids of an earlier version it read 6.3e-5 one quartering
+# further down and 3.0e-3 two down, which a factor of 16 missed.
 WARM_BRACKET_REL = 3e-6
 WARM_BRACKET_GROWTH = 64.0
 
@@ -274,12 +246,8 @@ class DegenerateSeedError(SolverError):
 
 
 class GridTooCoarseError(SolverError):
-    """The grid cannot resolve the state.
-
-    Either a swept row has ``f = 1 + h^2 g / 12`` outside ``(0, 1.5)``,
-    Numerov's stable range, or a 2D grid starts past ``MAX_KAPPA_RHO_MIN``
-    decay lengths from the origin.
-    """
+    """The grid cannot resolve the state: a swept row has ``f = 1 + h^2 g / 12``
+    outside ``(0, 1.5)``, Numerov's stable range."""
 
 
 class SweepOverflowError(SolverError):
@@ -296,7 +264,8 @@ class NormalizationError(SolverError):
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform mesh in the dimensionless radial coordinate."""
+    """Mesh uniform in ``x = ln rho`` from ``rho_min`` to ``rho_max``, the
+    dimensionless radial coordinate; ``step`` is its step in ``x``."""
 
     rho_min: float
     rho_max: float
@@ -310,10 +279,13 @@ class RadialGrid:
 
     @property
     def step(self) -> float:
-        return (self.rho_max - self.rho_min) / (self.n_points - 1)
+        return (math.log(self.rho_max) - math.log(self.rho_min)) / (self.n_points - 1)
 
     def points(self) -> np.ndarray:
-        return np.linspace(self.rho_min, self.rho_max, self.n_points)
+        """The ``rho`` of each point: ``np.linspace`` puts point ``4k`` of a grid
+        on point ``k`` of its quarter, bit for bit, and so does ``exp``."""
+        x = np.linspace(math.log(self.rho_min), math.log(self.rho_max), self.n_points)
+        return np.exp(x, out=x)
 
 
 @dataclass(frozen=True)
@@ -321,11 +293,10 @@ class EigenResult:
     """Converged (or flagged) eigenvalue with search diagnostics.
 
     ``grid`` is the grid the state finished on: the one the caller named,
-    or with none named a level of the default grid's cascade (see the module
-    docstring). ``iterations`` counts the shots of the search on ``grid``,
-    bracket ends and widenings included; ``sweeps`` every Numerov sweep of
-    the solve and ``points_swept`` the grid points they cover, both counting
-    every grid of the cascade that swept. ``match_index`` is the grid index
+    or :func:`default_grid`'s. ``iterations`` counts the shots of the search
+    on ``grid``, bracket ends and widenings included; ``sweeps`` every
+    Numerov sweep of the solve and ``points_swept`` the grid points they
+    cover, both counting every grid of the cascade that swept. ``match_index`` is the grid index
     where the returned wavefunction's two sweeps are joined and
     ``match_defect`` is measured. ``energy_error_ry`` estimates ``E_exact -
     energy`` from the energy of the grid below, ``(E_h - E_4h)/255``; None
@@ -347,11 +318,8 @@ class EigenResult:
 
 @dataclass(frozen=True)
 class WaveFunction:
-    """Reduced radial function samples, normalized to ``int u^2 drho = 1``.
-
-    ``energy`` is the eigenvalue (rydberg) the samples belong to;
-    ``mean_radius`` builds the origin series at it.
-    """
+    """Reduced radial function ``u`` at the grid's points, normalized to
+    ``int u^2 drho = 1``; ``energy`` is the eigenvalue (rydberg) it belongs to."""
 
     grid: RadialGrid
     u: np.ndarray
@@ -368,10 +336,11 @@ def indicial_exponent(problem: EffectivePotentialParams) -> float:
 def small_rho_solution(
     problem: EffectivePotentialParams, energy_ry: float, rho: np.ndarray
 ) -> np.ndarray:
-    """Regular solution near the origin from its Frobenius expansion.
+    """Frobenius series of the regular solution near the origin over its power
+    law: ``u = rho^s small_rho_solution(rho)``, ``s`` the indicial exponent.
 
-    For Coulomb kinds the expansion is a plain power series in rho; for the
-    K0 kinds the potential contributes a ``rho^2 (p + q ln rho)`` correction
+    For Coulomb kinds the series is a plain power series in rho; for the K0
+    kinds the potential contributes a ``rho^2 (p + q ln rho)`` correction
     (the K0 log is milder than 1/rho). Used to seed outward sweeps and as
     the boundary ratio of the finite-difference cross-check.
     """
@@ -383,7 +352,7 @@ def small_rho_solution(
         q = pref / (4.0 * s + 2.0)
         w0 = pref * (math.log(0.5 * a) + EULER_GAMMA)
         p = (w0 - energy_ry - (2.0 * s + 3.0) * q) / (4.0 * s + 2.0)
-        return rho**s * (1.0 + rho * rho * (p + q * np.log(rho)))
+        return 1.0 + rho * rho * (p + q * np.log(rho))
     c = problem.coulomb_coefficient
     poly = np.ones_like(rho)
     power = np.ones_like(rho)
@@ -393,7 +362,7 @@ def small_rho_solution(
         power = power * rho
         poly = poly + a_k * power
         a_km2, a_km1 = a_km1, a_k
-    return rho**s * poly
+    return poly
 
 
 # Growth that one banded solve may span before its values are checked
@@ -407,12 +376,12 @@ _SEGMENT_GROWTH = 300.0 / math.sqrt(12.0)
 _BLOCK = 8192
 
 
-def _sweep(f, u0, u1, rho0, step, out, band) -> np.ndarray:
+def _sweep(f, u0, u1, rho, out, band) -> np.ndarray:
     """Numerov recurrence as a lower-triangular banded solve.
 
-    ``f = 1 + h^2 g / 12`` in sweep order, row ``k`` at ``rho = rho0 + k
-    step`` (``step`` is negative for an inward sweep); the seeds sit at the
-    first two rows. Row ``k >= 2`` of the system reads ``u_k - (12 - 10
+    ``f = 1 + h^2 g / 12`` in sweep order, row ``k`` at the point ``rho[k]``
+    (``rho`` runs inward for an inward sweep); the seeds sit at the first
+    two rows. Row ``k >= 2`` of the system reads ``u_k - (12 - 10
     f_{k-1})/f_k u_{k-1} + f_{k-2}/f_k u_{k-2} = 0`` (the recurrence divided
     by ``f_k``, so no division is left in the substitution), the seed terms
     move to the right-hand side, and LAPACK's ``dtbtrs`` solves it by
@@ -427,10 +396,10 @@ def _sweep(f, u0, u1, rho0, step, out, band) -> np.ndarray:
     ``f >= 1``); the sweep is cut where that bound adds up to 300 nats
     (``_SEGMENT_GROWTH``), and a segment whose peak passes
     ``RESCALE_THRESHOLD`` rescales all values before it, so deep
-    classically forbidden regions never overflow. Default grids need one
-    segment. A segment that still overflows, from seeds too large for its
-    growth, raises :class:`SweepOverflowError`, as does, before any solve, a
-    seed that is not finite.
+    classically forbidden regions never overflow. A segment that still
+    overflows, from seeds too large for its growth, raises
+    :class:`SweepOverflowError`, as does, before any solve, a seed that is
+    not finite.
 
     Each segment is solved in blocks of ``_BLOCK`` rows, one
     ``dtbtrs`` call each, whose band rows are built from ``f`` into
@@ -450,15 +419,15 @@ def _sweep(f, u0, u1, rho0, step, out, band) -> np.ndarray:
     if not (worst > 0.0 and diag.max() < 1.5):
         k = 2 + int(np.argmin((diag > 0.0) & (diag < 1.5)))
         raise GridTooCoarseError(
-            f"grid too coarse for Numerov at rho={rho0 + k * step:.6g}: f = 1 + h^2 g/12 = "
-            f"{f[k]:.3g} must be finite and in (0, 1.5) for a stable recurrence; refine it or "
-            "raise rho_min"
+            f"grid too coarse for Numerov at rho={rho[k]:.6g}: f = 1 + h^2 g/12 = "
+            f"{f[k]:.3g} must be finite and in (0, 1.5) for a stable recurrence; use more "
+            "points or a smaller rho_max"
         )
 
     def overflow(k, why):
         return SweepOverflowError(
-            f"sweep overflows a double by rho={rho0 + k * step:.6g}: it starts from {u0:.3g} "
-            f"and {u1:.3g} at rho={rho0:.6g}, {why}"
+            f"sweep overflows a double by rho={rho[k]:.6g}: it starts from {u0:.3g} "
+            f"and {u1:.3g} at rho={rho[0]:.6g}, {why}"
         )
 
     if not (abs(u0) < math.inf and abs(u1) < math.inf):  # inf or NaN
@@ -540,11 +509,12 @@ def _derivative_5pt(u: np.ndarray, i: int, h: float) -> float:
     return (-u[i + 2] + 8.0 * u[i + 1] - 8.0 * u[i - 1] + u[i - 2]) / (12.0 * h)
 
 
-def _outer_turning_point(u_eff: np.ndarray, energy: float) -> int:
+def _outer_turning_point(u_eff: np.ndarray, energy: float, h: float) -> int:
     """Index of the outermost classical turning point at ``energy``, the last
-    ``i`` with ``u_eff[i] < energy <= u_eff[i + 1]``; the midpoint if there is none."""
+    ``i`` with ``u_eff[i] < energy <= u_eff[i + 1]``; with none, that of
+    ``rho_max/2`` on a grid of step ``h`` in ``ln rho``."""
     crossings = np.flatnonzero((u_eff[:-1] < energy) & (u_eff[1:] >= energy))
-    return int(crossings[-1]) if crossings.size else (u_eff.shape[0] - 1) // 2
+    return int(crossings[-1]) if crossings.size else u_eff.shape[0] - 1 - round(math.log(2.0) / h)
 
 
 class _Shot(NamedTuple):
@@ -621,14 +591,8 @@ class _ShootingWorkspace:
     the band rows of a sweep block, and ``joined`` and ``spare``, the
     joined sweeps that :func:`_search` keeps, into one of which each shot
     sweeps outward. A shot allocates nothing the size of the grid.
-
-    The workspace of the requested grid is given no potential. Until
-    :meth:`quartered` has built its coarse level, it evaluates its own on the
-    first use of :attr:`u_eff`. Once built, that coarse level evaluates its
-    own grid's points, all that the coarser grids read, and the first use of
-    :attr:`u_eff` takes every fourth point from there and evaluates the other
-    three quarters, in blocks of ``_BLOCK`` rows of four points: a solve that
-    finishes on a coarser grid never evaluates them.
+    ``u_eff`` is the potential at the grid's points, evaluated here unless
+    given.
     """
 
     def __init__(self, problem, grid, memory, node_target=0, u_eff=None):
@@ -636,8 +600,11 @@ class _ShootingWorkspace:
         self.grid = grid
         self.node_target = node_target
         self.h = grid.step
-        self._u_eff, self._coarse = u_eff, None
+        self.rho = grid.points()
+        self.u_eff = _potential(problem, self.rho) if u_eff is None else u_eff
         self.h2_12 = self.h * self.h / 12.0
+        # phi_1/phi_0 of the regular solution's power law rho^(s - 1/2)
+        self._power_ratio = math.exp((indicial_exponent(problem) - 0.5) * self.h)
         self.sweeps = 0
         self.points_swept = 0
         n = grid.n_points
@@ -647,125 +614,113 @@ class _ShootingWorkspace:
         )
         self._band = memory[4 * n : 4 * n + 3 * (_BLOCK + 2)].reshape(_BLOCK + 2, 3).T
 
-    @property
-    def u_eff(self) -> np.ndarray:
-        """The effective potential on the grid."""
-        if self._u_eff is None:
-            if self._coarse is None:
-                self._u_eff = _potential(self.problem, self.grid.points())
-                return self._u_eff
-            u_eff = np.empty(self.grid.n_points)
-            u_eff[::4] = self._coarse.u_eff
-            # rows of four points from index 0 up: the last point is the coarse grid's;
-            # np.linspace computes index k as k step + rho_min, and so does this
-            fours = u_eff[:-1].reshape(-1, 4)
-            for start in range(0, fours.shape[0], _BLOCK):
-                rest = fours[start : start + _BLOCK, 1:]
-                rows = np.arange(4 * start, 4 * (start + rest.shape[0]), dtype=float)
-                rho = rows.reshape(-1, 4)[:, 1:] * self.h
-                rho += self.grid.rho_min
-                rest[...] = _potential(self.problem, rho)
-            self._u_eff, self._coarse = u_eff, None
-        return self._u_eff
-
     def quartered(self) -> _ShootingWorkspace | None:
         """Workspace on every fourth point of this grid, the next coarser grid of
         the cascade; None when ``n_points - 1`` is not a multiple of 4 or the
         quarter would have fewer than ``MIN_POINTS``: there the cascade ends.
 
         Its grid's step is four times this one's, exactly: a power of two
-        scales the division. So ``np.linspace`` puts its point ``k`` on this
-        grid's point ``4k``, bit for bit, and both grids end on ``rho_max``.
-        It views every fourth point of this workspace's potential; while this
-        one has none, it evaluates its own grid's points, and this workspace
-        keeps it to read them back. It works in this workspace's memory, so
-        its search, and the searches on the grids it quarters in turn, must
-        end before this workspace shoots.
+        scales the division. So its point ``k`` is this grid's point ``4k``,
+        bit for bit, and it views every fourth point of this workspace's
+        potential. It works in this workspace's memory, so its search, and
+        the searches on the grids it quarters in turn, must end before this
+        workspace shoots.
         """
         n = self.grid.n_points
         if (n - 1) % 4 or (n - 1) // 4 + 1 < MIN_POINTS:
             return None
         grid = RadialGrid(self.grid.rho_min, self.grid.rho_max, (n - 1) // 4 + 1)
-        u_eff = _potential(self.problem, grid.points()) if self._u_eff is None else self._u_eff[::4]
-        self._coarse = _ShootingWorkspace(self.problem, grid, self.memory, self.node_target, u_eff)
-        return self._coarse
+        return _ShootingWorkspace(self.problem, grid, self.memory, self.node_target, self.u_eff[::4])
 
-    def _f_of(self, energy, u_eff) -> np.ndarray:
-        """``f = 1 + h^2 (energy - u_eff) / 12`` in the workspace's buffer."""
+    def _f_of(self, energy, rows) -> np.ndarray:
+        """``f = 1 + h^2 (rho^2 (energy - u_eff) - 1/4) / 12`` on the grid's
+        ``rows`` (a slice, in sweep order) in the workspace's buffer."""
+        u_eff, rho = self.u_eff[rows], self.rho[rows]
         f = self._f[: u_eff.shape[0]]
-        np.subtract(energy, u_eff, out=f)
-        f *= self.h2_12
-        f += 1.0
+        # an f that overflows is _sweep's to report
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(energy, u_eff, out=f)
+            f *= rho
+            f *= rho
+            f -= 0.25
+            f *= self.h2_12
+            f += 1.0
         return f
 
     def shoot(self, energy, match_index=None, gated=False, *, out) -> _Shot:
-        """One shooting trial: sweep outward into ``out``, sweep inward, and
-        join the two in ``out`` at the match index.
+        """One shooting trial: sweep ``phi`` outward into ``out``, sweep inward,
+        and join the two in ``out`` at the match index.
 
         The match index ``m`` is ``match_index`` if given, else the
         outermost classical turning point, clamped away from the ends.
-        ``nodes`` is counted on the outward sweep up to ``m``. With
+        ``nodes`` is counted on the outward sweep up to and including ``m``,
+        so a node that has just crossed ``m``, where the defect has its
+        pole, counts. With
         ``gated`` the inward sweep is skipped (``defect`` None, ``out``
         holding the outward sweep alone) when ``nodes`` differs from
         ``node_target``. A trial that sweeps inward leaves both sweeps in
         ``out``, joined at ``m`` and unnormalized; the inward one is swept
         into the workspace's buffer, which the next trial overwrites.
 
-        The defect is the two sweeps' log-derivative mismatch at ``m``, each
-        from a 5-point stencil, over the larger of 1 and the two
+        The defect is the two sweeps' mismatch of ``d ln u/d rho`` at ``m``,
+        each from a 5-point stencil in ``x``, over the larger of 1 and the two
         log-derivatives' magnitudes. It is None, and so is its slope, when
-        the outward sweep has a node pinned at ``m`` (``|u(m)|`` at most 1e-9
-        of its peak from 16 points before ``m`` to 2 after it) or the inward
-        one is 0 there. A pinned node makes the energy an eigenvalue of the left
-        problem on ``[rho_min, rho_m]`` with ``u(rho_m) = 0``; Dirichlet
-        eigenvalues rise as the interval shrinks, so that energy lies above
-        the level with the same node count, and the shot counts as above. A
-        trial with a defect carries its slope, ``dD/dE = -int u^2 drho /
-        u(m)^2`` over the same scale: the Wronskian identity for two sweeps
-        joined with ``u`` continuous (J. W. Cooley, Math. Comp. 15 (1961)
-        363).
+        the outward sweep has a node pinned at ``m`` (``|phi(m)|`` at most
+        1e-9 of its peak from 16 points before ``m`` to 2 after it) or the
+        inward one is 0 there. A pinned node makes the energy an eigenvalue
+        of the left problem on ``[rho_min, rho_m]`` with ``phi(rho_m) = 0``;
+        Dirichlet eigenvalues rise as the interval shrinks, so that energy
+        lies above the level with the same node count, and the shot counts as
+        above. A trial with a defect carries its slope, ``dD/dE = -int u^2
+        drho / u(m)^2 = -int rho^2 phi^2 dx / (rho_m phi(m)^2)`` over the same
+        scale: the Wronskian identity for two sweeps joined with ``phi``
+        continuous (J. W. Cooley, Math. Comp. 15 (1961) 363).
         """
-        n, rho_min, h = self.grid.n_points, self.grid.rho_min, self.h
-        m = _outer_turning_point(self.u_eff, energy) if match_index is None else int(match_index)
+        n, h = self.grid.n_points, self.h
+        m = _outer_turning_point(self.u_eff, energy, h) if match_index is None else int(match_index)
         m = min(max(m, _STENCIL_PAD + 2), n - _STENCIL_PAD - 3)
-        f = self._f_of(energy, self.u_eff[: m + _STENCIL_PAD + 1])
-        # bit for bit the grid's first two points; a seed that overflows is
-        # _sweep's to report
-        with np.errstate(over="ignore", invalid="ignore"):
-            seeds = small_rho_solution(self.problem, energy, np.array([rho_min, rho_min + h]))
-        u_left = _sweep(f, float(seeds[0]), float(seeds[1]), rho_min, h, out, self._band)
+        f = self._f_of(energy, slice(m + _STENCIL_PAD + 1))
+        # phi from 1 at rho_min; a series that overflows is _sweep's to report
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            series = small_rho_solution(self.problem, energy, self.rho[:2])
+            seed = self._power_ratio * float(series[1] / series[0])
+        phi_left = _sweep(f, 1.0, seed, self.rho, out, self._band)
         self.sweeps += 1
         self.points_swept += f.shape[0]
-        nodes = count_nodes(u_left[: m + 1])
+        nodes = count_nodes(phi_left[: m + 2])
         if gated and nodes != self.node_target:
             return _Shot(energy, m, nodes, None, None, nodes < self.node_target)
-        kappa_sq = self.u_eff[-1] - energy
-        kappa = math.sqrt(kappa_sq) if kappa_sq > 0.0 else 1.0
         # the inward sweep's f in sweep order, from the outer edge in
-        f = self._f_of(energy, self.u_eff[m - _STENCIL_PAD :][::-1])
-        seed = INWARD_SEED * math.exp(kappa * h)
-        u_right = _sweep(f, INWARD_SEED, seed, self.grid.rho_max, -h, self._right, self._band)[::-1]
+        f = self._f_of(energy, slice(None, m - _STENCIL_PAD - 1, -1))
+        # from rho_max in by the growing root of the recurrence for a constant f[0]
+        # in (0, 1): a state's decay per step past its turning point
+        f0 = float(f[0])
+        y = (6.0 - 5.0 * f0) / f0 if 0.0 < f0 < 1.0 else 1.0
+        seed = INWARD_SEED * (y + math.sqrt(y * y - 1.0))
+        phi_right = _sweep(f, INWARD_SEED, seed, self.rho[::-1], self._right, self._band)[::-1]
         self.sweeps += 1
         self.points_swept += f.shape[0]
-        ul, ur = u_left[m], u_right[_STENCIL_PAD]
+        ul, ur = phi_left[m], phi_right[_STENCIL_PAD]
         if ul == 0.0 and ur == 0.0:
             raise DegenerateSeedError("both sweeps vanish at the matching point")
         defect = slope = None
-        # measured before the join: the stencil reads u_left[m + 1] and u_left[m + 2]
-        if abs(ul) > 1e-9 * np.max(np.abs(u_left[max(0, m - 16) : m + 3])) and ur != 0.0:
-            dl = _derivative_5pt(u_left, m, h) / ul
-            dr = _derivative_5pt(u_right, _STENCIL_PAD, h) / ur
+        # measured before the join: the stencil reads phi_left[m + 1] and phi_left[m + 2]
+        if abs(ul) > 1e-9 * np.max(np.abs(phi_left[max(0, m - 16) : m + 3])) and ur != 0.0:
+            # d ln u/d rho = (d ln phi/dx + 1/2)/rho
+            dl = (_derivative_5pt(phi_left, m, h) / ul + 0.5) / self.rho[m]
+            dr = (_derivative_5pt(phi_right, _STENCIL_PAD, h) / ur + 0.5) / self.rho[m]
             # normalize by the log-derivative scale so the tolerance is
             # meaningful for shallow and deep wells alike
             scale = max(1.0, abs(dl), abs(dr))
             defect = (dl - dr) / scale
         # the outward sweep stays in out[: m + 1]; the inward one, scaled, follows it
-        np.multiply(u_right[_STENCIL_PAD + 1 :], ul / ur if ur != 0.0 else 1.0, out=out[m + 1 :])
+        np.multiply(phi_right[_STENCIL_PAD + 1 :], ul / ur if ur != 0.0 else 1.0, out=out[m + 1 :])
         if defect is not None:
-            # einsum, not np.dot: a BLAS dot this long wakes OpenBLAS's thread
-            # pool, which slows the library's concurrent callers, such as two
-            # client threads solving at once
-            slope = -h * np.einsum("i,i->", out, out) / (ul * ul * scale)
+            # einsum, not np.dot: a BLAS dot wakes OpenBLAS's thread pool, which
+            # slows the library's concurrent callers, such as two client threads
+            # solving at once
+            rho = self.rho
+            slope = -h * np.einsum("i,i,i,i->", rho, rho, out, out) / (ul * ul * rho[m] * scale)
         on_target = nodes == self.node_target
         below = defect > 0.0 if on_target and defect is not None else nodes < self.node_target
         return _Shot(energy, m, nodes, slope, defect, below)
@@ -823,22 +778,16 @@ def default_grid(
     Coulomb kinds size the box from the closed form: at least 30 decay
     lengths ``1/kappa``, and 15 past the level's outer classical turning
     point, which the centrifugal term pushes out at high ``ell``. The K0
-    kinds size it from a self-consistent depth estimate. 3D problems keep
-    a tiny ``rho_min`` (the regular solution is analytic there). For ``ell
-    >= 5`` it moves out just far enough that the centrifugal term leaves
-    ``f >= 1/2`` on the first swept row: ``rho_min + 2h = h
-    sqrt(l(l+1)/6)``. 2D problems start a fixed number of steps out, see
-    the module docstring.
+    kinds size it from a self-consistent depth estimate. Every grid starts
+    ``RHO_MIN_KAPPA/kappa`` from the origin and has ``DEFAULT_POINTS``
+    points.
     """
     if node_target < 0:
         raise ValueError("node_target must be non-negative")
-    kind = problem.potential.kind
     zeta = problem.atom.zeta
-    if kind in CHERN_SIMONS_KINDS:
-        eta_est = estimate_cs_ground_energy(problem)
-        kappa = math.sqrt(-eta_est)
+    if problem.potential.kind in CHERN_SIMONS_KINDS:
+        kappa = math.sqrt(-estimate_cs_ground_energy(problem))
         box = max(60.0, 40.0 / kappa) * (1.0 + node_target)
-        n_default = 200001
     else:
         e_est = closed_form_energy(problem, node_target)
         kappa = math.sqrt(-e_est)
@@ -846,18 +795,11 @@ def default_grid(
         c = problem.centrifugal_coefficient
         turning = (math.sqrt(zeta) + math.sqrt(zeta + e_est * c)) / -e_est
         box = max(30.0 / kappa, 40.0 / math.sqrt(zeta), turning + 15.0 / kappa)
-        n_default = 50001 if kind == "coulomb3d" else 100001
-    if rho_max is None:
-        rho_max = box
-    if n_points is None:
-        n_points = n_default
-    if rho_min is None:
-        if problem.dimension == 2:
-            rho_min = ORIGIN_STEP_MULTIPLE * rho_max / (n_points - 1)
-        else:
-            centrifugal = math.sqrt(problem.ell * (problem.ell + 1) / 6.0)
-            rho_min = max(1e-6, rho_max / (n_points - 1) * (centrifugal - 2.0))
-    return RadialGrid(rho_min=rho_min, rho_max=rho_max, n_points=n_points)
+    return RadialGrid(
+        rho_min=RHO_MIN_KAPPA / kappa if rho_min is None else rho_min,
+        rho_max=box if rho_max is None else rho_max,
+        n_points=DEFAULT_POINTS if n_points is None else n_points,
+    )
 
 
 def default_bracket(
@@ -877,16 +819,17 @@ def default_bracket(
     return (eta, max(-1e-4, 0.25 * eta))
 
 
-def simpson_u2(u: np.ndarray, h: float, rho: np.ndarray | None = None) -> float:
-    """Composite-Simpson ``int u^2 drho``, or ``int rho u^2 drho`` given
-    ``rho``, over samples ``h`` apart; at least three of them.
+def simpson_u2(u: np.ndarray, h: float, weight: np.ndarray | None = None) -> float:
+    """Composite-Simpson ``int u^2 dx``, or ``int weight u^2 dx`` given
+    ``weight``, over samples ``h`` apart; at least three of them. On a
+    :class:`RadialGrid` ``int u^2 drho`` is ``int rho u^2 dx``.
 
     An even number of samples takes scipy's end correction for the last
     interval (``scipy.integrate.simpson``, Cartwright's formula). The sums
     run over strided views with ``einsum``, so nothing the size of ``u`` is
     allocated.
     """
-    factors = (u, u) if rho is None else (rho, u, u)
+    factors = (u, u) if weight is None else (weight, u, u)
     spec = ",".join("i" * len(factors)) + "->"
 
     def total(part):
@@ -904,19 +847,22 @@ def simpson_u2(u: np.ndarray, h: float, rho: np.ndarray | None = None) -> float:
     return float(out)
 
 
-def _normalize_samples(u: np.ndarray, h: float) -> np.ndarray:
-    """``u`` scaled to ``int u^2 drho = 1``, its first lobe (the first sample
-    past 1% of the peak) positive, in a new array."""
-    norm_sq = simpson_u2(u, h)
+def _normalize_samples(phi: np.ndarray, h: float, rho: np.ndarray) -> np.ndarray:
+    """``u = sqrt(rho) phi`` at the points ``rho``, ``h`` apart in ``ln rho``,
+    scaled to ``int u^2 drho = 1``, its first lobe (the first sample past 1%
+    of the peak) positive, in a new array."""
+    u = np.sqrt(rho)
+    u *= phi
+    norm_sq = simpson_u2(u, h, rho)
     if norm_sq <= 0.0 or not np.isfinite(norm_sq):
         raise NormalizationError("cannot normalize a zero or non-finite wavefunction")
-    out = u / math.sqrt(norm_sq)
-    cut = 0.01 * max(out.max(), -out.min())
+    u /= math.sqrt(norm_sq)
+    cut = 0.01 * max(u.max(), -u.min())
     # argmax finds the first True, or returns 0 when there is none
-    up, down = np.argmax(out > cut), np.argmax(out < -cut)
-    if out[down] < -cut and (down < up or out[up] <= cut):
-        np.negative(out, out=out)
-    return out
+    up, down = np.argmax(u > cut), np.argmax(u < -cut)
+    if u[down] < -cut and (down < up or u[up] <= cut):
+        np.negative(u, out=u)
+    return u
 
 
 def check_arguments(node_target: int, bisection_tol: float) -> None:
@@ -937,23 +883,19 @@ def solve_state(
 
     Searches the levels of the grid's cascade in one loop, coarsest first,
     and returns the eigenvalue (rydberg) with search diagnostics and the
-    normalized matched wavefunction, both on the level the loop stopped on:
-    ``grid``, or with None the first level of :func:`default_grid`'s
-    cascade that converged within ``bisection_tol`` of the level below it,
-    or whose checked Richardson bound from the two converged levels below
-    it is at most ``bisection_tol/4``; the grid itself when none does. The
-    result's node count and ``converged`` are that level's, and its
-    ``sweeps`` and ``points_swept`` sum every level's. The module docstring
-    describes both stop tests and their premise, the warm brackets, and the
-    search, whose final bracket is ``bisection_tol`` Ry wide. Raises
+    normalized matched wavefunction, both on ``grid`` or, with None, on
+    :func:`default_grid`'s. The result's node count and ``converged`` are
+    that grid's, and its ``sweeps`` and ``points_swept`` sum every level's.
+    The module docstring describes the warm brackets and the search, whose
+    final bracket is ``bisection_tol`` Ry wide. Raises
     :class:`BracketingError` when no sign change is found after
     ``MAX_WIDENINGS`` widenings, and :class:`SolverError` when the scratch
     block of the grid cannot be mapped; an exhausted step budget returns a
     result flagged ``converged=False`` instead.
     """
     check_arguments(node_target, bisection_tol)
-    tol, ceiling = bisection_tol, grid is None
-    if ceiling:
+    tol = bisection_tol
+    if grid is None:
         grid = default_grid(problem, node_target)
     size = _scratch_size(grid.n_points)
     try:
@@ -965,9 +907,8 @@ def solve_state(
     levels = [_ShootingWorkspace(problem, grid, memory, node_target)]
     while (coarse := levels[-1].quartered()) is not None:
         levels.append(coarse)
-    # the energy a level passes up, the run of converged levels ending on it as
-    # (energy, bracket width) pairs, and the error of the last level that missed the state
-    e_coarse, run, missed = None, (), None
+    # the energy a level passes up, and the error of the last level that missed the state
+    e_coarse, missed = None, None
     for depth, ws in reversed(list(enumerate(levels))):
         start, e_coarse, warm = e_coarse, None, bracket
         try:
@@ -977,58 +918,35 @@ def solve_state(
             missed = None
             if start is not None:
                 pad = max(WARM_BRACKET_REL * WARM_BRACKET_GROWTH**depth * abs(start), tol)
-                warm = (start - pad, min(start + pad, 0.5 * start))
+                warm = (max(start - pad, 2.0 * start), min(start + pad, 0.5 * start))
             found = _search(ws, warm, tol, start)
         except SolverError as err:
             if depth == 0:
                 raise
             # a level that missed the state passes its error on; any other starts the next cold
-            run, missed = (), err if isinstance(err, BracketingError) else None
+            missed = err if isinstance(err, BracketingError) else None
             continue
         # counted on the unnormalized sweeps: scaling them changes no sign
         nodes = count_nodes(found.u)
         passes = found.done and nodes == node_target
-        converged = bool(passes and found.width <= tol)
         e_coarse = found.shot.energy if passes else None
-        run = run + ((e_coarse, found.width),) if converged else ()
-        if ceiling and _finishes(run, tol):
-            break
     # a new array: the next solve of this thread overwrites the scratch block
-    u = _normalize_samples(found.u, ws.grid.step)
+    u = _normalize_samples(found.u, ws.h, ws.rho)
     final = found.shot
     result = EigenResult(
         energy=final.energy,
         nodes=nodes,
-        converged=converged,
+        converged=bool(passes and found.width <= tol),
         match_defect=final.defect if final.defect is not None else math.inf,
         bracket_width=found.width,
         iterations=found.iterations,
         sweeps=sum(level.sweeps for level in levels),
         points_swept=sum(level.points_swept for level in levels),
         match_index=final.m,
-        grid=ws.grid,
+        grid=grid,
         energy_error_ry=None if start is None else (final.energy - start) / 255.0,
     )
-    return result, WaveFunction(grid=ws.grid, u=u, energy=final.energy)
-
-
-def _finishes(run, tol) -> bool:
-    """Whether a default solve finishes on the last level of ``run``, a run of
-    consecutive converged levels, ``(energy, bracket width)`` each and
-    coarsest first, whose last three have grids ``16h``, ``4h`` and ``h``:
-    the two stop tests of the module docstring, the second with the checked
-    Richardson bound ``hi2/(lo1/hi2 - 1) <= tol/4``."""
-    if len(run) < 2:
-        return False
-    (e_4h, w_4h), (e_h, w_h) = run[-2:]
-    if abs(e_h - e_4h) <= tol:
-        return True
-    if len(run) < 3:
-        return False
-    e_16h, w_16h = run[-3]
-    d1, d2 = e_4h - e_16h, e_h - e_4h
-    lo1, hi2 = abs(d1) - w_4h - w_16h, abs(d2) + w_h + w_4h
-    return d1 * d2 > 0.0 and lo1 >= 16.0 * hi2 and hi2 / (lo1 / hi2 - 1.0) <= 0.25 * tol
+    return result, WaveFunction(grid=grid, u=u, energy=final.energy)
 
 
 class _Found(NamedTuple):
@@ -1054,7 +972,7 @@ def _search(ws, bracket, tol, e_coarse=None) -> _Found:
     node_target = ws.node_target
     lo, hi = bracket  # presumed ends, shot only when a step would leave through them
     below = above = kept = None  # the nearest shots below and above the level
-    m = None if e_coarse is None else _outer_turning_point(ws.u_eff, hi)
+    m = None if e_coarse is None else _outer_turning_point(ws.u_eff, hi, ws.h)
     energy = lo if e_coarse is None else e_coarse
     step = step_old = hi - lo  # lengths of the last two steps, as in rtsafe
     widenings = iterations = 0
@@ -1131,30 +1049,3 @@ def _search(ws, bracket, tol, e_coarse=None) -> _Found:
     elif best is not kept:
         final = ws.shoot(best.energy, best.m, out=u)
     return _Found(final, u, e_hi - e_lo, iterations, bool(done))
-
-
-def check_origin_gap(problem: EffectivePotentialParams, grid: RadialGrid) -> None:
-    """Raise :class:`GridTooCoarseError` when a 2D grid starts past the state.
-
-    The CLI checks every grid it builds; :func:`solve_state` itself takes
-    any grid, so a caller may trade accuracy for speed. The first point must
-    sit within ``MAX_KAPPA_RHO_MIN`` ground-level decay lengths ``1/kappa``
-    of the origin. The ground level's, whatever the node target: an excited
-    level's innermost node sits about 1.45 of them out, so its own, longer,
-    decay length would let the grid start on that node.
-    The message names the largest ``rho_min`` allowed and the points that
-    put ``rho_min = ORIGIN_STEP_MULTIPLE * h`` there.
-    """
-    if problem.dimension != 2:
-        return
-    e_est = closed_form_energy(problem, 0)
-    kappa = math.sqrt(-(e_est if e_est is not None else estimate_cs_ground_energy(problem)))
-    if kappa * grid.rho_min <= MAX_KAPPA_RHO_MIN:
-        return
-    rho_min = MAX_KAPPA_RHO_MIN / kappa
-    points = math.ceil(ORIGIN_STEP_MULTIPLE * grid.rho_max / rho_min) + 1
-    raise GridTooCoarseError(
-        f"grid starts past the state: rho_min={grid.rho_min:.6g} is {kappa * grid.rho_min:.3g} "
-        f"decay lengths from the origin, above {MAX_KAPPA_RHO_MIN:g}; use rho_min <= "
-        f"{rho_min:.6g}, which with rho_max={grid.rho_max:.6g} takes at least {points} points"
-    )

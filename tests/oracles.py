@@ -14,6 +14,9 @@ of the first sample past 1% of the peak, found through an index array.
 Hamiltonian, a route apart from the shooting search; it takes the
 program's ``effective_potential`` and its seed ratio at the origin, so it
 checks the search and the sweeps, not the potential.
+:func:`chebyshev_levels` solves the same Langer form by Chebyshev
+collocation with ``scipy.special.k0``: it shares no discretisation, seed
+or special-function code with the program.
 """
 
 import math
@@ -22,12 +25,17 @@ import warnings
 import numpy as np
 from scipy import special
 from scipy.integrate import IntegrationWarning, quad, simpson
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvals
 from scipy.linalg.lapack import dtbtrs
 
 from planaratom import specfun
 from planaratom.model import effective_potential
-from planaratom.numerov import _SEGMENT_GROWTH, RESCALE_THRESHOLD, small_rho_solution
+from planaratom.numerov import (
+    _SEGMENT_GROWTH,
+    RESCALE_THRESHOLD,
+    indicial_exponent,
+    small_rho_solution,
+)
 
 
 def _quad_scaled(x: float) -> float:
@@ -174,10 +182,11 @@ def count_nodes_one_pass(u: np.ndarray) -> int:
     return int(np.count_nonzero(s[1:] != s[:-1]))
 
 
-def normalize_samples_scipy(u: np.ndarray, h: float) -> np.ndarray:
-    """``u`` scaled to ``int u^2 drho = 1`` by scipy's Simpson rule, its
-    first lobe positive."""
-    out = u / math.sqrt(simpson(u * u, dx=h))
+def normalize_samples_scipy(u: np.ndarray, h: float, rho: np.ndarray) -> np.ndarray:
+    """``u`` at the points ``rho``, ``h`` apart in ``ln rho``, scaled to ``int u^2
+    drho = int rho u^2 d(ln rho) = 1`` by scipy's Simpson rule, its first lobe
+    positive."""
+    out = u / math.sqrt(simpson(rho * u * u, dx=h))
     first_lobe = np.nonzero(np.abs(out) > 0.01 * np.max(np.abs(out)))[0]
     if first_lobe.size and out[first_lobe[0]] < 0.0:
         out = -out
@@ -198,30 +207,83 @@ def bessel_k0_unblocked(x: np.ndarray) -> np.ndarray:
 
 
 def fd_lowest_energies(problem, grid, n_states: int = 1) -> np.ndarray:
-    """Three-point finite-difference diagonalization.
+    """Three-point finite-difference diagonalization of the Langer form.
 
-    Builds the tridiagonal discretization of ``-d^2/drho^2 + U_eff`` on the
-    same mesh, with the inner boundary closed by the regular-solution ratio
-    at the first grid point (Dirichlet at the outer edge), and returns the
-    lowest eigenvalues in rydberg. The boundary ratio depends weakly on the
-    energy, so it is iterated a few times from the previous eigenvalue.
+    On the grid's points, ``h`` apart in ``x = ln rho``, ``-phi'' + (rho^2
+    U_eff + 1/4) phi = E rho^2 phi`` for ``phi = u/sqrt(rho)``: the
+    three-point second difference, the inner boundary closed by the
+    regular-solution ratio ``phi_0/phi_1`` at the first two points
+    (Dirichlet at the outer edge), and the generalized problem made
+    symmetric by ``rho^-1`` on both sides. Returns the lowest eigenvalues
+    in rydberg. The boundary ratio depends weakly on the energy, so it is
+    iterated a few times from the previous eigenvalue.
     """
     rho = grid.points()
     h = grid.step
-    u_eff = np.asarray(effective_potential(problem, rho), dtype=float)
-    inner = u_eff[1:-1]
-    off = np.full(inner.shape[0] - 1, -1.0 / (h * h))
+    q = rho * rho * np.asarray(effective_potential(problem, rho), dtype=float) + 0.25
+    inner = rho[1:-1]
+    off = -1.0 / (h * h * inner[:-1] * inner[1:])
+    power = (rho[0] / rho[1]) ** (indicial_exponent(problem) - 0.5)
 
     def lowest(energy_guess):
-        seed = small_rho_solution(problem, energy_guess, rho[:2])
-        ratio = float(seed[0] / seed[1])
-        diag = 2.0 / (h * h) + inner
+        series = small_rho_solution(problem, energy_guess, rho[:2])
+        ratio = power * float(series[0] / series[1])
+        diag = 2.0 / (h * h) + q[1:-1]
         diag[0] -= ratio / (h * h)
+        # bisection on Sturm counts to an absolute 1e-13 Ry: the rows near the
+        # origin make the matrix's norm 1e15 or more, and the default
+        # tolerance, eps times that norm, would be as wide as the levels
         return eigh_tridiagonal(
-            diag, off, eigvals_only=True, select="i", select_range=(0, n_states - 1)
+            diag / (inner * inner), off, eigvals_only=True, select="i",
+            select_range=(0, n_states - 1), lapack_driver="stebz", tol=1e-13,
         )
 
     vals = lowest(0.0)
     for _ in range(3):
         vals = lowest(float(vals[0]))
     return vals
+
+
+def cheb(n: int):
+    """Chebyshev differentiation matrix and points ``cos(pi j/n)``, ``j = 0..n``
+    (L. N. Trefethen, *Spectral Methods in MATLAB*, SIAM 2000, ``cheb.m``)."""
+    t = np.cos(np.pi * np.arange(n + 1) / n)
+    c = np.ones(n + 1)
+    c[0] = c[-1] = 2.0
+    c *= (-1.0) ** np.arange(n + 1)
+    dt = t[:, None] - t[None, :]
+    d = np.outer(c, 1.0 / c) / (dt + np.eye(n + 1))
+    d -= np.diag(d.sum(axis=1))
+    return d, t
+
+
+def chebyshev_levels(problem, kappa: float, n: int = 200) -> np.ndarray:
+    """Bound levels (rydberg), lowest first, by Chebyshev collocation.
+
+    The Langer form ``-phi'' + (rho^2 V + nu^2) phi = E rho^2 phi`` in ``x =
+    ln rho``, ``nu = s - 1/2``, with ``V`` the potential without its
+    centrifugal term (``K0`` from ``scipy.special.k0``), on ``n + 1``
+    points of ``x`` in ``[ln(1e-10/kappa), ln(100/kappa)]``: ``phi' = nu
+    phi`` at the inner edge and ``phi = 0`` at the outer. The generalized
+    problem ``(A, diag(rho^2))`` is solved by ``scipy.linalg.eigvals``,
+    with no bracket and no shooting; level ``k`` is the ``k``-th negative
+    eigenvalue.
+    """
+    a, b = math.log(1e-10 / kappa), math.log(100.0 / kappa)
+    d, t = cheb(n)
+    d *= 2.0 / (b - a)
+    rho = np.exp(0.5 * (a + b) + 0.5 * (b - a) * t)  # rho[0] is the outer edge
+    nu = indicial_exponent(problem) - 0.5
+    v = -problem.coulomb_coefficient / rho
+    if problem.k0_prefactor:
+        v -= problem.k0_prefactor * special.k0(problem.k0_argument_scale * rho)
+    op = -(d @ d) + np.diag(rho * rho * v + nu * nu)
+    mass = np.diag(rho * rho)
+    # the inner edge's row is its boundary condition, with no mass: an infinite eigenvalue
+    op[-1] = d[-1]
+    op[-1, -1] -= nu
+    mass[-1, -1] = 0.0
+    energies = eigvals(op[1:, 1:], mass[1:, 1:])
+    energies = energies[np.isfinite(energies)]
+    real = np.abs(energies.imag) <= 1e-9 * np.abs(energies.real)
+    return np.sort(energies.real[real & (energies.real < 0.0)])

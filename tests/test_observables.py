@@ -14,7 +14,6 @@ from planaratom import observables as ob
 
 
 def wf_from(u, grid, energy=-1.0):
-    # mean_radius builds the origin series at the energy
     return nv.WaveFunction(grid=grid, u=np.asarray(u, dtype=float), energy=energy)
 
 
@@ -44,11 +43,13 @@ class TestSimpson:
 
 
 class TestNormalize:
-    # the solver normalizes every wavefunction it returns with nv._normalize_samples
+    # the solver turns every phi = u/sqrt(rho) it returns into u with
+    # nv._normalize_samples, normalized to int u^2 drho = int rho u^2 d(ln rho) = 1
     grid = nv.RadialGrid(1e-6, 20.0, 20001)
 
-    def normalize(self, u):
-        return nv._normalize_samples(np.asarray(u, dtype=float), self.grid.step)
+    def normalize(self, u, grid=grid):
+        rho = grid.points()
+        return nv._normalize_samples(np.asarray(u, dtype=float) / np.sqrt(rho), grid.step, rho)
 
     def test_scaling_removed(self):
         rho = self.grid.points()
@@ -69,7 +70,7 @@ class TestNormalize:
         grid = self.grid
         rho = grid.points()
         u = self.normalize(np.exp(-rho))
-        assert abs(nv.simpson_u2(u, grid.step) - 1.0) < 1e-12
+        assert abs(nv.simpson_u2(u, grid.step, rho) - 1.0) < 1e-12
         exact_nsq = 0.5 * (math.exp(-2 * grid.rho_min) - math.exp(-2 * grid.rho_max))
         assert np.allclose(u, np.exp(-rho) / math.sqrt(exact_nsq), rtol=1e-10)
 
@@ -88,9 +89,10 @@ class TestNormalize:
     def test_matches_scipy_normalization(self, case, n_points):
         grid = replace(self.grid, n_points=n_points)
         shape, flips = self.FIRST_LOBES[case]
-        u = shape(grid.points())
-        got = nv._normalize_samples(u, grid.step)
-        ref = oracles.normalize_samples_scipy(u, grid.step)
+        rho = grid.points()
+        u = shape(rho)
+        got = self.normalize(u, grid)
+        ref = oracles.normalize_samples_scipy(u, grid.step, rho)
         peak = np.argmax(np.abs(u))
         assert bool(got[peak] * u[peak] < 0.0) == flips
         assert nv.count_nodes(got) == nv.count_nodes(ref)
@@ -140,13 +142,15 @@ class TestMeanRadius:
             ob.mean_radius(bad, problem)
 
     def test_exact_profile_2d(self):
-        # u ~ sqrt(rho) e^(-2 rho) has <rho> = 1/2 analytically (zeta = 1)
+        # u ~ sqrt(rho) e^(-2 rho) has <rho> = 1/2 analytically (zeta = 1); the grid
+        # starts 1e-5 decay lengths out, as a default grid does, and below it lies
+        # 2e-10 of the norm
         z1 = md.AtomSpec("z1", 1.0, 1e30)
         problem = md.EffectivePotentialParams(md.PotentialSpec("coulomb2d"), z1)
-        grid = nv.RadialGrid(4e-3, 10.0, 50001)
+        grid = nv.RadialGrid(5e-6, 10.0, 4001)
         rho = grid.points()
         u = np.sqrt(rho) * np.exp(-2.0 * rho)
-        u /= np.sqrt(simpson(u * u, dx=grid.step))
+        u /= np.sqrt(simpson(rho * u * u, dx=grid.step))
         r = ob.mean_radius(wf_from(u, grid, energy=-4.0), problem)
         assert r.mean_rho == pytest.approx(0.5, rel=1e-6)
 
@@ -159,8 +163,8 @@ class TestMeanRadius:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the grid's points, one array, and the origin series on 513 points:
-        # measured 1.01-1.03 arrays, against 2.5 when rho u^2 was an array
+        # the grid's points, one array, squared in place for the first moment:
+        # against 2.5 arrays when rho u^2 was an array
         assert peak <= 1.1 * wf.u.nbytes
 
     def test_one_k0_pass_per_state(self, monkeypatch):
