@@ -976,6 +976,38 @@ def levels(monkeypatch):
     return log
 
 
+class TestAdaptiveFinish:
+    """With no grid named, the default grid is the finest a solve may use."""
+
+    @pytest.mark.parametrize("atom", ["pe", "pmu", "tmu"])
+    @pytest.mark.parametrize("kind,lam", [
+        ("coulomb3d", None), ("coulomb2d", None),
+        ("chern_simons", 2e-6), ("chern_simons", 2e-5), ("chern_simons", 2e-4),
+        ("chern_simons_jordan", 5e-5), ("chern_simons_jordan", 2e-4),
+    ])
+    def test_agrees_with_the_default_grid_named(self, kind, lam, atom):
+        # over the property range (ell 0-3, nodes 0-3): both solves run the same
+        # cascade on the same points, so they agree field for field
+        for ell in range(4):
+            for nodes in range(4):
+                problem = make_problem(atom, kind, lam, ell)
+                grid = nv.default_grid(problem, nodes)
+                try:
+                    pinned, _ = nv.solve_state(problem, nodes, grid=grid)
+                except nv.BracketingError:
+                    # weak jordan wells bind no such level: neither solve brackets one
+                    with pytest.raises(nv.BracketingError):
+                        nv.solve_state(problem, nodes)
+                    continue
+                free, _ = nv.solve_state(problem, nodes)
+                assert pinned.grid == grid
+                assert free.grid.n_points <= grid.n_points
+                assert (free.grid.rho_min, free.grid.rho_max) == (grid.rho_min, grid.rho_max)
+                assert (free.converged, free.nodes) == (pinned.converged, pinned.nodes)
+                assert abs(free.energy - pinned.energy) <= 2 * nv.BISECTION_TOL
+                assert free == pinned
+
+
 class TestFinish:
     """A solve finishes on the grid it is given, or on the default grid."""
 
