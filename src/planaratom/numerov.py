@@ -9,7 +9,8 @@ the Langer form (R. E. Langer, Phys. Rev. 51 (1937) 669): ``phi''(x) =
 is ``phi ~ rho^(s - 1/2)`` near the origin (``s = l + 1`` in 3D, ``l + 1/2``
 in 2D). A default grid starts ``RHO_MIN_KAPPA`` decay lengths ``1/kappa``
 from the origin, below which too little of the state lies to matter, and
-has ``DEFAULT_POINTS`` points.
+has ``DEFAULT_POINTS`` points, more on a box too wide for its quarter
+(``EDGE_STEP``).
 
 Eigenvalues are found by one search on a bracket ``[E_lo, E_hi]`` (see
 :func:`default_bracket`: 1.5x the closed form for Coulomb kinds, the
@@ -65,22 +66,19 @@ within ``DEFECT_TOL`` and the node count on target.
 from the coarsest level up, and finishes on the grid it was given, or on
 the default grid. The grid is quartered (every fourth point, same
 ``rho_min`` and ``rho_max``) for as long as ``n_points - 1`` is a multiple
-of 4 and the quarter keeps ``MIN_POINTS``: a default grid solves on 1,001
-and 4,001 points. The potential is evaluated once, on the grid given, and
+of 4 and the quarter keeps ``MIN_POINTS``: a default grid of 4,001 points
+solves on 1,001 and 4,001. The potential is evaluated once, on the grid given, and
 each coarser level views every fourth point of it, which are its own points
 bit for bit. The coarsest grid runs the search from the default bracket;
 that cold search takes about as many shots on any grid, so it runs where
 shots are cheapest. Each finer grid starts from the energy ``E_4h`` of the
 grid below it, with one shot at ``E_4h``, matched at the turning point of
-the bracket's top, in the presumed bracket from ``max(E_4h - pad, 2 E_4h)``
-to ``min(E_4h + pad, E_4h/2)``, ``pad = max(WARM_BRACKET_REL
-WARM_BRACKET_GROWTH^d |E_4h|, bisection_tol)`` for the grid ``d``
-quarterings below the requested one. The ends in ``E_4h`` bind only on
-levels shallower than ``2 pad``, in practice ``2 bisection_tol``: they keep
-the bracket within a factor of two of the level and below zero, where a
-Newton step aimed past the root would otherwise shoot a positive energy or
-one many times deeper, at which ``f`` leaves Numerov's range on a box sized
-for so shallow a level. The rest takes two shots when ``E_4h`` lies within
+the bracket's top, in the presumed bracket from ``E_4h - pad`` to
+``min(E_4h + pad, E_4h/2)``, ``pad = max(WARM_BRACKET_REL |E_4h|,
+bisection_tol)``. The top's ``E_4h/2`` binds only on levels shallower than
+``2 pad``, in practice ``2 bisection_tol``: it keeps the bracket below
+zero, where ``f`` leaves Numerov's range on a box sized for so shallow a
+level. The rest takes two shots when ``E_4h`` lies within
 about the tolerance of ``E_h`` and three when a first Newton step must close
 the distance; a bracket that misses is widened like any other. A grid passes
 its energy up when its search stopped with the bracket at ``bisection_tol``
@@ -99,10 +97,9 @@ A potential that overflows or divides by zero on a grid is a
 numpy warning. The grid finished on and the one below it give the
 Richardson estimate ``EigenResult.energy_error_ry = (E_h - E_4h)/255`` of
 ``E_exact - E_h`` for an O(h^4) method. It covers the step error only: the
-search tolerance and the box's ends are not in it, and neither is the
-roundoff of ``f = 1 + h^2 g/12``, which keeps fewer bits of ``g`` as ``h``
-shrinks: on deep levels it outgrows the step error from a few thousand
-points (see ``DEFAULT_POINTS``), so a finer grid is not always a better one.
+search tolerance and the box's ends are not in it. The sweep's roundoff
+stays below it on any grid: the summed form keeps every bit of ``h^2 g``
+(see :func:`_sweep`), so a finer grid is a better one.
 
 Sweeps are seeded with a short Frobenius expansion of the regular solution
 (:func:`small_rho_solution`), scaled so that the outward sweep starts from
@@ -112,20 +109,22 @@ sweep starts from ``INWARD_SEED`` at ``rho_max`` and grows by the growing
 root of the recurrence for a constant ``f``, the decay of a state past its
 turning point.
 
-Each sweep solves the three-term recurrence as a lower-triangular band
-system with LAPACK (``dtbtrs``), the two seeds on its right-hand side. It
-is solved in blocks of ``_BLOCK`` rows, one call each, whose two band rows
-are built from ``f`` into a small buffer just before the call, so that they
-and the block's stretch of the solution are still in cache. Every block
-after the first of a segment starts with two identity rows carrying the
-last two values solved, so each row is computed with the same operations
-as in one solve of the whole segment, bit for bit. Each row is divided by
-its diagonal ``f_k`` beforehand, so the system has a unit diagonal and the
-forward substitution multiplies and adds only, which takes the division
-off its critical path. The rounding of the stored ratios costs accuracy:
-against a long-double loop the outward sweep of the pe ``chern_simons``
-ground level is off by 1.4e-10 of its peak on the default grid. A bound on
-the per-step growth cuts the sweep into
+Each sweep steps Numerov's recurrence in its summed form (J. M. Blatt,
+J. Comput. Phys. 1 (1967) 382): it carries ``w = f phi`` and its first
+difference, each row adding ``c w``, ``c = h^2 g/f``, to the difference,
+so that no ``h^2 g`` is added to 1. The textbook form ``f_{k+1} phi_{k+1} =
+(12 - 10 f_k) phi_k - f_{k-1} phi_{k-1}`` rounds away the low bits of
+``h^2 g`` in ``f``: against a long-double loop it lost 2.3e-10 of the pe
+``chern_simons`` ground level's peak on 4,001 points and 1.1e-7 on 64,001,
+the summed form 6e-15 on both. The two unknowns of each row, interleaved,
+form a lower-triangular band system with a unit diagonal, which LAPACK
+(``dtbtrs``) solves by forward substitution, multiplies and adds only. It
+is solved in blocks of ``_BLOCK`` unknowns, one call each, whose band rows
+are built from ``c`` into a small buffer just before the call, so that they
+and the block's unknowns are still in cache. Every block starts with two
+identity rows carrying the last two values solved, so each row is computed
+with the same operations as in one solve of the whole segment, bit for
+bit. A bound on the per-step growth cuts the sweep into
 segments only where it could overflow, and values are rescaled between
 segments, so deep classically forbidden regions and the ``rho^(l + 1/2)``
 growth of a high ``ell`` are safe. A segment that still overflows raises
@@ -133,16 +132,16 @@ growth of a high ``ell`` are safe. A segment that still overflows raises
 not finite. A grid past Numerov's stability limit (``f = 1 + h^2 g / 12``
 outside ``(0, 1.5)`` on a swept row, which happens first on the outermost
 rows, where the grid is coarsest in ``rho``) raises
-:class:`GridTooCoarseError`; inside that range ``f_k`` is a safe divisor.
+:class:`GridTooCoarseError`.
 
 A solve allocates nothing the size of its grid per shot or per sweep. A
 shot sweeps outward straight into the buffer its caller names and sweeps
 inward into the workspace's own, then joins the two in the first at the
-match index. That buffer, the inward sweep, ``f`` and the other of the two
+match index. That buffer, the inward sweep, ``c`` and the other of the two
 joined buffers the search keeps live in one block of scratch memory
-(``_ShootingWorkspace``): four grid-sized buffers and the band rows of a
-sweep block. Every grid of the cascade shares it, because each one's search
-ends before the next finer one's starts. Only the finished grid's joined
+(``_ShootingWorkspace``): four grid-sized buffers and the band rows and
+unknowns of a sweep block. Every grid of the cascade shares it, because
+each one's search ends before the next finer one's starts. Only the finished grid's joined
 sweeps are turned into ``u`` and normalized, into the one new array a solve
 returns. Each thread keeps one block (``_Scratch``), grown when a solve
 needs more, and every solve of the thread works in it: :func:`solve_state`
@@ -174,17 +173,31 @@ RESCALE_THRESHOLD = 1e100
 # irrelevant by linearity, this just leaves growth headroom.
 INWARD_SEED = 1e-150
 
-# Points of a default grid. On x = ln rho a finer grid is not a better one, as
-# f = 1 + h^2 g/12 keeps fewer bits of g: the pmu coulomb2d ground level lies
-# 2.4e-9 Ry off its closed form on 4,001 points of its default box and 1.4e-7 Ry
-# on 8,001. 4,001 points quarter once, to 1,001.
+# Points of a default grid whose box EDGE_STEP does not widen. On x = ln rho a
+# level's step error on 4,001 points is about 1e-12 of its energy (255 energy_error_ry
+# of the cascade, default grids of four kinds, ell 0-3, nodes 0-3), and 4,001 points
+# quarter once, to 1,001.
 DEFAULT_POINTS = 4001
+
+# Largest step in rho, in decay lengths 1/kappa_lo of the default bracket's bottom
+# E_lo = -kappa_lo^2, at the box's edge of a default grid's quarter. Below it, every
+# trial energy of that bracket keeps f = 1 + h^2 g/12 within [2/3, 4/3] on the edge's
+# rows, Numerov's stable range with room; a wider box takes more points than
+# DEFAULT_POINTS. 4,001 points keep it on every Coulomb box of the property range
+# and on the nodeless K0 ones.
+EDGE_STEP = 2.0
 
 # A default grid starts this many decay lengths 1/kappa from the origin, kappa =
 # sqrt(-E) of the closed form or of estimate_cs_ground_energy. The norm below it
 # is of order (kappa rho_min)^(2s + 1): measured at most 2e-10 of the state's
 # (2D ell 0), and the mean radius moves by as much.
 RHO_MIN_KAPPA = 1e-5
+
+# Farthest from the origin, in decay lengths of the ground level, that a named
+# rho_min may start a grid: past it the seed's truncated series moves the level. At
+# 1e-2 the levels measured moved by at most 5.6e-10 Ry (pmu coulomb2d ground, 743 Ry),
+# at 3e-2 pe chern_simons lambda 2e-5 ground by 1.4e-8 Ry.
+MAX_RHO_MIN_KAPPA = 1e-2
 
 # Number of Frobenius correction terms used in outward seeds.
 SEED_SERIES_TERMS = 6
@@ -201,14 +214,10 @@ MAX_SEARCH_STEPS = 200
 # Most widenings of a starting bracket that misses the state.
 MAX_WIDENINGS = 3
 
-# Half-width of the warm-start bracket on the requested grid, relative to the
-# energy of the grid below it, and its factor for each quartering further down.
-# Where |E_4h - E_h| exceeds 1e-8 Ry, |E_4h - E_h|/|E| measured at most 3.3e-7
-# from 1,001 to 4,001 points (default grids of four kinds, ell 0-3, nodes 0-3).
-# On the uniform grids of an earlier version it read 6.3e-5 one quartering
-# further down and 3.0e-3 two down, which a factor of 16 missed.
+# Half-width of a warm-start bracket, relative to the energy of the grid below.
+# Where |E_4h - E_h| exceeds 1e-8 Ry, |E_4h - E_h|/|E| measured at most 8.5e-8
+# from a default grid's quarter to the grid (four kinds, ell 0-3, nodes 0-3).
 WARM_BRACKET_REL = 3e-6
-WARM_BRACKET_GROWTH = 64.0
 
 # Narrowest bracket the search shoots into, in units in the last place of its
 # energy. Closer energies give sweeps that differ at most in the rounding of a
@@ -247,7 +256,8 @@ class DegenerateSeedError(SolverError):
 
 class GridTooCoarseError(SolverError):
     """The grid cannot resolve the state: a swept row has ``f = 1 + h^2 g / 12``
-    outside ``(0, 1.5)``, Numerov's stable range."""
+    outside ``(0, 1.5)``, Numerov's stable range, or a named ``rho_min``
+    starts it past ``MAX_RHO_MIN_KAPPA`` decay lengths from the origin."""
 
 
 class SweepOverflowError(SolverError):
@@ -365,63 +375,63 @@ def small_rho_solution(
     return poly
 
 
-# Growth that one banded solve may span before its values are checked
-# against RESCALE_THRESHOLD (about e^230): 300 nats, well inside the e^709
-# range of a double, in the sqrt(12)-nat units of _sweep's growth bound.
-_SEGMENT_GROWTH = 300.0 / math.sqrt(12.0)
+# Growth in nats that one banded solve may span before its values are checked
+# against RESCALE_THRESHOLD (about e^230), well inside the e^709 range of a double.
+_SEGMENT_GROWTH = 300.0
 
 
-# Rows of one LAPACK call of _sweep: its band rows (two of 8,192 doubles) and stretch of
-# the solution stay in a core's L2 cache between their writing and the solve.
+# Unknowns of one LAPACK call of _sweep, two to a grid row: its band rows (two of 8,192
+# doubles) and unknowns stay in a core's L2 cache between their writing and the solve.
 _BLOCK = 8192
 
 
-def _sweep(f, u0, u1, rho, out, band) -> np.ndarray:
-    """Numerov recurrence as a lower-triangular banded solve.
+def _sweep(c, u0, u1, rho, out, band, t) -> np.ndarray:
+    """Numerov recurrence in its summed form as a lower-triangular banded solve.
 
-    ``f = 1 + h^2 g / 12`` in sweep order, row ``k`` at the point ``rho[k]``
-    (``rho`` runs inward for an inward sweep); the seeds sit at the first
-    two rows. Row ``k >= 2`` of the system reads ``u_k - (12 - 10
-    f_{k-1})/f_k u_{k-1} + f_{k-2}/f_k u_{k-2} = 0`` (the recurrence divided
-    by ``f_k``, so no division is left in the substitution), the seed terms
-    move to the right-hand side, and LAPACK's ``dtbtrs`` solves it by
-    forward substitution with a unit diagonal. scipy's wrapper holds the
-    GIL through the call, so the sweeps of concurrent solves take turns. The
-    recurrence is stable only for ``0 < f < 1.5``: past 1.5 (``h^2 g > 6``,
-    under 2.6 points per wavelength) a spurious mode grows with alternating
-    sign, and a row outside that range raises :class:`GridTooCoarseError`,
-    naming its ``rho``. Inside it, one
-    step grows the solution by about ``arccosh((6 - 5f)/f) <= sqrt(12 (1/f -
-    1))`` nats (the rate of the growing mode for constant ``f``, none for
-    ``f >= 1``); the sweep is cut where that bound adds up to 300 nats
-    (``_SEGMENT_GROWTH``), and a segment whose peak passes
-    ``RESCALE_THRESHOLD`` rescales all values before it, so deep
-    classically forbidden regions never overflow. A segment that still
-    overflows, from seeds too large for its growth, raises
-    :class:`SweepOverflowError`, as does, before any solve, a seed that is
-    not finite.
+    ``c = q/f`` in sweep order, ``q = h^2 g`` and ``f = 1 + q/12``, row ``k``
+    at the point ``rho[k]`` (``rho`` runs inward for an inward sweep); the
+    seeds ``u0`` and ``u1`` are ``phi`` at the first two rows. The
+    recurrence ``w_{k+1} - 2 w_k + w_{k-1} = -c_k w_k`` for ``w = f phi`` is
+    stepped in the summed form (J. M. Blatt, J. Comput. Phys. 1 (1967) 382):
+    the first difference ``d_k = w_{k+1} - w_k`` is carried, ``d_k = d_{k-1}
+    - c_k w_k`` and ``w_{k+1} = w_k + d_k``, so that ``q`` is never added to
+    ``1`` or ``2``, whose ulp would round away its low bits on a fine grid.
+    The unknowns ``d_1, w_2, d_2, w_3, ...`` interleaved form a system with
+    two subdiagonals and a unit diagonal, which LAPACK's ``dtbtrs`` solves by
+    forward substitution: multiplies and adds only. scipy's wrapper holds
+    the GIL through the call, so the sweeps of concurrent solves take turns.
+    ``phi_k = w_k (1 - c_k/12)``.
 
-    Each segment is solved in blocks of ``_BLOCK`` rows, one
-    ``dtbtrs`` call each, whose band rows are built from ``f`` into
-    ``band`` (an F-ordered ``(3, _BLOCK + 2)`` array). The first
-    block of a segment carries the seed terms on its right-hand side. Every
-    later block starts with two identity rows holding the last two values
-    solved (band entry ``(1, 0)`` zero), so the substitution computes each
-    row with the same operations, in the same order, as one solve of the
-    whole segment. The values go to ``out[:len(f)]``, a view of which is
-    returned.
+    The recurrence is stable only for ``0 < f < 1.5``, that is ``c < 4``:
+    past 1.5 (``q > 6``, under 2.6 points per wavelength) a spurious mode
+    grows with alternating sign, and a row past the seeds' outside that
+    range raises :class:`GridTooCoarseError`, naming its ``rho``. Inside it, one step
+    grows the solution by about ``arccosh(1 - c/2) <= sqrt(-c)`` nats (the
+    rate of the growing mode for constant ``c``, none for ``c >= 0``); the
+    sweep is cut where that bound adds up to 300 nats (``_SEGMENT_GROWTH``),
+    and a segment whose peak passes ``RESCALE_THRESHOLD`` rescales all
+    values before it, so deep classically forbidden regions never overflow.
+    A segment that still overflows, from seeds too large for its growth,
+    raises :class:`SweepOverflowError`, as does, before any solve, a seed
+    that is not finite.
+
+    Each segment is solved in blocks of ``_BLOCK // 2`` rows, one
+    ``dtbtrs`` call each, on ``t`` (``_BLOCK + 2`` doubles) with band rows
+    built into ``band`` (an F-ordered ``(3, _BLOCK + 2)`` array). Every
+    block starts with two identity rows carrying the last ``d`` and ``w``
+    solved, the seeds' for the first, so the substitution computes each row
+    with the same operations, in the same order, as one solve of the whole
+    segment. ``phi`` goes to ``out[:len(c)]``, a view of which is returned.
     """
-    n = f.shape[0]
-    u = out[:n]
-    u[0], u[1] = u0, u1
-    diag = f[2:]
-    worst = diag.min()
-    if not (worst > 0.0 and diag.max() < 1.5):
-        k = 2 + int(np.argmin((diag > 0.0) & (diag < 1.5)))
+    n = c.shape[0]
+    phi = out[:n]
+    # the rows after the seeds'; NaN fails too
+    if not c[2:].max() < 4.0:
+        k = 2 + int(np.argmin(c[2:] < 4.0))
         raise GridTooCoarseError(
             f"grid too coarse for Numerov at rho={rho[k]:.6g}: f = 1 + h^2 g/12 = "
-            f"{f[k]:.3g} must be finite and in (0, 1.5) for a stable recurrence; use more "
-            "points or a smaller rho_max"
+            f"{12.0 / (12.0 - c[k]):.3g} must be finite and in (0, 1.5) for a stable "
+            "recurrence; use more points or a smaller rho_max"
         )
 
     def overflow(k, why):
@@ -432,62 +442,62 @@ def _sweep(f, u0, u1, rho, out, band) -> np.ndarray:
 
     if not (abs(u0) < math.inf and abs(u1) < math.inf):  # inf or NaN
         raise overflow(1, "which are not finite")
+    phi[0], phi[1] = u0, u1
+    # d_0 and w_1, w = phi/(1 - c/12)
+    w0, w1 = u0 / (1.0 - c[0] / 12.0), u1 / (1.0 - c[1] / 12.0)
+    t[0], t[1] = w1 - w0, w1
     stops = [n - 2]
+    worst = c[1:-1].min()
     # fast path: the worst row's bound on every row stays under one segment; it spares
-    # the growth sum on over 90% of the rows swept in the benchmark workloads
-    if (n - 2) * math.sqrt(max(1.0 / worst - 1.0, 0.0)) > _SEGMENT_GROWTH:
+    # the growth sum on most of the rows swept in the benchmark workloads
+    if (n - 2) * math.sqrt(max(-worst, 0.0)) > _SEGMENT_GROWTH:
         # the running growth bound, summed in the rows the solve overwrites later
-        growth = u[2:]
-        np.divide(1.0, diag, out=growth)
-        growth -= 1.0
+        growth = phi[2:]
+        np.negative(c[1:-1], out=growth)
         np.maximum(growth, 0.0, out=growth)
         np.sqrt(growth, out=growth)
         np.cumsum(growth, out=growth)
         cuts = np.arange(_SEGMENT_GROWTH, growth[-1], _SEGMENT_GROWTH)
         stops = np.searchsorted(growth, cuts).tolist() + stops
-    # column j of the whole system holds unknown u_{j+2}; row k is scaled by 1/f_k, so
-    # the diagonal is one (never stored, diag="U") and the off-diagonals read
-    # (10 f_{k-1} - 12)/f_k and f_{k-2}/f_k. A block's last column's off-diagonals fall
-    # outside its matrix.
+    # column j of a block holds its unknown x_j: a d for even j, a w for odd j. Row
+    # j + 1 reads x_{j+1} - x_{j-1} + c x_j = 0 for odd j (d_k = d_{k-1} - c_k w_k) and
+    # x_{j+1} - x_{j-1} - x_j = 0 for even j (w_{k+1} = w_k + d_k); the diagonal is one
+    # (never stored, diag="U"), and the two carried rows are identity rows. A block's
+    # last column's off-diagonals fall outside it.
+    width = min(_BLOCK + 2, 2 * n)
+    band[2, :width] = -1.0
+    band[1, 2:width:2] = -1.0
+    band[1, 0] = 0.0
     start = 0
     for stop in stops:
         if stop <= start:
             continue
-        # the first block's right-hand side holds the seed terms
-        rhs = u[start + 2 : min(start + _BLOCK, stop) + 2]
-        rhs[0] = ((12.0 - 10.0 * f[start + 1]) * u[start + 1] - f[start] * u[start]) / f[start + 2]
-        # empty for a one-row segment, where f[start + 3] lies past the end
-        rhs[1:2] = -f[start + 1] * u[start + 1] / f[start + 3 : start + 4]
-        rhs[2:] = 0.0
         first = start
-        while True:
-            cols = rhs.shape[0]
-            ab = band[:, :cols]
-            d = f[first + 2 : first + 2 + cols]
-            np.multiply(d[:-1], 10.0, out=ab[1, :-1])
-            ab[1, :-1] -= 12.0
-            ab[1, :-1] /= d[1:]
-            np.divide(d[:-2], d[2:], out=ab[2, :-2])
-            if first > start:
-                ab[1, 0] = 0.0  # the two carried rows are identity rows
+        while first < stop:
+            rows = min(_BLOCK // 2, stop - first)
+            tb = t[: 2 * rows + 2]
+            tb[2:] = 0.0
+            ab = band[:, : 2 * rows + 2]
+            ab[1, 1::2] = c[first + 1 : first + rows + 2]
             # f2py solves in place; the slice assignment copies back only if it did not
-            rhs[:], info = dtbtrs(ab, rhs, uplo="L", diag="U", overwrite_b=1)
+            tb[:], info = dtbtrs(ab, tb, uplo="L", diag="U", overwrite_b=1)
             if info != 0:
                 raise SolverError(f"LAPACK dtbtrs failed with info={info}")
-            done = first + cols
-            if done >= stop:
-                break
-            # the next block: the last two values solved, then the rows after them
-            first = done - 2
-            rhs = u[first + 2 : min(first + 2 + _BLOCK, stop) + 2]
-            rhs[2:] = 0.0
-        peak = max(u[start + 2 : stop + 2].max(), -u[start + 2 : stop + 2].min())
+            # phi_k = w_k (1 - c_k/12) for the block's rows, the factor in the unused diagonal
+            scale = band[0, :rows]
+            np.multiply(c[first + 2 : first + rows + 2], -1.0 / 12.0, out=scale)
+            scale += 1.0
+            np.multiply(tb[3::2], scale, out=phi[first + 2 : first + rows + 2])
+            t[0], t[1] = tb[-2], tb[-1]
+            first += rows
+        peak = max(phi[start + 2 : stop + 2].max(), -phi[start + 2 : stop + 2].min())
         if not peak < math.inf:  # inf or NaN
             raise overflow(stop + 1, "too large for the growth that follows")
         if peak > RESCALE_THRESHOLD:
-            u[: stop + 2] /= peak
+            phi[: stop + 2] /= peak
+            t[:2] /= peak
         start = stop
-    return u
+    return phi
 
 
 def count_nodes(u: np.ndarray) -> int:
@@ -535,7 +545,7 @@ class _Shot(NamedTuple):
 
 def _scratch_size(n_points: int) -> int:
     """Doubles of a :class:`_ShootingWorkspace`'s scratch memory on ``n_points``."""
-    return 4 * n_points + 3 * (_BLOCK + 2)
+    return 4 * n_points + 4 * (_BLOCK + 2)
 
 
 def _new_block(size: int) -> np.ndarray:
@@ -602,17 +612,18 @@ class _ShootingWorkspace:
         self.h = grid.step
         self.rho = grid.points()
         self.u_eff = _potential(problem, self.rho) if u_eff is None else u_eff
-        self.h2_12 = self.h * self.h / 12.0
+        self.h2 = self.h * self.h
         # phi_1/phi_0 of the regular solution's power law rho^(s - 1/2)
         self._power_ratio = math.exp((indicial_exponent(problem) - 0.5) * self.h)
         self.sweeps = 0
         self.points_swept = 0
         n = grid.n_points
         self.memory = memory
-        self._right, self._f, self.joined, self.spare = (
+        self._right, self._c, self.joined, self.spare = (
             memory[k * n : (k + 1) * n] for k in range(4)
         )
         self._band = memory[4 * n : 4 * n + 3 * (_BLOCK + 2)].reshape(_BLOCK + 2, 3).T
+        self._t = memory[4 * n + 3 * (_BLOCK + 2) : 4 * n + 4 * (_BLOCK + 2)]
 
     def quartered(self) -> _ShootingWorkspace | None:
         """Workspace on every fourth point of this grid, the next coarser grid of
@@ -632,20 +643,23 @@ class _ShootingWorkspace:
         grid = RadialGrid(self.grid.rho_min, self.grid.rho_max, (n - 1) // 4 + 1)
         return _ShootingWorkspace(self.problem, grid, self.memory, self.node_target, self.u_eff[::4])
 
-    def _f_of(self, energy, rows) -> np.ndarray:
-        """``f = 1 + h^2 (rho^2 (energy - u_eff) - 1/4) / 12`` on the grid's
-        ``rows`` (a slice, in sweep order) in the workspace's buffer."""
+    def _c_of(self, energy, rows) -> np.ndarray:
+        """``c = q/(1 + q/12)``, ``q = h^2 (rho^2 (energy - u_eff) - 1/4)``, on
+        the grid's ``rows`` (a slice, in sweep order) in the workspace's buffer,
+        as ``1/(1/q + 1/12)``: no ``q`` is added to 1."""
         u_eff, rho = self.u_eff[rows], self.rho[rows]
-        f = self._f[: u_eff.shape[0]]
-        # an f that overflows is _sweep's to report
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract(energy, u_eff, out=f)
-            f *= rho
-            f *= rho
-            f -= 0.25
-            f *= self.h2_12
-            f += 1.0
-        return f
+        c = self._c[: u_eff.shape[0]]
+        # a c that overflows is _sweep's to report; q = 0 gives 1/q infinite and c = 0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            np.subtract(energy, u_eff, out=c)
+            c *= rho
+            c *= rho
+            c -= 0.25
+            c *= self.h2
+            np.reciprocal(c, out=c)
+            c += 1.0 / 12.0
+            np.reciprocal(c, out=c)
+        return c
 
     def shoot(self, energy, match_index=None, gated=False, *, out) -> _Shot:
         """One shooting trial: sweep ``phi`` outward into ``out``, sweep inward,
@@ -679,27 +693,28 @@ class _ShootingWorkspace:
         n, h = self.grid.n_points, self.h
         m = _outer_turning_point(self.u_eff, energy, h) if match_index is None else int(match_index)
         m = min(max(m, _STENCIL_PAD + 2), n - _STENCIL_PAD - 3)
-        f = self._f_of(energy, slice(m + _STENCIL_PAD + 1))
+        c = self._c_of(energy, slice(m + _STENCIL_PAD + 1))
         # phi from 1 at rho_min; a series that overflows is _sweep's to report
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             series = small_rho_solution(self.problem, energy, self.rho[:2])
             seed = self._power_ratio * float(series[1] / series[0])
-        phi_left = _sweep(f, 1.0, seed, self.rho, out, self._band)
+        phi_left = _sweep(c, 1.0, seed, self.rho, out, self._band, self._t)
         self.sweeps += 1
-        self.points_swept += f.shape[0]
+        self.points_swept += c.shape[0]
         nodes = count_nodes(phi_left[: m + 2])
         if gated and nodes != self.node_target:
             return _Shot(energy, m, nodes, None, None, nodes < self.node_target)
-        # the inward sweep's f in sweep order, from the outer edge in
-        f = self._f_of(energy, slice(None, m - _STENCIL_PAD - 1, -1))
-        # from rho_max in by the growing root of the recurrence for a constant f[0]
-        # in (0, 1): a state's decay per step past its turning point
-        f0 = float(f[0])
-        y = (6.0 - 5.0 * f0) / f0 if 0.0 < f0 < 1.0 else 1.0
+        # the inward sweep's c in sweep order, from the outer edge in
+        c = self._c_of(energy, slice(None, m - _STENCIL_PAD - 1, -1))
+        # from rho_max in by the growing root of the recurrence for a constant c[0]
+        # below 0: a state's decay per step past its turning point
+        c0 = float(c[0])
+        y = 1.0 - 0.5 * c0 if c0 < 0.0 else 1.0
         seed = INWARD_SEED * (y + math.sqrt(y * y - 1.0))
-        phi_right = _sweep(f, INWARD_SEED, seed, self.rho[::-1], self._right, self._band)[::-1]
+        phi_right = _sweep(c, INWARD_SEED, seed, self.rho[::-1], self._right, self._band,
+                           self._t)[::-1]
         self.sweeps += 1
-        self.points_swept += f.shape[0]
+        self.points_swept += c.shape[0]
         ul, ur = phi_left[m], phi_right[_STENCIL_PAD]
         if ul == 0.0 and ur == 0.0:
             raise DegenerateSeedError("both sweeps vanish at the matching point")
@@ -779,27 +794,45 @@ def default_grid(
     lengths ``1/kappa``, and 15 past the level's outer classical turning
     point, which the centrifugal term pushes out at high ``ell``. The K0
     kinds size it from a self-consistent depth estimate. Every grid starts
-    ``RHO_MIN_KAPPA/kappa`` from the origin and has ``DEFAULT_POINTS``
-    points.
+    ``RHO_MIN_KAPPA/kappa`` from the origin. It has ``DEFAULT_POINTS``
+    points, or more when the default box is so wide that its quarter, the
+    coarse grid of the cascade, would step more than ``EDGE_STEP`` decay
+    lengths of the default bracket's bottom at the box's edge; a named
+    ``rho_max`` keeps ``DEFAULT_POINTS``. A ``rho_min`` past
+    ``MAX_RHO_MIN_KAPPA`` decay lengths of the ground level is a
+    :class:`GridTooCoarseError`: the seed's series is truncated there.
     """
     if node_target < 0:
         raise ValueError("node_target must be non-negative")
     zeta = problem.atom.zeta
+    e_ground = closed_form_energy(problem, 0)
     if problem.potential.kind in CHERN_SIMONS_KINDS:
-        kappa = math.sqrt(-estimate_cs_ground_energy(problem))
+        kappa = kappa_ground = kappa_lo = math.sqrt(-estimate_cs_ground_energy(problem))
         box = max(60.0, 40.0 / kappa) * (1.0 + node_target)
     else:
         e_est = closed_form_energy(problem, node_target)
-        kappa = math.sqrt(-e_est)
+        kappa, kappa_ground = math.sqrt(-e_est), math.sqrt(-e_ground)
+        kappa_lo = math.sqrt(-1.5 * e_est)
         # the level's outer turning point, the larger root of e_est = U_eff(rho)
         c = problem.centrifugal_coefficient
         turning = (math.sqrt(zeta) + math.sqrt(zeta + e_est * c)) / -e_est
         box = max(30.0 / kappa, 40.0 / math.sqrt(zeta), turning + 15.0 / kappa)
-    return RadialGrid(
+    grid = RadialGrid(
         rho_min=RHO_MIN_KAPPA / kappa if rho_min is None else rho_min,
         rho_max=box if rho_max is None else rho_max,
         n_points=DEFAULT_POINTS if n_points is None else n_points,
     )
+    if kappa_ground * grid.rho_min > MAX_RHO_MIN_KAPPA:
+        raise GridTooCoarseError(
+            f"grid starts past the state: rho_min={grid.rho_min:.6g} is "
+            f"{kappa_ground * grid.rho_min:.3g} decay lengths from the origin, above "
+            f"{MAX_RHO_MIN_KAPPA:g}; use rho_min <= {MAX_RHO_MIN_KAPPA / kappa_ground:.6g}"
+        )
+    if n_points is None and rho_max is None:
+        # the quarter's step at the box's edge, h_q rho_max, within EDGE_STEP/kappa_lo
+        steps = math.ceil(math.log(box / grid.rho_min) * kappa_lo * box / EDGE_STEP)
+        grid = RadialGrid(grid.rho_min, box, max(DEFAULT_POINTS, 4 * steps + 1))
+    return grid
 
 
 def default_bracket(
@@ -917,8 +950,8 @@ def solve_state(
                 raise missed
             missed = None
             if start is not None:
-                pad = max(WARM_BRACKET_REL * WARM_BRACKET_GROWTH**depth * abs(start), tol)
-                warm = (max(start - pad, 2.0 * start), min(start + pad, 0.5 * start))
+                pad = max(WARM_BRACKET_REL * abs(start), tol)
+                warm = (start - pad, min(start + pad, 0.5 * start))
             found = _search(ws, warm, tol, start)
         except SolverError as err:
             if depth == 0:

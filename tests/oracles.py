@@ -2,7 +2,8 @@
 
 K0 comes from its integral representation by adaptive quadrature, the
 Coulomb spectra from their closed forms, and the Numerov recurrence from a
-plain loop. :func:`sweep_one_solve_per_segment` and
+plain loop in the program's summed form (:func:`sweep_loop`, and
+:func:`numerov_loop_longdouble` in extended precision). :func:`sweep_one_solve_per_segment` and
 :func:`bessel_k0_unblocked` are the program's sweep and K0 before they were
 split into blocks, each over the whole array at once; the blocked forms
 must equal them bit for bit. :func:`count_nodes_one_pass` is the node count
@@ -109,68 +110,89 @@ def k0_series_full(x: np.ndarray) -> np.ndarray:
     return -(np.log(0.5 * x) + 0.5772156649015329) * i0 + acc
 
 
-def numerov_loop_longdouble(f: np.ndarray, u0: float, u1: float) -> np.ndarray:
-    """The Numerov recurrence ``f_{k+1} u_{k+1} = (12 - 10 f_k) u_k - f_{k-1} u_{k-1}``
-    stepped one row at a time in ``np.longdouble``, without rescaling.
+def numerov_loop_longdouble(q: np.ndarray, u0: float, u1: float) -> np.ndarray:
+    """The summed Numerov recurrence of :func:`sweep_loop`, with ``c = q/(1 + q/12)``
+    formed from ``q = h^2 g``, stepped one row at a time in ``np.longdouble``,
+    without rescaling.
 
     Rounding in extended precision (64-bit mantissa on x86) sits three
     orders of magnitude below a double sweep's, so the gap between the two
-    is the double sweep's own rounding error.
+    is the double sweep's own rounding error. Not the textbook form
+    ``f_{k+1} u_{k+1} = (12 - 10 f_k) u_k - f_{k-1} u_{k-1}``: in long double
+    that one still lost 1.6e-12 of the peak on 64,001 points, where ``1 +
+    q/12`` rounds away the low bits of ``q``.
     """
-    fl = np.asarray(f, dtype=np.longdouble)
-    u = np.empty(fl.shape[0], dtype=np.longdouble)
+    ql = np.asarray(q, dtype=np.longdouble)
+    c = ql / (1 + ql / 12)
+    u = np.empty(c.shape[0], dtype=np.longdouble)
     u[0], u[1] = u0, u1
-    for k in range(1, fl.shape[0] - 1):
-        u[k + 1] = ((12 - 10 * fl[k]) * u[k] - fl[k - 1] * u[k - 1]) / fl[k + 1]
+    w_prev, w = u0 / (1 - c[0] / 12), u1 / (1 - c[1] / 12)
+    d = w - w_prev
+    for k in range(1, c.shape[0] - 1):
+        d = d - c[k] * w
+        w = w + d
+        u[k + 1] = w * (1 - c[k + 1] / 12)
     return u
 
 
-def sweep_loop(f: np.ndarray, u0: float, u1: float) -> np.ndarray:
-    """The Numerov recurrence stepped one row at a time in double precision,
+def sweep_loop(c: np.ndarray, u0: float, u1: float) -> np.ndarray:
+    """The summed Numerov recurrence of ``numerov._sweep`` stepped one row at a
+    time in double precision, from ``phi`` seeds and ``c = q/(1 + q/12)``,
     rescaled past ``RESCALE_THRESHOLD`` as the program's banded sweep is."""
-    n = f.shape[0]
+    n = c.shape[0]
     u = np.empty(n)
     u[0], u[1] = u0, u1
+    w_prev, w = u0 / (1.0 - c[0] / 12.0), u1 / (1.0 - c[1] / 12.0)
+    d = w - w_prev
     for k in range(1, n - 1):
-        u[k + 1] = ((12.0 - 10.0 * f[k]) * u[k] - f[k - 1] * u[k - 1]) / f[k + 1]
+        d = d - c[k] * w
+        w = w + d
+        u[k + 1] = w * (1.0 - c[k + 1] / 12.0)
         if abs(u[k + 1]) > RESCALE_THRESHOLD:
             u[: k + 2] /= RESCALE_THRESHOLD
+            w, d = w / RESCALE_THRESHOLD, d / RESCALE_THRESHOLD
     return u
 
 
-def sweep_one_solve_per_segment(f: np.ndarray, u0: float, u1: float) -> np.ndarray:
-    """The banded Numerov sweep with one ``dtbtrs`` call per growth segment.
+def sweep_one_solve_per_segment(c: np.ndarray, u0: float, u1: float) -> np.ndarray:
+    """The banded summed Numerov sweep with one ``dtbtrs`` call per growth segment.
 
-    Same band rows, segments, seed terms and rescaling as
-    ``numerov._sweep``, each built over the whole sweep at once; ``f`` must
-    lie in ``(0, 1.5)`` past its first two entries.
+    Same band rows, segments, carried rows and rescaling as
+    ``numerov._sweep``, each built over the whole sweep at once; ``c`` must
+    lie below 4.
     """
-    n = f.shape[0]
+    n = c.shape[0]
     u = np.zeros(n)
     u[0], u[1] = u0, u1
-    diag = f[2:]
+    w0, w1 = u0 / (1.0 - c[0] / 12.0), u1 / (1.0 - c[1] / 12.0)
+    # d_0, w_1, then d_1, w_2, d_2, ... interleaved
+    t = np.zeros(2 * n - 2)
+    t[0], t[1] = w1 - w0, w1
     stops = [n - 2]
-    if (n - 2) * math.sqrt(max(1.0 / diag.min() - 1.0, 0.0)) > _SEGMENT_GROWTH:
-        growth = np.cumsum(np.sqrt(np.maximum(1.0 / diag - 1.0, 0.0)))
+    if (n - 2) * math.sqrt(max(-c[1:-1].min(), 0.0)) > _SEGMENT_GROWTH:
+        growth = np.cumsum(np.sqrt(np.maximum(-c[1:-1], 0.0)))
         cuts = np.arange(_SEGMENT_GROWTH, growth[-1], _SEGMENT_GROWTH)
         stops = np.searchsorted(growth, cuts).tolist() + stops
-    ab = np.empty((3, n - 2), order="F")
-    np.multiply(diag[:-1], 10.0, out=ab[1, :-1])
-    ab[1, :-1] -= 12.0
-    ab[1, :-1] /= diag[1:]
-    np.divide(diag[:-2], diag[2:], out=ab[2, :-2])
+    ab = np.empty((3, 2 * n - 2), order="F")
+    ab[2] = -1.0
+    ab[1, 0::2] = -1.0
+    ab[1, 1::2] = c[1:]
     start = 0
     for stop in stops:
         if stop <= start:
             continue
-        rhs = u[start + 2 : stop + 2]
-        rhs[0] = ((12.0 - 10.0 * f[start + 1]) * u[start + 1] - f[start] * u[start]) / f[start + 2]
-        rhs[1:2] = -f[start + 1] * u[start + 1] / f[start + 3 : start + 4]
-        rhs[:], info = dtbtrs(ab[:, start:stop], rhs, uplo="L", diag="U", overwrite_b=1)
+        # the segment's unknowns after two identity rows carrying its first d and w
+        band = ab[:, 2 * start : 2 * stop + 2].copy(order="F")
+        band[1, 0] = 0.0
+        rhs = t[2 * start : 2 * stop + 2]
+        rhs[2:] = 0.0
+        rhs[:], info = dtbtrs(band, rhs, uplo="L", diag="U", overwrite_b=1)
         assert info == 0
-        peak = max(rhs.max(), -rhs.min())
+        u[start + 2 : stop + 2] = rhs[3::2] * (c[start + 2 : stop + 2] * (-1.0 / 12.0) + 1.0)
+        peak = max(u[start + 2 : stop + 2].max(), -u[start + 2 : stop + 2].min())
         if peak > RESCALE_THRESHOLD:
             u[: stop + 2] /= peak
+            t[: 2 * stop + 2] /= peak
         start = stop
     return u
 

@@ -237,11 +237,24 @@ class TestSolveCommand:
         assert captured.err.startswith("error: the K0 well's depth estimate overflows a double")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
+    def test_grid_past_the_state_is_solver_error(self, capsys):
+        # pmu's 2D ground level decays over 1/27.3: rho_min = 0.032 starts the grid 0.872
+        # decay lengths out, where a solve returned -742.675 Ry flagged converged (exact
+        # -743.363)
+        code = cli.main(["solve", "--atom", "pmu", "--potential", "coulomb2d", "--rho-min", "0.032"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: grid starts past the state: rho_min=0.032 is 0.872 decay lengths from the"
+            " origin, above 0.01; use rho_min <= 0.000366775\n"
+        )
+
     @pytest.mark.parametrize("flags,grid", [
         ([], (None, 60.0, 4001)),
         (["--points", "200001"], (None, 60.0, 200001)),
         (["--rho-max", "90"], (None, 90.0, 4001)),
-        (["--rho-min", "0.024"], (0.024, 60.0, 4001)),
+        (["--rho-min", "0.0024"], (0.0024, 60.0, 4001)),
     ])
     def test_grid_flags_override_the_default_grid(self, capsys, flags, grid):
         # each flag sets its field; the default grid starts 1e-5 decay lengths out
