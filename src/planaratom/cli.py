@@ -27,10 +27,10 @@ stdout, except that ``table`` and ``report`` default to
 Exit codes: 0 success, 1 usage error (``usage error:``), solver failure
 (``error:``: a state not bracketed, degenerate matching, a grid too coarse
 for Numerov, a potential not finite on the grid, a sweep that overflows, a
-K0 well whose depth estimate overflows, a scratch block too large to map
-or a wavefunction that cannot be normalized) or an output file that cannot
-be written (``error: cannot write <path>``), 2 solver did not converge
-(record is still written).
+K0 well whose depth estimate overflows, a grid whose buffers cannot be
+allocated or a wavefunction that cannot be normalized) or an output file
+that cannot be written (``error: cannot write <path>``), 2 solver did not
+converge (record is still written).
 Output is deterministic: fixed column orders, floats at 12 significant
 digits, no timestamps.
 """

@@ -138,22 +138,18 @@ A solve allocates nothing the size of its grid per shot or per sweep. A
 shot sweeps outward straight into the buffer its caller names and sweeps
 inward into the workspace's own, then joins the two in the first at the
 match index. That buffer, the inward sweep, ``c`` and the other of the two
-joined buffers the search keeps live in one block of scratch memory
+joined buffers the search keeps are allocated with the grid's workspace
 (``_ShootingWorkspace``): four grid-sized buffers and the band rows and
-unknowns of a sweep block. Every grid of the cascade shares it, because
-each one's search ends before the next finer one's starts. Only the finished grid's joined
-sweeps are turned into ``u`` and normalized, into the one new array a solve
-returns. Each thread keeps one block (``_Scratch``), grown when a solve
-needs more, and every solve of the thread works in it: :func:`solve_state`
-is never re-entered on a thread. The node count works on the samples' sign
-bits, an eighth of their size.
+unknowns of a sweep block. Every grid of the cascade has a workspace of its
+own, and so has every solve, so no two searches share a buffer. Only the
+finished grid's joined sweeps are turned into ``u`` and normalized, into
+the one array a solve keeps after it returns. The node count works on the
+samples' sign bits, an eighth of their size.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -416,8 +412,8 @@ def _sweep(c, u0, u1, rho, out, band, t) -> np.ndarray:
     that is not finite.
 
     Each segment is solved in blocks of ``_BLOCK // 2`` rows, one
-    ``dtbtrs`` call each, on ``t`` (``_BLOCK + 2`` doubles) with band rows
-    built into ``band`` (an F-ordered ``(3, _BLOCK + 2)`` array). Every
+    ``dtbtrs`` call each, on ``t`` (``min(_BLOCK + 2, 2 len(c))`` doubles or
+    more) with band rows built into ``band`` (F-ordered, 3 rows as wide). Every
     block starts with two identity rows carrying the last ``d`` and ``w``
     solved, the seeds' for the first, so the substitution computes each row
     with the same operations, in the same order, as one solve of the whole
@@ -543,44 +539,6 @@ class _Shot(NamedTuple):
     below: bool
 
 
-def _scratch_size(n_points: int) -> int:
-    """Doubles of a :class:`_ShootingWorkspace`'s scratch memory on ``n_points``."""
-    return 4 * n_points + 4 * (_BLOCK + 2)
-
-
-def _new_block(size: int) -> np.ndarray:
-    """``size`` doubles in a private anonymous mapping of their own, unmapped
-    when the array is freed. Through malloc, freeing a block this large
-    raises glibc's mmap and trim thresholds past the size of a grid array,
-    and its arenas then keep that much freed memory resident. Private, so a
-    forked process writes to copies of the pages, not to its parent's."""
-    return np.frombuffer(mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE), dtype=float)
-
-
-class _Scratch(threading.local):
-    """The scratch block that every :func:`solve_state` call of one thread
-    works in.
-
-    :meth:`at_least` returns the thread's block, replaced by a new one of
-    ``size`` doubles when it is smaller, which drops the old. A solve runs
-    from start to end on its thread and never calls another, so the solves
-    of a thread take turns in the block and those of two threads never
-    share one. A thread's block is freed when the thread ends. The CLI
-    solves in its calling thread, which keeps its block from one command to
-    the next.
-    """
-
-    block: np.ndarray | None = None
-
-    def at_least(self, size: int) -> np.ndarray:
-        if self.block is None or self.block.shape[0] < size:
-            self.block = _new_block(size)
-        return self.block
-
-
-_SCRATCH = _Scratch()
-
-
 def _potential(problem, rho) -> np.ndarray:
     """:func:`effective_potential` at ``rho``, which must be finite there. An
     overflow or a division by zero there is this error, with no numpy warning."""
@@ -596,16 +554,26 @@ def _potential(problem, rho) -> np.ndarray:
 class _ShootingWorkspace:
     """Per-problem state shared across energy trials of one solve.
 
-    ``memory``, at least :func:`_scratch_size` doubles, holds every
-    grid-sized buffer of a shot and of the search: the inward sweep, ``f``,
-    the band rows of a sweep block, and ``joined`` and ``spare``, the
-    joined sweeps that :func:`_search` keeps, into one of which each shot
-    sweeps outward. A shot allocates nothing the size of the grid.
-    ``u_eff`` is the potential at the grid's points, evaluated here unless
-    given.
+    It allocates every grid-sized buffer of a shot and of the search, before
+    the grid's points: the inward sweep, ``c``, and ``joined`` and
+    ``spare``, the joined sweeps that :func:`_search` keeps, into one of
+    which each shot sweeps outward, ``n_points`` doubles each; then a sweep
+    block's band rows and unknowns, ``min(_BLOCK + 2, 2 n_points)`` wide. A
+    shot allocates nothing the size of the grid. Buffers that cannot be
+    allocated are a :class:`SolverError` naming their size. ``u_eff`` is
+    the potential at the grid's points, evaluated here unless given.
     """
 
-    def __init__(self, problem, grid, memory, node_target=0, u_eff=None):
+    def __init__(self, problem, grid, node_target=0, u_eff=None):
+        n = grid.n_points
+        width = min(_BLOCK + 2, 2 * n)
+        try:
+            self._right, self._c, self.joined, self.spare = np.empty((4, n))
+            self._band, self._t = np.empty((3, width), order="F"), np.empty(width)
+        except (MemoryError, ValueError):  # ValueError: too big for numpy to address
+            raise SolverError(
+                f"cannot allocate {8e-6 * (4 * n + 4 * width):.6g} MB for {n} points"
+            ) from None
         self.problem = problem
         self.grid = grid
         self.node_target = node_target
@@ -617,13 +585,6 @@ class _ShootingWorkspace:
         self._power_ratio = math.exp((indicial_exponent(problem) - 0.5) * self.h)
         self.sweeps = 0
         self.points_swept = 0
-        n = grid.n_points
-        self.memory = memory
-        self._right, self._c, self.joined, self.spare = (
-            memory[k * n : (k + 1) * n] for k in range(4)
-        )
-        self._band = memory[4 * n : 4 * n + 3 * (_BLOCK + 2)].reshape(_BLOCK + 2, 3).T
-        self._t = memory[4 * n + 3 * (_BLOCK + 2) : 4 * n + 4 * (_BLOCK + 2)]
 
     def quartered(self) -> _ShootingWorkspace | None:
         """Workspace on every fourth point of this grid, the next coarser grid of
@@ -633,15 +594,13 @@ class _ShootingWorkspace:
         Its grid's step is four times this one's, exactly: a power of two
         scales the division. So its point ``k`` is this grid's point ``4k``,
         bit for bit, and it views every fourth point of this workspace's
-        potential. It works in this workspace's memory, so its search, and
-        the searches on the grids it quarters in turn, must end before this
-        workspace shoots.
+        potential. Its buffers are its own.
         """
         n = self.grid.n_points
         if (n - 1) % 4 or (n - 1) // 4 + 1 < MIN_POINTS:
             return None
         grid = RadialGrid(self.grid.rho_min, self.grid.rho_max, (n - 1) // 4 + 1)
-        return _ShootingWorkspace(self.problem, grid, self.memory, self.node_target, self.u_eff[::4])
+        return _ShootingWorkspace(self.problem, grid, self.node_target, self.u_eff[::4])
 
     def _c_of(self, energy, rows) -> np.ndarray:
         """``c = q/(1 + q/12)``, ``q = h^2 (rho^2 (energy - u_eff) - 1/4)``, on
@@ -852,24 +811,22 @@ def default_bracket(
     return (eta, max(-1e-4, 0.25 * eta))
 
 
-def simpson_u2(u: np.ndarray, h: float, weight: np.ndarray | None = None) -> float:
-    """Composite-Simpson ``int u^2 dx``, or ``int weight u^2 dx`` given
-    ``weight``, over samples ``h`` apart; at least three of them. On a
-    :class:`RadialGrid` ``int u^2 drho`` is ``int rho u^2 dx``.
+def simpson_u2(u: np.ndarray, h: float, weight: np.ndarray) -> float:
+    """Composite-Simpson ``int weight u^2 dx`` over samples ``h`` apart; at
+    least three of them. On a :class:`RadialGrid` ``int u^2 drho`` is ``int
+    rho u^2 dx``.
 
     An even number of samples takes scipy's end correction for the last
     interval (``scipy.integrate.simpson``, Cartwright's formula). The sums
     run over strided views with ``einsum``, so nothing the size of ``u`` is
     allocated.
     """
-    factors = (u, u) if weight is None else (weight, u, u)
-    spec = ",".join("i" * len(factors)) + "->"
 
     def total(part):
-        return np.einsum(spec, *(a[part] for a in factors))
+        return np.einsum("i,i,i->", weight[part], u[part], u[part])
 
     def y(k):
-        return math.prod(float(a[k]) for a in factors)
+        return float(weight[k]) * float(u[k]) * float(u[k])
 
     n = u.shape[0]
     last = n - 1 if n % 2 else n - 2  # the end of the odd-length Simpson part
@@ -922,22 +879,16 @@ def solve_state(
     The module docstring describes the warm brackets and the search, whose
     final bracket is ``bisection_tol`` Ry wide. Raises
     :class:`BracketingError` when no sign change is found after
-    ``MAX_WIDENINGS`` widenings, and :class:`SolverError` when the scratch
-    block of the grid cannot be mapped; an exhausted step budget returns a
-    result flagged ``converged=False`` instead.
+    ``MAX_WIDENINGS`` widenings, and :class:`SolverError` when the buffers
+    of the grid's workspace cannot be allocated; an exhausted step budget
+    returns a result flagged ``converged=False`` instead.
     """
     check_arguments(node_target, bisection_tol)
     tol = bisection_tol
     if grid is None:
         grid = default_grid(problem, node_target)
-    size = _scratch_size(grid.n_points)
-    try:
-        memory = _SCRATCH.at_least(size)
-    except (OSError, OverflowError) as exc:
-        raise SolverError(f"cannot map {8e-6 * size:.6g} MB of scratch memory for "
-                          f"{grid.n_points} points: {exc}") from None
     bracket = default_bracket(problem, node_target, tol)
-    levels = [_ShootingWorkspace(problem, grid, memory, node_target)]
+    levels = [_ShootingWorkspace(problem, grid, node_target)]
     while (coarse := levels[-1].quartered()) is not None:
         levels.append(coarse)
     # the energy a level passes up, and the error of the last level that missed the state
@@ -963,7 +914,6 @@ def solve_state(
         nodes = count_nodes(found.u)
         passes = found.done and nodes == node_target
         e_coarse = found.shot.energy if passes else None
-    # a new array: the next solve of this thread overwrites the scratch block
     u = _normalize_samples(found.u, ws.h, ws.rho)
     final = found.shot
     result = EigenResult(
@@ -984,7 +934,7 @@ def solve_state(
 
 class _Found(NamedTuple):
     """Where a search stopped: the end it returns, that end's joined
-    unnormalized sweeps (a view of the workspace's memory), the final
+    unnormalized sweeps (one of the workspace's two joined buffers), the final
     bracket's width, the shots made, and whether it stopped with its bracket
     at the target width or the resolution floor and the end's defect
     within ``DEFECT_TOL``."""

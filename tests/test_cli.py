@@ -177,27 +177,31 @@ class TestSolveCommand:
         assert captured.err.startswith(expected) and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("exc", [
-        OSError(12, "Cannot allocate memory"),
-        OverflowError("Python int too large to convert to C ssize_t"),
+        MemoryError("Unable to allocate 64.0 GiB for an array with shape (4, 2147483648)"),
+        ValueError("array is too big; `arr.size * arr.dtype.itemsize` is larger than the "
+                   "maximum possible size."),
     ])
     def test_scratch_block_that_cannot_be_mapped_is_solver_error(self, capsys, monkeypatch, exc):
-        # a stand-in mmap refuses the 68.7 GB scratch block of 2**31 points; a real one
-        # may map it and fail only when its pages are touched
-        def refuse(*args, **kwargs):
-            raise exc
+        # a stand-in np.empty refuses the 68.7 GB of buffers of a workspace on 2**31
+        # points; a real one may allocate them and fail only when their pages are touched
+        empty = np.empty
 
-        monkeypatch.setattr(nv.mmap, "mmap", refuse)
+        def refuse(shape, *args, **kwargs):
+            if np.prod(shape) >= 2**31:
+                raise exc
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", refuse)
+        # the buffers come before the grid's points, which would touch 17 GB
+        monkeypatch.setattr(nv.RadialGrid, "points", lambda grid: pytest.fail("points first"))
         argv = ["solve", "--atom", "pe", "--potential", "coulomb3d", "--points", "2147483648"]
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert captured.err.startswith(
-            "error: cannot map 68719.7 MB of scratch memory for 2147483648 points: "
-        )
-        assert captured.err.count("\n") == 1
+        assert captured.err == "error: cannot allocate 68719.7 MB for 2147483648 points\n"
 
     def test_normalization_failure_is_solver_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(nv, "simpson_u2", lambda u, h, rho=None: math.nan)
+        monkeypatch.setattr(nv, "simpson_u2", lambda u, h, weight: math.nan)
         code = cli.main(["solve", "--atom", "pe", "--potential", "coulomb3d"] + FAST)
         assert code == 1
         err = capsys.readouterr().err
