@@ -1313,6 +1313,30 @@ class TestScratchMemory:
             alone = [(shoot(ws, e, *trial), ws.joined.tobytes()) for trial in trials]
             assert alone == [row[k] for row in alternate]
 
+    def test_a_quarter_shoots_between_its_grids_shots(self):
+        # a coarse level's buffers are its own, so its sweeps survive the finer
+        # grid's shots: the two shoot alternately, each as it shoots alone
+        problem = make_problem("pe", "chern_simons", 2e-5)
+        fine = nv._ShootingWorkspace(problem, nv.default_grid(problem, 0))
+        coarse = fine.quartered()
+        for a in own_buffers(coarse):
+            assert not any(np.shares_memory(a, b) for b in own_buffers(fine))
+        energy = nv.solve_state(problem, 0)[0].energy
+        trials = [energy * (1.0 + k * 1e-3) for k in range(-2, 3)]
+
+        def shoot(ws, e):
+            ws.joined.fill(np.nan)
+            return ws.shoot(e, out=ws.joined)
+
+        alternate = []
+        for e in trials:
+            shots = [shoot(ws, e) for ws in (coarse, fine)]
+            alternate.append([(shot, ws.joined.tobytes()) for shot, ws in zip(shots, (coarse, fine))])
+        for k, alone in enumerate((fine.quartered(), nv._ShootingWorkspace(problem, fine.grid))):
+            assert [(shoot(alone, e), alone.joined.tobytes()) for e in trials] == [
+                row[k] for row in alternate
+            ]
+
     def test_a_full_grid_block_holds_four_grid_buffers_and_the_band(self):
         # the inward sweep, c and the search's two joined buffers, into which shots
         # sweep outward, then a sweep block's band rows and unknowns, as wide as a
