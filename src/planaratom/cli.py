@@ -14,8 +14,9 @@ Subcommands and the flags each one reads:
 * ``report``: side-by-side discrepancy report on the file's energies rows,
   then its radii rows, in file order, ``--format md|csv|json --output``.
 
-``table`` and ``report`` solve each distinct state once, in row order, in
-the calling thread (:func:`_solve_states`).
+``table`` and ``report`` key each row's state by its
+:class:`EffectivePotentialParams`, a ground level, and solve each distinct
+one once, in row order, in the calling thread (:func:`_solve_states`).
 
 Every command writes through :func:`_emit`: CSV opens with ``# schema=``
 and any ``# key=value`` comment lines (the wavefunction CSV's name its
@@ -25,10 +26,10 @@ stdout, except that ``table`` and ``report`` default to
 ``table_<which>.<format>`` and ``report.<format>``.
 
 Exit codes: 0 success, 1 usage error (``usage error:``), solver failure
-(``error:``: a state not bracketed, degenerate matching, a grid too coarse
-for Numerov, a potential not finite on the grid, a sweep that overflows, a
-K0 well whose depth estimate overflows, a grid whose buffers cannot be
-allocated or a wavefunction that cannot be normalized) or an output file
+(``error:``: a state not bracketed, a grid too coarse for Numerov, a
+potential not finite on the grid, a sweep that overflows, a K0 well whose
+depth estimate overflows, a grid whose buffers cannot be allocated or a
+wavefunction that cannot be normalized) or an output file
 that cannot be written (``error: cannot write <path>``), 2 solver did not
 converge (record is still written).
 Output is deterministic: fixed column orders, floats at 12 significant
@@ -41,7 +42,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from importlib import resources
 
 from . import __version__
@@ -109,27 +110,16 @@ def load_published_tables() -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class RunRequest:
-    """One solver invocation as described by CLI flags; frozen, so it keys
-    its state in :func:`_solve_states`."""
-
-    atom: str
-    potential_token: str
-    lam: float | None
-    ell: int = 0
-    nodes: int = 0
-    rho_min: float | None = None
-    rho_max: float | None = None
-    n_points: int | None = None
-    tol: float = BISECTION_TOL
-
-    def problem(self) -> EffectivePotentialParams:
-        spec = PotentialSpec(POTENTIAL_TOKENS[self.potential_token], self.lam)
-        return EffectivePotentialParams(spec, make_atom(self.atom), self.ell)
+# The CLI token of each potential kind: POTENTIAL_TOKENS inverted.
+_KIND_TOKENS = {kind: token for token, kind in POTENTIAL_TOKENS.items()}
 
 
-def _request_from_args(args) -> RunRequest:
+def _problem(atom: str, token: str, lam: float | None, ell: int) -> EffectivePotentialParams:
+    spec = PotentialSpec(POTENTIAL_TOKENS[token], lam)
+    return EffectivePotentialParams(spec, make_atom(atom), ell)
+
+
+def _problem_from_args(args) -> EffectivePotentialParams:
     token = args.potential
     kind = POTENTIAL_TOKENS[token]
     lam = args.lam
@@ -141,8 +131,7 @@ def _request_from_args(args) -> RunRequest:
         raise _UsageError(f"--potential {token} requires --lambda (or --mgamma-ev)")
     if kind not in CHERN_SIMONS_KINDS and lam is not None:
         raise _UsageError(f"--lambda is not valid with --potential {token}")
-    return RunRequest(args.atom, token, lam, args.ell, args.nodes, args.rho_min, args.rho_max,
-                      args.n_points, args.tol)
+    return _problem(args.atom, token, lam, args.ell)
 
 
 def _cell(value) -> str:
@@ -204,35 +193,36 @@ def _emit(fmt, path, rows, header=None, comments=(), stem=None, **meta) -> None:
         raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _solve_request(req: RunRequest):
-    problem = req.problem()
+def _solve(problem, nodes=0, rho_min=None, rho_max=None, n_points=None, tol=BISECTION_TOL):
     # before the grid: a bad argument is a usage error, not the failure of a grid it meets
-    check_arguments(req.nodes, req.tol)
-    grid = default_grid(problem, req.nodes, req.rho_min, req.rho_max, req.n_points)
-    result, wf = solve_state(problem, req.nodes, grid=grid, bisection_tol=req.tol)
+    check_arguments(nodes, tol)
+    grid = default_grid(problem, nodes, rho_min, rho_max, n_points)
+    result, wf = solve_state(problem, nodes, grid=grid, bisection_tol=tol)
     return result, wf, mean_radius(wf, problem)
 
 
-def _solve_states(reqs) -> dict:
-    """Solve each distinct :class:`RunRequest` once, in order, in the calling thread.
+def _solve_states(problems) -> dict:
+    """Solve the ground level of each distinct problem once, in order, on its
+    default grid, in the calling thread.
 
-    Maps each request to its ``(EigenResult, RadiusResult)`` pair. A failure
-    raises the first failing request's error in ``reqs`` order. Wavefunctions
-    are not kept, so memory does not grow with the number of states.
+    Maps each problem to its ``(EigenResult, RadiusResult)`` pair. A failure
+    raises the first failing problem's error in ``problems`` order.
+    Wavefunctions are not kept, so memory does not grow with the number of
+    states.
     """
     # [::2] keeps (result, radius): each wavefunction is freed before the next solve
-    return {req: _solve_request(req)[::2] for req in dict.fromkeys(reqs)}
+    return {problem: _solve(problem)[::2] for problem in dict.fromkeys(problems)}
 
 
-def _state_fields(req: RunRequest, **more) -> dict:
+def _state_fields(problem, **more) -> dict:
     """The fields naming a state, first in every per-state record."""
-    return {"atom": req.atom, "potential": req.potential_token, "lambda": req.lam,
-            "ell": req.ell, **more}
+    return {"atom": problem.atom.name, "potential": _KIND_TOKENS[problem.potential.kind],
+            "lambda": problem.potential.lam, "ell": problem.ell, **more}
 
 
-def _solve_record(req: RunRequest, result, radius) -> dict:
+def _solve_record(problem, tol, result, radius) -> dict:
     return {
-        **_state_fields(req, nodes=result.nodes),
+        **_state_fields(problem, nodes=result.nodes),
         "energy_ry": result.energy,
         "converged": result.converged,
         "match_defect": result.match_defect,
@@ -241,7 +231,7 @@ def _solve_record(req: RunRequest, result, radius) -> dict:
         "rho_min": result.grid.rho_min,
         "rho_max": result.grid.rho_max,
         "n_points": result.grid.n_points,
-        "bisection_tol": req.tol,
+        "bisection_tol": tol,
         "iterations": result.iterations,
         "sweeps": result.sweeps,
         "points_swept": result.points_swept,
@@ -249,40 +239,41 @@ def _solve_record(req: RunRequest, result, radius) -> dict:
     }
 
 
-def _emit_wavefunction(path, req: RunRequest, result, wf) -> None:
+def _emit_wavefunction(path, problem, result, wf) -> None:
     outcome = {"energy_ry": result.energy, "converged": result.converged}
     rows = zip(wf.grid.points().tolist(), wf.u.tolist())
-    comments = (_state_fields(req, nodes=result.nodes), outcome)
+    comments = (_state_fields(problem, nodes=result.nodes), outcome)
     _emit("csv", path, rows, header=("rho", "u"), comments=comments)
 
 
 def cmd_solve(args) -> int:
-    req = _request_from_args(args)
-    result, wf, radius = _solve_request(req)
-    _emit(args.format, args.output, [_solve_record(req, result, radius)])
+    problem = _problem_from_args(args)
+    result, wf, radius = _solve(problem, args.nodes, args.rho_min, args.rho_max, args.n_points,
+                                args.tol)
+    _emit(args.format, args.output, [_solve_record(problem, args.tol, result, radius)])
     if args.wavefunction_output:
-        _emit_wavefunction(args.wavefunction_output, req, result, wf)
+        _emit_wavefunction(args.wavefunction_output, problem, result, wf)
     return 0 if result.converged else 2
 
 
 def _reference_rows(table: str) -> list:
-    """``(RunRequest, published value)`` for each row of a reference table,
-    in the order of ``data/published_tables.csv``."""
+    """``(problem, published value)`` for each row of a reference table, in
+    the order of ``data/published_tables.csv``; every row is a ground level."""
     return [
-        (RunRequest(atom, token, lam, ell), value)
+        (_problem(atom, token, lam, ell), value)
         for (name, atom, token, lam, ell), value in load_published_tables().items()
         if name == table
     ]
 
 
 def _build_table(which: str, states: dict) -> list:
-    """Table records; ``states`` is :func:`_solve_states` of its rows' requests."""
+    """Table records; ``states`` is :func:`_solve_states` of its rows' problems."""
     records = []
-    for req, pub in _reference_rows(which):
-        result, radius = states[req]
+    for problem, pub in _reference_rows(which):
+        result, radius = states[problem]
         value = radius.mean_r_bohr if which == "radii" else result.energy
         records.append(_state_fields(
-            req, nodes=req.nodes, energy_ry=result.energy, mean_r_bohr=radius.mean_r_bohr,
+            problem, nodes=0, energy_ry=result.energy, mean_r_bohr=radius.mean_r_bohr,
             published_value=pub, deviation=value - pub,
         ))
     return records
@@ -290,7 +281,7 @@ def _build_table(which: str, states: dict) -> list:
 
 def cmd_table(args) -> int:
     which = args.which.replace("-", "_")
-    records = _build_table(which, _solve_states(req for req, _ in _reference_rows(which)))
+    records = _build_table(which, _solve_states(p for p, _ in _reference_rows(which)))
     _emit(args.format, args.output, records, stem=f"table_{which}", table=which, version=__version__)
     return 0
 
@@ -320,30 +311,30 @@ _CLOSED_RADIUS_FACTOR = {"coulomb3d": 1.5, "coulomb2d": 0.5}
 
 def _build_report():
     energies, radii = _reference_rows("energies"), _reference_rows("radii")
-    variants = {req: replace(req, potential_token="chern-simons-jordan")
-                for req, _ in energies if req.potential_token == "chern-simons"}
-    states = _solve_states([req for req, _ in energies] + list(variants.values())
-                           + [req for req, _ in radii])
+    variants = {p: replace(p, potential=PotentialSpec("chern_simons_jordan", p.potential.lam))
+                for p, _ in energies if p.potential.kind == "chern_simons"}
+    states = _solve_states([p for p, _ in energies] + list(variants.values())
+                           + [p for p, _ in radii])
     rows = []
     for section, quantity, refs in (("energies", "energy_ry", energies),
                                     ("radii", "mean_r_bohr", radii)):
-        for req, pub in refs:
-            result, radius = states[req]
-            problem = req.problem()
+        for problem, pub in refs:
+            result, radius = states[problem]
+            kind = problem.potential.kind
             jordan = jordan_ratio = None
             if section == "energies":
                 computed = result.energy
-                closed = closed_form_energy(problem, req.nodes)
-                if req in variants:
-                    jordan = states[variants[req]][0].energy
+                closed = closed_form_energy(problem, 0)
+                if problem in variants:
+                    jordan = states[variants[problem]][0].energy
                     jordan_ratio = jordan_variant_gap(problem)
             else:
                 computed = radius.mean_r_bohr
-                factor = _CLOSED_RADIUS_FACTOR.get(req.potential_token)
+                factor = _CLOSED_RADIUS_FACTOR.get(kind)
                 closed = factor / problem.atom.zeta if factor is not None else None
             rows.append({
-                "section": section, "atom": req.atom, "potential": req.potential_token,
-                "lambda": req.lam, "quantity": quantity, "published_value": pub,
+                "section": section, "atom": problem.atom.name, "potential": _KIND_TOKENS[kind],
+                "lambda": problem.potential.lam, "quantity": quantity, "published_value": pub,
                 "computed": computed, "closed_form": closed, "jordan_variant": jordan,
                 "jordan_prefactor_ratio": jordan_ratio, "deviation": computed - pub,
                 "flag": _flag_for(pub, computed, closed),

@@ -246,10 +246,6 @@ class BracketingError(SolverError):
         self.scan = scan
 
 
-class DegenerateSeedError(SolverError):
-    """Both sweeps vanish at the matching point."""
-
-
 class GridTooCoarseError(SolverError):
     """The grid cannot resolve the state: a swept row has ``f = 1 + h^2 g / 12``
     outside ``(0, 1.5)``, Numerov's stable range, or a named ``rho_min``
@@ -325,11 +321,10 @@ class EigenResult:
 @dataclass(frozen=True)
 class WaveFunction:
     """Reduced radial function ``u`` at the grid's points, normalized to
-    ``int u^2 drho = 1``; ``energy`` is the eigenvalue (rydberg) it belongs to."""
+    ``int u^2 drho = 1``; its eigenvalue is the :class:`EigenResult`'s."""
 
     grid: RadialGrid
     u: np.ndarray
-    energy: float
 
 
 def indicial_exponent(problem: EffectivePotentialParams) -> float:
@@ -424,9 +419,11 @@ def _sweep(c, u0, u1, rho, out, band, t) -> np.ndarray:
     # the rows after the seeds'; NaN fails too
     if not c[2:].max() < 4.0:
         k = 2 + int(np.argmin(c[2:] < 4.0))
+        with np.errstate(divide="ignore"):  # c is 12 where q overflows: f is inf
+            f = 12.0 / (12.0 - c[k])
         raise GridTooCoarseError(
             f"grid too coarse for Numerov at rho={rho[k]:.6g}: f = 1 + h^2 g/12 = "
-            f"{12.0 / (12.0 - c[k]):.3g} must be finite and in (0, 1.5) for a stable "
+            f"{f:.3g} must be finite and in (0, 1.5) for a stable "
             "recurrence; use more points or a smaller rho_max"
         )
 
@@ -582,7 +579,10 @@ class _ShootingWorkspace:
         self.u_eff = _potential(problem, self.rho) if u_eff is None else u_eff
         self.h2 = self.h * self.h
         # phi_1/phi_0 of the regular solution's power law rho^(s - 1/2)
-        self._power_ratio = math.exp((indicial_exponent(problem) - 0.5) * self.h)
+        try:
+            self._power_ratio = math.exp((indicial_exponent(problem) - 0.5) * self.h)
+        except OverflowError:  # past a double's range: a seed that _sweep rejects
+            self._power_ratio = math.inf
         self.sweeps = 0
         self.points_swept = 0
 
@@ -675,8 +675,6 @@ class _ShootingWorkspace:
         self.sweeps += 1
         self.points_swept += c.shape[0]
         ul, ur = phi_left[m], phi_right[_STENCIL_PAD]
-        if ul == 0.0 and ur == 0.0:
-            raise DegenerateSeedError("both sweeps vanish at the matching point")
         defect = slope = None
         # measured before the join: the stencil reads phi_left[m + 1] and phi_left[m + 2]
         if abs(ul) > 1e-9 * np.max(np.abs(phi_left[max(0, m - 16) : m + 3])) and ur != 0.0:
@@ -929,7 +927,7 @@ def solve_state(
         grid=grid,
         energy_error_ry=None if start is None else (final.energy - start) / 255.0,
     )
-    return result, WaveFunction(grid=grid, u=u, energy=final.energy)
+    return result, WaveFunction(grid=grid, u=u)
 
 
 class _Found(NamedTuple):

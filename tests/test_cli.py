@@ -2,12 +2,12 @@ import json
 import math
 import threading
 import time
-from dataclasses import replace
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import sweeps_per_grid
+from conftest import make_problem, sweeps_per_grid
 from planaratom import cli, model as md
 from planaratom import numerov as nv
 from planaratom.observables import mean_radius
@@ -130,14 +130,32 @@ class TestSolveCommand:
         assert code == 1
         assert err.startswith("error: grid too coarse for Numerov at rho=")
 
-    def test_degenerate_seed_is_solver_error(self, capsys, monkeypatch):
-        def degenerate(*args, **kwargs):
-            raise nv.DegenerateSeedError("both sweeps vanish at the matching point")
-
-        monkeypatch.setattr(cli, "solve_state", degenerate)
-        code = cli.main(["solve", "--atom", "pe", "--potential", "coulomb3d"])
+    @pytest.mark.parametrize("argv,rho", [
+        (["coulomb3d", "--rho-max", "1e300"], "7.03882e+299"),
+        (["chern-simons", "--lambda", "2e-5", "--rho-max", "1e300"], "7.03738e+299"),
+        (["coulomb3d", "--tol", "1e300"], "1.0079e-05"),
+    ])
+    def test_overflowing_f_is_one_error_line(self, capsys, argv, rho):
+        # q = h^2 g overflows, so c = q/f is exactly 12 and f infinite: no numpy warning
+        # from dividing by 12 - c goes before the error
+        code = cli.main(["solve", "--atom", "pe", "--potential", *argv])
         assert code == 1
-        assert capsys.readouterr().err == "error: both sweeps vanish at the matching point\n"
+        assert capsys.readouterr().err == (
+            f"error: grid too coarse for Numerov at rho={rho}: f = 1 + h^2 g/12 = inf must be "
+            "finite and in (0, 1.5) for a stable recurrence; use more points or a smaller "
+            "rho_max\n"
+        )
+
+    def test_k0_state_at_a_huge_ell_is_one_error_line(self, capsys):
+        # the default K0 grid, whose box ignores ell, is too coarse for the centrifugal term
+        # from about ell 1,000, and from about ell 177,000 (s - 1/2) h overflows the outward
+        # seed's power ratio, which is built before any sweep
+        code = cli.main(["solve", "--atom", "pe", "--potential", "chern-simons",
+                         "--lambda", "2e-5", "--ell", "200000"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_nonfinite_potential_is_solver_error(self, capsys):
         # l(l+1)/rho^2 overflows at rho = 1e-200
@@ -610,22 +628,42 @@ class TestReportMarkdown:
 
 class TestSolveStates:
     def test_ell_states_match_sequential_solves(self):
-        # each row pinned to its default grid, as --points pins it: both sides solve on it
-        reqs = [req for req, _ in cli._reference_rows("ell_states")]
-        pinned = {
-            req: replace(req, n_points=nv.default_grid(req.problem(), req.nodes).n_points)
-            for req in reqs
-        }
+        # every row is a ground level on its default grid, named here
+        problems = [problem for problem, _ in cli._reference_rows("ell_states")]
         sequential = {}
-        for req in reqs:
-            problem = req.problem()
-            result, wf = nv.solve_state(problem, req.nodes, grid=nv.default_grid(problem, req.nodes))
-            sequential[req] = result, mean_radius(wf, problem)
-        solved = cli._solve_states(pinned.values())
-        concurrent = {req: solved[pinned[req]] for req in reqs}
-        assert cli._build_table("ell_states", concurrent) == cli._build_table(
+        for problem in problems:
+            result, wf = nv.solve_state(problem, 0, grid=nv.default_grid(problem, 0))
+            sequential[problem] = result, mean_radius(wf, problem)
+        assert cli._build_table("ell_states", cli._solve_states(problems)) == cli._build_table(
             "ell_states", sequential
         )
+
+    @pytest.mark.parametrize("argv,sections", [
+        (["table", "ell-states"], ("ell_states",)),
+        (["table", "energies"], ("energies",)),
+        (["report", "--format", "csv"], ("energies", "jordan", "radii")),
+    ])
+    def test_one_solve_per_distinct_problem(self, capsys, monkeypatch, argv, sections):
+        # the expected problems are built anew here, so they and the solved ones, and the
+        # report's energies and radii rows of one state, are one problem only by value
+        expected = set()
+        for (table, atom, token, lam, ell), _ in cli.load_published_tables().items():
+            kind = md.POTENTIAL_TOKENS[token]
+            if table in sections:
+                expected.add((make_problem(atom, kind, lam, ell), 0))
+            if table == "energies" and "jordan" in sections and kind == "chern_simons":
+                expected.add((make_problem(atom, "chern_simons_jordan", lam, ell), 0))
+        solved = []
+        solve = cli.solve_state
+
+        def counted(problem, node_target=0, **kwargs):
+            solved.append((problem, node_target))
+            return solve(problem, node_target, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_state", counted)
+        assert cli.main(argv + ["--output", "-"]) == 0
+        capsys.readouterr()
+        assert Counter(solved) == Counter(expected)
 
     def test_first_failing_row_in_row_order_is_reported(self, capsys, monkeypatch):
         # pe ell 2 (row 2) fails after pmu ell 2 (row 4) has failed: the error of

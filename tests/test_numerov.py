@@ -759,7 +759,9 @@ class TestInterpolatedSearch:
         _, ref, _ = solve_cached(atom, kind, lam, ell=ell, nodes=nodes, tol=1e-12)
         assert res.converged and ref.converged
         assert abs(res.energy - ref.energy) <= 1e-8
-        assert wf.energy == res.energy
+        # the wavefunction is the returned level's: its grid and its node count
+        assert wf.grid == res.grid
+        assert nv.count_nodes(wf.u) == res.nodes == nodes
         assert res.bracket_width <= nv.BISECTION_TOL
 
     @pytest.mark.parametrize("kind,lam", [("coulomb2d", None), ("chern_simons", 2e-5)])

@@ -13,10 +13,6 @@ from planaratom import numerov as nv
 from planaratom import observables as ob
 
 
-def wf_from(u, grid, energy=-1.0):
-    return nv.WaveFunction(grid=grid, u=np.asarray(u, dtype=float), energy=energy)
-
-
 class TestSimpson:
     """``nv.simpson_u2`` against ``scipy.integrate.simpson``, the oracle."""
 
@@ -151,7 +147,7 @@ class TestMeanRadius:
         rho = grid.points()
         u = np.sqrt(rho) * np.exp(-2.0 * rho)
         u /= np.sqrt(simpson(rho * u * u, dx=grid.step))
-        r = ob.mean_radius(wf_from(u, grid, energy=-4.0), problem)
+        r = ob.mean_radius(nv.WaveFunction(grid, u), problem)
         assert r.mean_rho == pytest.approx(0.5, rel=1e-6)
 
     @pytest.mark.parametrize("kind,lam", [("chern_simons", 2e-5), ("coulomb2d", None)])

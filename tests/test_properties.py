@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from conftest import make_problem  # noqa: E402
 from planaratom import ATOM_NAMES, cli, solve_state  # noqa: E402
 from planaratom.model import CHERN_SIMONS_KINDS  # noqa: E402
-from planaratom.numerov import SolverError  # noqa: E402
+from planaratom.numerov import SolverError, count_nodes  # noqa: E402
 
 KINDS = ("coulomb3d", "coulomb2d", "chern_simons", "chern_simons_jordan")
 
@@ -37,7 +37,8 @@ def test_converged_or_typed_failure(atom, kind, lam, ell, nodes):
         return
     assert res.converged, res
     assert res.nodes == nodes
-    assert wf.energy == res.energy
+    # the wavefunction is the returned level's: its grid and its node count
+    assert wf.grid == res.grid and count_nodes(wf.u) == nodes
 
 
 @settings(max_examples=60, deadline=None)
